@@ -9,8 +9,10 @@ unequal-variance t-test and Fisher's exact test.
 
 from __future__ import annotations
 
+import itertools
 import math
 import warnings
+from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -49,8 +51,8 @@ class RateMap:
     spacing: tuple[float, float, float]
 
 
-def fn_fp_maps(pairs: list[tuple[BinaryMask, BinaryMask]],
-               subject_ids: list[str] | None = None,
+def fn_fp_maps(pairs: Iterable[tuple[BinaryMask, BinaryMask]],
+               subject_ids: Sequence[str] | None = None,
                fp_denominator: str = "ref_negative"
                ) -> tuple[RateMap, RateMap]:
     """Aggregate false-negative and false-positive rates over pairs.
@@ -60,45 +62,59 @@ def fn_fp_maps(pairs: list[tuple[BinaryMask, BinaryMask]],
     divides by how often it was reference background, or by the total
     number of pairs with ``fp_denominator="pairs"``.
 
-    ``subject_ids`` lets several pairs (one per method) share a
-    subject so the lesion-count grid counts each subject once.
+    ``pairs`` may be any iterable, a generator included. It is consumed
+    once, and per subject only the flat indices of its reference
+    foreground are kept, so memory does not grow by a mask per pair.
+    ``subject_ids`` lets several pairs (one per method) share a subject
+    so the lesion-count grid counts each subject once.
     """
-    if not pairs:
-        raise ArityError("fn_fp_maps needs at least one pair")
     if fp_denominator not in ("ref_negative", "pairs"):
         raise ValueError(f"bad fp_denominator {fp_denominator!r}")
-    if subject_ids is None:
-        subject_ids = [f"pair{i}" for i in range(len(pairs))]
-    if len(subject_ids) != len(pairs):
-        raise ValueError("subject_ids must parallel pairs")
-
-    ref0 = pairs[0][0]
+    pairs = iter(pairs)
+    first = next(pairs, None)
+    if first is None:
+        raise ArityError("fn_fp_maps needs at least one pair")
+    ref0 = first[0]
     dims = ref0.dims
     fn_num = np.zeros(dims, dtype=np.int64)
     fn_den = np.zeros(dims, dtype=np.int64)
     fp_num = np.zeros(dims, dtype=np.int64)
 
-    for ref, pred in pairs:
+    n = 0
+    last_sid = last_ref = None
+    # per subject, the sorted flat indices of its reference foreground
+    by_subject: dict[object, np.ndarray] = {}
+    for ref, pred in itertools.chain([first], pairs):
         same_grid(ref0, ref, "map inputs")
         same_grid(ref, pred, "reference and prediction")
         fn_num += ref.data & ~pred.data
         fn_den += ref.data
         fp_num += pred.data & ~ref.data
+        if subject_ids is None:
+            sid = n
+        elif n < len(subject_ids):
+            sid = subject_ids[n]
+        else:
+            raise ValueError("subject_ids must parallel pairs")
+        # a subject's rows usually repeat its reference: skip the union
+        if sid != last_sid or not np.array_equal(ref.data, last_ref):
+            voxels = np.flatnonzero(ref.data)
+            if sid in by_subject:
+                voxels = np.union1d(by_subject[sid], voxels)
+            by_subject[sid] = voxels
+        last_sid, last_ref = sid, ref.data
+        n += 1
+    if subject_ids is not None and len(subject_ids) != n:
+        raise ValueError("subject_ids must parallel pairs")
 
     if fp_denominator == "ref_negative":
-        fp_den = len(pairs) - fn_den
+        fp_den = n - fn_den
     else:
-        fp_den = np.full(dims, len(pairs), dtype=np.int64)
+        fp_den = np.full(dims, n, dtype=np.int64)
 
     lesion_count = np.zeros(dims, dtype=np.int64)
-    by_subject: dict[str, np.ndarray] = {}
-    for (ref, _), sid in zip(pairs, subject_ids):
-        if sid in by_subject:
-            by_subject[sid] |= ref.data
-        else:
-            by_subject[sid] = ref.data.copy()
-    for acc in by_subject.values():
-        lesion_count += acc
+    for voxels in by_subject.values():
+        lesion_count.reshape(-1)[voxels] += 1
 
     def _rate(num, den):
         out = np.zeros(dims, dtype=np.float64)

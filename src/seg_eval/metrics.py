@@ -129,10 +129,15 @@ def hausdorff95(ref: BinaryMask, pred: BinaryMask,
     same_grid(ref, pred, "masks")
     if ref.count() == 0 or pred.count() == 0:
         return None
-    surf_ref = surface_voxels(ref)
-    surf_pred = surface_voxels(pred)
-    d_rp = directed_surface_distances(surf_ref, surf_pred, ref.spacing)
-    d_pr = directed_surface_distances(surf_pred, surf_ref, ref.spacing)
+    return _surface_h95(surface_voxels(ref), surface_voxels(pred),
+                        ref.spacing, mode)
+
+
+def _surface_h95(surf_ref: np.ndarray, surf_pred: np.ndarray,
+                 spacing: tuple[float, float, float], mode: str) -> float:
+    """H95 between two non-empty sets of surface voxel coordinates."""
+    d_rp = directed_surface_distances(surf_ref, surf_pred, spacing)
+    d_pr = directed_surface_distances(surf_pred, surf_ref, spacing)
     if mode == "directed":
         return float(max(np.percentile(d_rp, 95.0),
                          np.percentile(d_pr, 95.0)))
@@ -234,6 +239,22 @@ def relative_difference(value: float, baseline: float) -> float:
     return (value - baseline) / baseline
 
 
+def _lesion_box(a: np.ndarray, b: np.ndarray) -> tuple[slice, ...] | None:
+    """Bounding box of ``a | b`` grown by one voxel and clipped to the
+    grid, or None when both are empty."""
+    union = a | b
+    plane = union.any(axis=2)
+    box = []
+    for hit in (plane.any(axis=1), plane.any(axis=0),
+                union.any(axis=(0, 1))):
+        idx = np.flatnonzero(hit)
+        if idx.size == 0:
+            return None
+        box.append(slice(max(int(idx[0]) - 1, 0),
+                         min(int(idx[-1]) + 2, hit.size)))
+    return tuple(box)
+
+
 def evaluate_pair(ref: LabelVolume, pred: LabelVolume,
                   config: EvalConfig = EvalConfig()) -> MetricVector:
     """Score one prediction against one reference.
@@ -242,17 +263,26 @@ def evaluate_pair(ref: LabelVolume, pred: LabelVolume,
     before anything is measured, unless the config says to treat it as
     plain background. Prediction label 2 is tolerated and treated as
     background either way.
+
+    Labels are validated on the whole grid; everything after that runs
+    on the bounding box of both masks plus a one-voxel margin. Every
+    box face is then background or the grid boundary, so surfaces and
+    component ids match the whole-grid ones; surface coordinates are
+    shifted back to the grid so H95 distances are bit-identical.
     """
     same_grid(ref, pred, "reference and prediction")
     ref_wmh, ignore = binarize_challenge(ref)
     pred_wmh, _ = binarize_challenge(pred)
-
-    if config.ignore_mode == "exclude" and ignore.count():
+    ref_data, pred_data = ref_wmh.data, pred_wmh.data
+    if config.ignore_mode == "exclude" and ignore.data.any():
         keep = ~ignore.data
-        ref_eval = BinaryMask(ref_wmh.data & keep, ref.spacing)
-        pred_eval = BinaryMask(pred_wmh.data & keep, ref.spacing)
-    else:
-        ref_eval, pred_eval = ref_wmh, pred_wmh
+        ref_data, pred_data = ref_data & keep, pred_data & keep
+
+    box = _lesion_box(ref_data, pred_data)
+    if box is not None:
+        ref_data, pred_data = ref_data[box], pred_data[box]
+    ref_eval = BinaryMask(ref_data, ref.spacing)
+    pred_eval = BinaryMask(pred_data, ref.spacing)
 
     n_ref_vox = ref_eval.count()
     n_pred_vox = pred_eval.count()
@@ -260,7 +290,13 @@ def evaluate_pair(ref: LabelVolume, pred: LabelVolume,
     pred_ml = pred_eval.volume_ml()
 
     dsc = dice(ref_eval, pred_eval)
-    h95 = hausdorff95(ref_eval, pred_eval, config.h95_mode)
+    if n_ref_vox and n_pred_vox:
+        origin = [sl.start for sl in box]
+        h95 = _surface_h95(surface_voxels(ref_eval) + origin,
+                           surface_voxels(pred_eval) + origin,
+                           ref.spacing, config.h95_mode)
+    else:
+        h95 = None
     if n_ref_vox == 0:
         avd = None
         lavd = None

@@ -14,7 +14,9 @@ bytes.
 from __future__ import annotations
 
 import gzip
+import math
 import struct
+import zlib
 from pathlib import Path
 
 import numpy as np
@@ -35,8 +37,14 @@ _BITPIX_BY_CODE = {2: 8, 4: 16, 16: 32}
 
 def _read_container(path: Path) -> bytes:
     if path.suffix == ".gz":
-        with gzip.open(path, "rb") as fh:
-            return fh.read()
+        try:
+            with gzip.open(path, "rb") as fh:
+                return fh.read()
+        except EOFError as exc:
+            raise TruncatedFileError(
+                f"{path}: gzip stream ends early: {exc}") from exc
+        except (gzip.BadGzipFile, zlib.error) as exc:
+            raise FormatError(f"{path}: corrupt gzip stream: {exc}") from exc
     return path.read_bytes()
 
 
@@ -103,6 +111,8 @@ def read_nifti(path: str | Path) -> LabelVolume:
     if not all(np.isfinite(s) and s > 0 for s in spacing):
         raise FormatError(f"{path}: invalid voxel spacing {spacing}")
 
+    if not math.isfinite(vox_offset):
+        raise FormatError(f"{path}: vox_offset {vox_offset} is not finite")
     offset = int(vox_offset) if vox_offset >= HEADER_SIZE else 352
     dt = np.dtype(_DTYPE_BY_CODE[datatype]).newbyteorder(bo)
     nvox = nx * ny * nz

@@ -298,30 +298,19 @@ def connected_components(mask: BinaryMask, connectivity: int = 26
                          ) -> ComponentLabeling:
     """Label connected components with deterministic ids.
 
-    scipy does the partitioning; ids are then renumbered so that
-    component k is the k-th one met by an x-fastest scan. Supported
-    connectivities: 6, 18, 26 (default 26).
+    scipy labels in the order its C-order scan first meets each
+    component. Run on the transposed view, that scan is our x-fastest
+    scan, so component k is the k-th one met by it with no renumbering.
+    Supported connectivities: 6, 18, 26 (default 26).
     """
     if connectivity not in _CONNECTIVITY_RANK:
         raise ValueError(f"connectivity must be 6, 18 or 26, got {connectivity}")
     structure = ndimage.generate_binary_structure(
         3, _CONNECTIVITY_RANK[connectivity])
-    raw, n = ndimage.label(mask.data, structure=structure)
-    if n == 0:
-        return ComponentLabeling(
-            labels=np.zeros(mask.dims, dtype=np.int32), count=0,
-            sizes=np.zeros(0, dtype=np.int64), connectivity=connectivity,
-            spacing=mask.spacing)
-
-    flat = raw.ravel(order="F")
-    first = np.full(n + 1, flat.size, dtype=np.int64)
-    np.minimum.at(first, flat, np.arange(flat.size, dtype=np.int64))
-    order = np.argsort(first[1:], kind="stable")  # raw id - 1, by first voxel
-    remap = np.zeros(n + 1, dtype=np.int32)
-    remap[order + 1] = np.arange(1, n + 1, dtype=np.int32)
-    labels = remap[raw]
-
-    sizes = np.bincount(labels.ravel(), minlength=n + 1)[1:].astype(np.int64)
+    raw, n = ndimage.label(mask.data.T, structure=structure)
+    labels = raw.T
+    sizes = np.bincount(labels[mask.data], minlength=n + 1)[1:]
+    sizes = sizes.astype(np.int64, copy=False)
     labels.setflags(write=False)
     return ComponentLabeling(labels=labels, count=int(n), sizes=sizes,
                              connectivity=connectivity, spacing=mask.spacing)

@@ -117,6 +117,45 @@ class TestRateMaps:
             fn_fp_maps([(a, a)], subject_ids=["x", "y"])
 
 
+    def test_any_iterable_of_pairs(self):
+        rng = np.random.default_rng(108)
+        pairs = [(random_mask(rng, (5, 4, 3), 0.3),
+                  random_mask(rng, (5, 4, 3), 0.3)) for _ in range(6)]
+        ids = ["s0", "s0", "s1", "s2", "s1", "s0"]
+        union = {}
+        for (ref, _), sid in zip(pairs, ids):
+            union[sid] = union.get(sid, False) | ref.data
+        for mode in ("ref_negative", "pairs"):
+            want = fn_fp_maps(pairs, ids, mode)
+            assert np.array_equal(want[0].lesion_count, sum(union.values()))
+            got = fn_fp_maps((p for p in pairs), ids, mode)
+            for w, g in zip(want, got):
+                for field in ("numerator", "denominator", "rate",
+                              "lesion_count"):
+                    assert np.array_equal(getattr(w, field),
+                                          getattr(g, field)), field
+
+    def test_lesion_count_counts_subjects_once(self):
+        a = mask_from([(0, 0, 0), (1, 0, 0)], (3, 3, 3))
+        b = mask_from([(1, 0, 0), (2, 2, 2)], (3, 3, 3))
+        fn, _ = fn_fp_maps([(a, a), (b, b), (a, b)], ["x", "x", "y"])
+        assert fn.lesion_count[0, 0, 0] == 2
+        assert fn.lesion_count[1, 0, 0] == 2
+        assert fn.lesion_count[2, 2, 2] == 1
+        assert fn.lesion_count.sum() == 5
+
+    def test_validation_on_a_generator(self):
+        a = mask_from([(1, 1, 1)], (3, 3, 3))
+        with pytest.raises(ArityError):
+            fn_fp_maps(iter([]))
+        with pytest.raises(ArityError):
+            fn_fp_maps(iter([]), subject_ids=["x"])
+        with pytest.raises(ValueError, match="parallel"):
+            fn_fp_maps(((a, a) for _ in range(1)), subject_ids=["x", "y"])
+        with pytest.raises(ValueError, match="parallel"):
+            fn_fp_maps(((a, a) for _ in range(3)), subject_ids=["x", "y"])
+
+
 class TestCohortSummary:
     def test_single_subject(self):
         data = np.zeros((10, 10, 10), dtype=bool)

@@ -135,6 +135,18 @@ class TestEvaluate:
         assert rc == 1
         assert "error:" in capsys.readouterr().err
 
+    def test_truncated_gzip_is_an_error_naming_the_file(self, pair_on_disk,
+                                                        tmp_path, capsys):
+        _, _, ref_p, _ = pair_on_disk
+        half = tmp_path / "half.nii.gz"
+        raw = ref_p.read_bytes()
+        half.write_bytes(raw[:len(raw) // 2])
+        rc = main(["evaluate", str(half), str(ref_p)])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:")
+        assert str(half) in err
+
     def test_bad_flag_value_is_a_usage_error(self, pair_on_disk, capsys):
         _, _, ref_p, pred_p = pair_on_disk
         rc = main(["evaluate", str(ref_p), str(pred_p),
@@ -195,6 +207,24 @@ class TestEvaluateBatch:
         assert main(["evaluate-batch", str(manifest), "-o", str(two),
                      "--jobs", "2"]) == 0
         assert one.read_bytes() == two.read_bytes()
+
+    def test_jobs_do_not_change_a_chunked_output(self, tmp_path, capsys):
+        # 25 pairs: --jobs 2 sends chunks of 3 and --jobs 3 chunks of 2,
+        # neither of which divides the task list
+        corpus = tmp_path / "corpus"
+        assert main(["synth", "--out-dir", str(corpus), "--subjects", "5",
+                     "--methods", "5", "--scanners", "2", "--seed", "4",
+                     "--dims", "16", "16", "8", "--lesions", "3",
+                     "--size-range", "3", "15"]) == 0
+        outputs = []
+        for jobs in ("1", "2", "3"):
+            out = tmp_path / f"jobs{jobs}.csv"
+            assert main(["evaluate-batch", str(corpus / "manifest.csv"),
+                         "-o", str(out), "--jobs", jobs]) in (0, 2)
+            outputs.append(out.read_bytes())
+        capsys.readouterr()
+        assert len(outputs[0].splitlines()) == 1 + 25
+        assert outputs[0] == outputs[1] == outputs[2]
 
     def test_undefined_metrics_are_counted_on_stderr(self, tmp_path, capsys):
         ref = labels_from(REF_COORDS, (8, 8, 4))

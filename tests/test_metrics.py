@@ -7,7 +7,7 @@ from seg_eval.errors import ShapeMismatchError, UndefinedMetricError
 from seg_eval.metrics import (EvalConfig, avd_percent, dice, evaluate_pair,
                               hausdorff95, lesion_recall_f1, log_avd,
                               relative_difference, size_split_recall)
-from seg_eval.volume import BinaryMask, LabelVolume
+from seg_eval.volume import BinaryMask, LabelVolume, binarize_challenge
 
 from helpers import labels_from, mask_from, phantom_pair, random_mask
 from oracles import dice_oracle, evaluate_pair_oracle, h95_oracle
@@ -365,3 +365,97 @@ class TestEvaluatePair:
         with pytest.raises(ShapeMismatchError):
             evaluate_pair(labels_from([], (4, 4, 4)),
                           labels_from([], (4, 4, 4), spacing=(1, 1, 2)))
+
+
+def assert_same_as_uncropped(ref, pred, config=EvalConfig()):
+    """evaluate_pair, which works inside the lesion bounding box, against
+    the whole-grid oracle, with H95 bit-identical to hausdorff95 on the
+    uncropped masks."""
+    got = evaluate_pair(ref, pred, config).as_dict()
+    want = evaluate_pair_oracle(ref.data, pred.data, ref.spacing,
+                                config.connectivity, config.h95_mode,
+                                config.ignore_mode)
+    for key, expected in want.items():
+        if expected is None:
+            assert got[key] is None, key
+        elif isinstance(expected, int):
+            assert got[key] == expected, key
+        else:
+            assert got[key] == pytest.approx(expected, abs=1e-9), key
+    ref_wmh, ignore = binarize_challenge(ref)
+    pred_wmh, _ = binarize_challenge(pred)
+    keep = ~ignore.data if config.ignore_mode == "exclude" else True
+    whole = hausdorff95(BinaryMask(ref_wmh.data & keep, ref.spacing),
+                        BinaryMask(pred_wmh.data & keep, ref.spacing),
+                        config.h95_mode)
+    assert got["h95_mm"] == whole
+
+
+FACE_DIMS = (9, 8, 7)
+
+
+def face_blob(axis, side, shift=0):
+    """A 2x2x2 block touching one grid face, shifted along the next axis."""
+    lo = [3, 3, 2]
+    lo[axis] = 0 if side == 0 else FACE_DIMS[axis] - 2
+    lo[(axis + 1) % 3] += shift
+    return [(lo[0] + i, lo[1] + j, lo[2] + k)
+            for i in range(2) for j in range(2) for k in range(2)]
+
+
+class TestEvaluatePairCrop:
+    @pytest.mark.parametrize("axis", [0, 1, 2])
+    @pytest.mark.parametrize("side", [0, 1])
+    @pytest.mark.parametrize("mode", ["directed", "pooled"])
+    def test_lesion_touching_a_grid_face(self, axis, side, mode):
+        ref = labels_from(face_blob(axis, side) + [(4, 4, 3)], FACE_DIMS)
+        pred = labels_from(face_blob(axis, side, shift=1), FACE_DIMS)
+        assert_same_as_uncropped(ref, pred, EvalConfig(h95_mode=mode))
+
+    def test_single_voxels_at_opposite_corners(self):
+        dims = (7, 6, 5)
+        first = labels_from([(0, 0, 0)], dims)
+        last = labels_from([(6, 5, 4)], dims)
+        both = labels_from([(0, 0, 0), (6, 5, 4)], dims)
+        for ref, pred in ((first, last), (last, first), (first, first),
+                          (last, last), (both, first), (last, both)):
+            assert_same_as_uncropped(ref, pred)
+
+    def test_empty_prediction(self):
+        ref = labels_from([(5, 5, 5), (5, 6, 5), (2, 7, 1)], (9, 9, 9))
+        assert_same_as_uncropped(ref, labels_from([], (9, 9, 9)))
+
+    def test_empty_reference(self):
+        pred = labels_from([(5, 5, 5), (5, 6, 5), (2, 7, 1)], (9, 9, 9))
+        assert_same_as_uncropped(labels_from([], (9, 9, 9)), pred)
+
+    def test_both_empty(self):
+        empty = labels_from([], (9, 9, 9))
+        assert_same_as_uncropped(empty, empty)
+        m = evaluate_pair(empty, empty)
+        assert (m.dsc, m.recall, m.f1) == (1.0, 1.0, 1.0)
+        assert m.n_ref_lesions == m.n_pred_lesions == 0
+
+    @pytest.mark.parametrize("ignore_mode", ["exclude", "background"])
+    def test_label_2_covering_all_reference_wmh(self, ignore_mode):
+        blob = [(3, 3, 3), (4, 3, 3), (4, 4, 3)]
+        ref = labels_from([], (8, 8, 6), ignore_coords=blob)
+        pred = labels_from(blob + [(6, 1, 5)], (8, 8, 6))
+        assert_same_as_uncropped(ref, pred,
+                                 EvalConfig(ignore_mode=ignore_mode))
+
+    def test_lesions_far_from_the_origin_on_anisotropic_spacing(self):
+        # the C9 spacing makes scaled coordinates inexact in binary, so
+        # any shift of the surface coordinates would show in the last bit
+        rng = np.random.default_rng(77)
+        dims, spacing = (64, 60, 20), (0.96, 0.95, 3.0)
+        for _ in range(6):
+            ref = np.zeros(dims, dtype=np.int32)
+            pred = np.zeros(dims, dtype=np.int32)
+            ref[40:52, 38:50, 11:18] = rng.random((12, 12, 7)) < 0.3
+            pred[43:57, 35:47, 12:19] = rng.random((14, 12, 7)) < 0.3
+            ref[44:47, 40:43, 13] = 2
+            for mode in ("directed", "pooled"):
+                assert_same_as_uncropped(LabelVolume(ref, spacing),
+                                         LabelVolume(pred, spacing),
+                                         EvalConfig(h95_mode=mode))

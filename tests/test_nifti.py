@@ -130,6 +130,42 @@ class TestErrors:
         with pytest.raises(FormatError, match="spacing"):
             read_nifti(on_disk(blob))
 
+    @pytest.mark.parametrize("value", [float("inf"), float("-inf"),
+                                       float("nan")])
+    def test_non_finite_vox_offset(self, on_disk, value):
+        blob = bytearray(build_file(payload=bytes(4)))
+        struct.pack_into("<f", blob, 108, value)
+        with pytest.raises(FormatError, match="vox_offset"):
+            read_nifti(on_disk(bytes(blob)))
+
+    def test_truncated_gzip_names_the_file(self, tmp_path):
+        whole = tmp_path / "whole.nii.gz"
+        write_nifti(labels_from([(1, 1, 1)], (8, 8, 4)), whole)
+        half = tmp_path / "half.nii.gz"
+        half.write_bytes(whole.read_bytes()[:len(whole.read_bytes()) // 2])
+        with pytest.raises(TruncatedFileError, match="half.nii.gz"):
+            read_nifti(half)
+
+    @pytest.mark.parametrize("blob", [
+        b"plain bytes, not gzip",
+        # a gzip header, then a deflate block of the reserved type 3
+        b"\x1f\x8b\x08\x00" + bytes(6) + b"\xff" * 16,
+    ], ids=["not-gzip", "bad-deflate"])
+    def test_corrupt_gzip_names_the_file(self, tmp_path, blob):
+        p = tmp_path / "bad.nii.gz"
+        p.write_bytes(blob)
+        with pytest.raises(FormatError, match="bad.nii.gz"):
+            read_nifti(p)
+
+    def test_gzip_crc_mismatch(self, tmp_path):
+        p = tmp_path / "crc.nii.gz"
+        write_nifti(labels_from([(1, 1, 1)], (8, 8, 4)), p)
+        raw = bytearray(p.read_bytes())
+        raw[-8] ^= 0xFF   # first byte of the trailer's CRC-32
+        p.write_bytes(bytes(raw))
+        with pytest.raises(FormatError, match="crc.nii.gz"):
+            read_nifti(p)
+
     def test_writer_rejects_wide_labels(self, tmp_path):
         vol = LabelVolume(np.full((2, 2, 2), 300, dtype=np.int32), (1, 1, 1))
         with pytest.raises(InvalidLabelError, match="300"):

@@ -251,6 +251,17 @@ class TestConnectedComponents:
         comps = connected_components(m)
         assert comps.sizes.sum() == m.count()
 
+    def test_labels_read_only_and_sizes_int64(self):
+        rng = np.random.default_rng(18)
+        for m in (random_mask(rng, (9, 7, 5), density=0.3),
+                  mask_from([], (4, 4, 4))):
+            comps = connected_components(m)
+            assert comps.labels.shape == m.dims
+            assert not comps.labels.flags.writeable
+            with pytest.raises(ValueError):
+                comps.labels[0, 0, 0] = 7
+            assert comps.sizes.dtype == np.int64
+
     def test_empty_mask(self):
         comps = connected_components(mask_from([], (4, 4, 4)))
         assert comps.count == 0
