@@ -151,8 +151,7 @@ def cmd_staple(args) -> int:
             raise CliUsageError(f"--prior must be AUTO or a number, "
                                 f"got {args.prior!r}")
     params = StapleParams(max_iter=args.max_iter, tol=args.tol,
-                          threshold=args.threshold, prior=prior,
-                          restrict_bbox=not args.no_bbox)
+                          threshold=args.threshold, prior=prior)
     masks = []
     for path in args.inputs:
         vol = read_nifti(path)
@@ -323,9 +322,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--threshold", type=float, default=0.5)
     p.add_argument("--prior", default="AUTO",
                    help="foreground prior, AUTO = mean vote rate")
-    p.add_argument("--no-bbox", action="store_true",
-                   help="run on the full grid instead of the vote "
-                        "bounding box")
     p.add_argument("--weights-out", default=None,
                    help="write per-voxel foreground probability here")
     p.set_defaults(func=cmd_staple)

@@ -6,11 +6,12 @@ sensitivity p_j and specificity q_j, the M-step re-estimates p_j and
 q_j from those probabilities. Products over raters are carried in the
 log domain.
 
-For efficiency the E-step runs inside the bounding box of the union of
-positive votes, dilated by one voxel. Outside that box every rater
-voted background; those voxels are pinned to weight 0 and enter the
-specificity sums in closed form. The restriction is skipped when the
-foreground prior reaches 0.5, where the approximation would be unsafe.
+Both steps depend on a voxel only through its vote pattern, the tuple
+of rater decisions there. So the EM runs on the distinct patterns, each
+weighted by its voxel count: the patterns of the voxels with at least
+one vote, plus the all-background pattern of every other voxel. This is
+the full-grid EM, exactly, on a few columns; the per-voxel weights are
+scattered back from the pattern weights at the end.
 """
 
 from __future__ import annotations
@@ -34,7 +35,6 @@ class StapleParams:
     tol: float = 1e-6
     threshold: float = 0.5
     prior: float | None = None     # None: mean vote rate over the grid
-    restrict_bbox: bool = True
 
     def __post_init__(self):
         if self.max_iter < 1:
@@ -71,13 +71,6 @@ def majority_vote(masks: list[BinaryMask]) -> BinaryMask:
     return BinaryMask(votes * 2 > len(masks), masks[0].spacing)
 
 
-def _bbox_slices(union: np.ndarray) -> tuple[slice, slice, slice]:
-    idx = np.argwhere(union)
-    lo = np.maximum(idx.min(axis=0) - 1, 0)
-    hi = np.minimum(idx.max(axis=0) + 2, union.shape)
-    return tuple(slice(int(a), int(b)) for a, b in zip(lo, hi))
-
-
 def staple_fuse(masks: list[BinaryMask],
                 params: StapleParams = StapleParams()) -> FusionResult:
     """Fuse two or more binary segmentations into a consensus."""
@@ -92,37 +85,33 @@ def staple_fuse(masks: list[BinaryMask],
     n_raters = len(masks)
 
     union = np.zeros(dims, dtype=bool)
-    total_votes = 0
     for m in masks:
         union |= m.data
-        total_votes += m.count()
-    if total_votes == 0:
+    votes = np.stack([m.data[union] for m in masks], axis=1)   # (K, R)
+    if votes.size == 0:
         raise DegenerateInputError("every rater mask is empty")
 
     if params.prior is not None:
         prior = float(params.prior)
     else:
-        prior = total_votes / (n_raters * n_full)
+        prior = int(votes.sum()) / (n_raters * n_full)
 
-    if params.restrict_bbox and prior < 0.5:
-        sl = _bbox_slices(union)
-    else:
-        sl = (slice(None), slice(None), slice(None))
-    inner_shape = tuple(s.indices(d)[1] - s.indices(d)[0]
-                        for s, d in zip(sl, dims))
-    n_in = int(np.prod(inner_shape))
-    n_out = n_full - n_in
-
-    d = np.empty((n_raters, n_in), dtype=np.float64)
-    for j, m in enumerate(masks):
-        d[j] = m.data[sl].ravel()
+    # one byte-string key per voted voxel; any rater count, one path
+    packed = np.packbits(votes, axis=1)
+    keys = packed.view(np.dtype((np.void, packed.shape[1]))).ravel()
+    _, first, inverse, counts = np.unique(
+        keys, return_index=True, return_inverse=True, return_counts=True)
+    # column 0 is the all-background pattern of the unvoted voxels
+    d = np.zeros((n_raters, len(first) + 1), dtype=np.float64)
+    d[:, 1:] = votes[first].T
+    c = np.concatenate(([n_full - len(votes)], counts)).astype(np.float64)
 
     log_f = np.log(prior)
     log_1f = np.log1p(-prior)
 
     def clamped_logs(values: np.ndarray):
-        c = np.clip(values, _LOG_EPS, 1.0 - _LOG_EPS)
-        return np.log(c), np.log1p(-c)
+        v = np.clip(values, _LOG_EPS, 1.0 - _LOG_EPS)
+        return np.log(v), np.log1p(-v)
 
     p = np.full(n_raters, 0.999)
     q = np.full(n_raters, 0.999)
@@ -133,19 +122,14 @@ def staple_fuse(masks: list[BinaryMask],
         # log a_i = log f + sum_j [ d_ij log p_j + (1 - d_ij) log(1 - p_j) ]
         la = log_f + log_1p.sum() + (log_p - log_1p) @ d
         lb = log_1f + log_q.sum() + (log_1q - log_q) @ d
-        w = expit(la - lb)
-        ll_in = float(np.logaddexp(la, lb).sum())
-        # outside the box all raters voted background
-        la0 = log_f + log_1p.sum()
-        lb0 = log_1f + log_q.sum()
-        ll = ll_in + n_out * float(np.logaddexp(la0, lb0))
-        return w, ll
+        return expit(la - lb), float(c @ np.logaddexp(la, lb))
 
     def m_step(w):
-        sw = w.sum()
-        sv = (1.0 - w).sum() + n_out
-        p_new = (d @ w) / sw if sw > 0 else np.full(n_raters, _LOG_EPS)
-        q_new = (((1.0 - d) @ (1.0 - w)) + n_out) / sv
+        cw = c * w
+        cv = c * (1.0 - w)
+        sw = cw.sum()
+        p_new = (d @ cw) / sw if sw > 0 else np.full(n_raters, _LOG_EPS)
+        q_new = ((1.0 - d) @ cv) / cv.sum()
         return p_new, q_new
 
     w, ll = e_step(p, q)
@@ -157,14 +141,14 @@ def staple_fuse(masks: list[BinaryMask],
         w_new, ll = e_step(p, q)
         iterations += 1
         history.append(ll)
-        delta = float(np.abs(w_new - w).sum()) / n_full
+        delta = float(c @ np.abs(w_new - w)) / n_full
         w = w_new
         if delta < params.tol:
             converged = True
             break
 
-    weights = np.zeros(dims, dtype=np.float64)
-    weights[sl] = w.reshape(inner_shape)
+    weights = np.full(dims, w[0])
+    weights[union] = w[1:][inverse]
     consensus = BinaryMask(weights >= params.threshold, spacing)
     return FusionResult(
         consensus=consensus, weights=weights,

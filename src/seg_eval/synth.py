@@ -12,10 +12,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from scipy import ndimage
 
 from .errors import CapacityError
-from .volume import (BinaryMask, LabelVolume, StructuringElement,
-                     _shift_into, connected_components, dilate, erode)
+from .volume import (BinaryMask, LabelVolume, _shift_into,
+                     connected_components)
 
 __all__ = ["PhantomSpec", "PerturbOps", "generate_phantom", "perturb_mask"]
 
@@ -26,7 +27,7 @@ _IGNORE_KEY_BASE = 1 << 32    # lesion-index namespace for label-2 blobs
 _STEPS = np.array([(1, 0, 0), (-1, 0, 0), (0, 1, 0),
                    (0, -1, 0), (0, 0, 1), (0, 0, -1)], dtype=np.int64)
 
-_BOX_3X3X3 = StructuringElement.box((3, 3, 3))
+_BOX_3X3X3 = np.ones((3, 3, 3), dtype=bool)
 
 
 @dataclass(frozen=True)
@@ -168,10 +169,14 @@ class PerturbOps:
 def perturb_mask(mask: BinaryMask, ops: PerturbOps) -> BinaryMask:
     """Derive a degraded prediction from a reference mask."""
     out = mask
+    # neighbourhoods are clipped at the grid edge; out-of-grid voxels
+    # count as background, so foreground touching the edge erodes away
     for _ in range(ops.dilate):
-        out = dilate(out, _BOX_3X3X3)
+        out = BinaryMask(ndimage.binary_dilation(
+            out.data, _BOX_3X3X3, border_value=0), out.spacing)
     for _ in range(ops.erode):
-        out = erode(out, _BOX_3X3X3)
+        out = BinaryMask(ndimage.binary_erosion(
+            out.data, _BOX_3X3X3, border_value=0), out.spacing)
 
     if ops.drop_components:
         comps = connected_components(out, ops.connectivity)

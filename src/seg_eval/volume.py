@@ -22,12 +22,9 @@ from .errors import InvalidLabelError, ShapeMismatchError
 __all__ = [
     "LabelVolume",
     "BinaryMask",
-    "StructuringElement",
     "ComponentLabeling",
     "binarize_challenge",
     "merge_labels",
-    "dilate",
-    "erode",
     "surface_voxels",
     "directed_surface_distances",
     "connected_components",
@@ -141,46 +138,6 @@ def _first_where(cond: np.ndarray) -> tuple[int, int, int]:
     return tuple(int(i) for i in idx)
 
 
-@dataclass(frozen=True)
-class StructuringElement:
-    """A set of neighbour offsets for morphological dilation/erosion.
-
-    ``offsets`` always includes the origin, so dilation is extensive
-    and erosion anti-extensive by construction.
-    """
-
-    offsets: tuple[tuple[int, int, int], ...]
-
-    def __post_init__(self):
-        offs = {tuple(int(v) for v in o) for o in self.offsets}
-        offs.add((0, 0, 0))
-        object.__setattr__(self, "offsets", tuple(sorted(offs)))
-
-    @classmethod
-    def box(cls, shape: tuple[int, int, int]) -> "StructuringElement":
-        """Full box of odd edge lengths, e.g. ``(3, 3, 1)`` for the
-        in-plane kernel used when building challenge reference masks."""
-        for n in shape:
-            if n < 1 or n % 2 == 0:
-                raise ValueError(f"box edges must be odd and >= 1, got {shape}")
-        rx, ry, rz = (n // 2 for n in shape)
-        offs = [(dx, dy, dz)
-                for dx in range(-rx, rx + 1)
-                for dy in range(-ry, ry + 1)
-                for dz in range(-rz, rz + 1)]
-        return cls(tuple(offs))
-
-    @classmethod
-    def cross(cls) -> "StructuringElement":
-        """The six face neighbours plus the origin."""
-        offs = [(0, 0, 0), (1, 0, 0), (-1, 0, 0), (0, 1, 0), (0, -1, 0),
-                (0, 0, 1), (0, 0, -1)]
-        return cls(tuple(offs))
-
-
-IN_PLANE_3X3 = StructuringElement.box((3, 3, 1))
-
-
 @dataclass(frozen=True, eq=False)
 class ComponentLabeling:
     """Connected components of a mask.
@@ -240,26 +197,6 @@ def _shift_into(op, out: np.ndarray, src: np.ndarray,
             dst_sl.append(slice(-d, n))
     view = out[tuple(dst_sl)]
     op(view, src[tuple(src_sl)], out=view)
-
-
-def dilate(mask: BinaryMask, element: StructuringElement) -> BinaryMask:
-    """Morphological dilation; neighbourhoods are clipped at the
-    volume boundary."""
-    out = np.zeros(mask.dims, dtype=bool)
-    for off in element.offsets:
-        _shift_into(np.logical_or, out, mask.data, off)
-    return BinaryMask(out, mask.spacing)
-
-
-def erode(mask: BinaryMask, element: StructuringElement) -> BinaryMask:
-    """Morphological erosion; out-of-bounds neighbours count as
-    background, so foreground touching the boundary erodes away."""
-    out = np.ones(mask.dims, dtype=bool)
-    for off in element.offsets:
-        hit = np.zeros(mask.dims, dtype=bool)
-        _shift_into(np.logical_or, hit, mask.data, off)
-        out &= hit
-    return BinaryMask(out & mask.data, mask.spacing)
 
 
 def surface_voxels(mask: BinaryMask) -> np.ndarray:

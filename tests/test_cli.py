@@ -455,15 +455,13 @@ class TestStaple:
         assert np.array_equal(written.data.astype(bool),
                               result.consensus.data)
 
-    def test_no_bbox_flag_runs(self, raters_on_disk, tmp_path):
-        masks, paths = raters_on_disk
-        out = tmp_path / "c.nii.gz"
-        rc = main(["staple", *paths, "-o", str(out), "--no-bbox"])
-        assert rc == 0
-        result = staple_fuse(masks, StapleParams(restrict_bbox=False))
-        written = read_nifti(out)
-        assert np.array_equal(written.data.astype(bool),
-                              result.consensus.data)
+    def test_no_bbox_flag_is_a_usage_error(self, raters_on_disk, tmp_path,
+                                           capsys):
+        _, paths = raters_on_disk
+        rc = main(["staple", *paths, "-o", str(tmp_path / "c.nii"),
+                   "--no-bbox"])
+        assert rc == 1
+        assert "usage error:" in capsys.readouterr().err
 
     def test_bad_prior_is_a_usage_error(self, raters_on_disk, tmp_path,
                                         capsys):

@@ -114,7 +114,7 @@ class TestStapleFixedPoints:
 class TestStapleProperties:
     def test_vote_flip_monotone_at_fixed_parameters(self):
         rng = np.random.default_rng(72)
-        params = StapleParams(max_iter=1, prior=0.2, restrict_bbox=False)
+        params = StapleParams(max_iter=1, prior=0.2)
         for _ in range(10):
             masks = [random_mask(rng, (5, 5, 5), density=0.3)
                      for _ in range(4)]
@@ -189,8 +189,7 @@ class TestStapleAgainstOracle:
                      for _ in range(3)]
             if not any(m.count() for m in masks):
                 continue
-            params = StapleParams(prior=0.15, restrict_bbox=False,
-                                  max_iter=60, tol=1e-7)
+            params = StapleParams(prior=0.15, max_iter=60, tol=1e-7)
             res = staple_fuse(masks, params)
             w, p, q, history, iters = staple_oracle(
                 [m.data for m in masks], prior=0.15, max_iter=60, tol=1e-7)
@@ -200,15 +199,43 @@ class TestStapleAgainstOracle:
             assert np.allclose(res.specificity, q, atol=1e-9)
             assert np.allclose(res.log_likelihood, history, atol=1e-6)
 
-    def test_bbox_restriction_is_a_faithful_speedup(self):
+    @pytest.mark.parametrize("case", [
+        "sparse", "9_raters", "17_raters", "prior_0.6", "all_voxels_voted"])
+    def test_default_params_match_oracle(self, case):
         rng = np.random.default_rng(79)
-        masks = [random_mask(rng, (16, 14, 12), density=0.04)
-                 for _ in range(3)]
-        fast = staple_fuse(masks, StapleParams(restrict_bbox=True))
-        full = staple_fuse(masks, StapleParams(restrict_bbox=False))
-        assert np.array_equal(fast.consensus.data, full.consensus.data)
-        assert np.allclose(fast.weights, full.weights, atol=1e-5)
-        assert np.allclose(fast.sensitivity, full.sensitivity, atol=1e-5)
+        n_raters, shape, density, prior = 3, (10, 9, 8), 0.2, None
+        if case == "sparse":        # most voxels get no vote at all
+            shape, density = (16, 14, 12), 0.01
+        elif case == "9_raters":    # pattern keys span 2 bytes
+            n_raters, density = 9, 0.05
+        elif case == "17_raters":   # and 3 bytes
+            n_raters, density = 17, 0.03
+        elif case == "prior_0.6":
+            prior = 0.6
+        else:                       # no all-background voxel left
+            density = 0.5
+        data = [rng.random(shape) < density for _ in range(n_raters)]
+        if case == "all_voxels_voted":
+            data[0] |= ~np.logical_or.reduce(data)
+        masks = [BinaryMask(d, (1.0, 1.0, 1.0)) for d in data]
+        union = np.logical_or.reduce(data)
+        assert union.all() == (case == "all_voxels_voted")
+
+        res = staple_fuse(masks, StapleParams(prior=prior))
+        if prior is None:
+            prior = sum(int(d.sum()) for d in data) / (n_raters * union.size)
+        assert res.prior == prior
+        w, p, q, history, iters = staple_oracle(data, prior=prior)
+        assert res.iterations == iters
+        assert np.allclose(res.weights, w, rtol=0, atol=1e-9)
+        assert np.allclose(res.sensitivity, p, rtol=0, atol=1e-9)
+        assert np.allclose(res.specificity, q, rtol=0, atol=1e-9)
+        assert np.allclose(res.log_likelihood, history, rtol=0, atol=1e-6)
+        if case == "sparse":
+            # unvoted voxels carry the oracle's small weight, not a 0
+            assert (w[~union] > 0).all()
+            assert np.allclose(res.weights[~union], w[~union],
+                               rtol=1e-9, atol=0)
 
     def test_parameter_recovery_on_planted_raters(self):
         # the generative model is fully known here, so the prior is the

@@ -3,10 +3,10 @@ import pytest
 from scipy import ndimage
 
 from seg_eval.errors import InvalidLabelError, ShapeMismatchError
-from seg_eval.volume import (IN_PLANE_3X3, BinaryMask, LabelVolume,
-                             StructuringElement, binarize_challenge,
-                             connected_components, dilate,
-                             directed_surface_distances, erode, merge_labels,
+from seg_eval.synth import PerturbOps, perturb_mask
+from seg_eval.volume import (BinaryMask, LabelVolume, binarize_challenge,
+                             connected_components,
+                             directed_surface_distances, merge_labels,
                              surface_voxels)
 
 from helpers import labels_from, mask_from, random_mask
@@ -99,58 +99,67 @@ class TestMergeLabels:
             merge_labels(mask_from([], (2, 2, 2)), mask_from([], (3, 2, 2)))
 
 
-class TestStructuringElement:
-    def test_in_plane_kernel_is_9_offsets(self):
-        assert len(IN_PLANE_3X3.offsets) == 9
-        assert all(dz == 0 for _, _, dz in IN_PLANE_3X3.offsets)
-        assert (0, 0, 0) in IN_PLANE_3X3.offsets
-
-    def test_box_rejects_even_edges(self):
-        with pytest.raises(ValueError):
-            StructuringElement.box((2, 3, 3))
-
-    def test_origin_always_included(self):
-        se = StructuringElement(((1, 0, 0),))
-        assert (0, 0, 0) in se.offsets
-
-
 class TestDilateErode:
+    """The 3x3x3 box dilation and erosion that ``perturb_mask`` applies."""
+
+    @staticmethod
+    def dilate(m, times=1):
+        return perturb_mask(m, PerturbOps(dilate=times))
+
+    @staticmethod
+    def erode(m, times=1):
+        return perturb_mask(m, PerturbOps(erode=times))
+
     def test_single_voxel_in_plane(self):
         m = mask_from([(2, 2, 1)], (5, 5, 3))
-        d = dilate(m, IN_PLANE_3X3)
-        assert d.count() == 9
-        assert d.data[:, :, 1].sum() == 9
-        assert d.data[:, :, 0].sum() == 0
+        d = self.dilate(m)
+        assert d.count() == 27
+        for z in range(3):      # every plane holds the same 3x3 square
+            assert d.data[1:4, 1:4, z].all()
+            assert d.data[:, :, z].sum() == 9
 
     def test_corner_clipped(self):
         m = mask_from([(0, 0, 0)], (4, 4, 1))
-        d = dilate(m, IN_PLANE_3X3)
+        d = self.dilate(m)
         # only the 2x2 in-plane quadrant fits
         assert d.count() == 4
+        d = self.dilate(mask_from([(0, 0, 0)], (4, 4, 4)))
+        assert d.count() == 8           # and in 3-D the 2x2x2 octant
+        assert d.data[:2, :2, :2].all()
+
+    def test_foreground_on_the_border_erodes_away(self):
+        data = np.zeros((6, 6, 6), dtype=bool)
+        data[0:3, 1:4, 1:4] = True      # a 3x3x3 cube on the x = 0 face
+        e = self.erode(BinaryMask(data, (1, 1, 1)))
+        assert e.count() == 1           # the face voxels have no x - 1
+        assert e.data[1, 2, 2]
+        full = BinaryMask(np.ones((4, 4, 4), dtype=bool), (1, 1, 1))
+        core = self.erode(full)
+        assert core.count() == 8
+        assert core.data[1:3, 1:3, 1:3].all()
 
     def test_matches_scipy_on_random_masks(self):
         rng = np.random.default_rng(11)
-        box = StructuringElement.box((3, 3, 3))
-        cross = StructuringElement.cross()
-        scipy_box = np.ones((3, 3, 3), dtype=bool)
-        scipy_cross = ndimage.generate_binary_structure(3, 1)
+        box = np.ones((3, 3, 3), dtype=bool)
         for _ in range(20):
             m = random_mask(rng, (9, 8, 7), density=0.15)
-            for se, st in ((box, scipy_box), (cross, scipy_cross)):
+            for times in (1, 2):
                 assert np.array_equal(
-                    dilate(m, se).data,
-                    ndimage.binary_dilation(m.data, structure=st))
+                    self.dilate(m, times).data,
+                    ndimage.binary_dilation(m.data, structure=box,
+                                            iterations=times))
                 assert np.array_equal(
-                    erode(m, se).data,
-                    ndimage.binary_erosion(m.data, structure=st,
+                    self.erode(m, times).data,
+                    ndimage.binary_erosion(m.data, structure=box,
+                                           iterations=times,
                                            border_value=0))
 
     def test_dilation_extensive_erosion_antiextensive(self):
         rng = np.random.default_rng(12)
         for _ in range(10):
             m = random_mask(rng, (8, 8, 8), density=0.2)
-            d = dilate(m, IN_PLANE_3X3)
-            e = erode(m, IN_PLANE_3X3)
+            d = self.dilate(m)
+            e = self.erode(m)
             assert (d.data | m.data).sum() == d.count()   # m subset of d
             assert (e.data & m.data).sum() == e.count()   # e subset of m
 
