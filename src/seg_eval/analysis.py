@@ -2,17 +2,17 @@
 
 The voxelwise maps aggregate where methods miss lesions (false
 negatives) and where they hallucinate them (false positives) across a
-set of evaluated pairs. The scalar routines cover the cohort summary
+cohort, given subject by subject as one reference and the predictions
+scored against it. The scalar routines cover the cohort summary
 table and the hypothesis tests used to compare patient groups: Welch's
 unequal-variance t-test and Fisher's exact test.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 import warnings
-from collections.abc import Iterable, Sequence
+from collections.abc import Iterable
 from dataclasses import dataclass
 
 import numpy as np
@@ -41,7 +41,7 @@ class RateMap:
 
     ``rate`` is numerator/denominator where the denominator is
     positive and 0 elsewhere. ``lesion_count`` holds, per voxel, the
-    number of distinct subjects whose reference contains that voxel.
+    number of subjects whose reference contains that voxel.
     """
 
     numerator: np.ndarray
@@ -51,73 +51,51 @@ class RateMap:
     spacing: tuple[float, float, float]
 
 
-def fn_fp_maps(pairs: Iterable[tuple[BinaryMask, BinaryMask]],
-               subject_ids: Sequence[str] | None = None,
+def fn_fp_maps(subjects: Iterable[tuple[BinaryMask, Iterable[BinaryMask]]],
                fp_denominator: str = "ref_negative"
                ) -> tuple[RateMap, RateMap]:
-    """Aggregate false-negative and false-positive rates over pairs.
+    """Aggregate false-negative and false-positive rates over subjects.
 
-    Each pair is (reference, prediction) on a common grid. The FN rate
-    divides by how often a voxel was reference foreground; the FP rate
-    divides by how often it was reference background, or by the total
-    number of pairs with ``fp_denominator="pairs"``.
+    Each subject is (reference, predictions): one reference mask and
+    the masks of the methods scored against it, all on a common grid.
+    Every (reference, prediction) pair counts once. The FN rate divides
+    by how often a voxel was reference foreground; the FP rate divides
+    by how often it was reference background, or by the total number of
+    pairs with ``fp_denominator="pairs"``. The lesion-count grid adds
+    each subject's reference once.
 
-    ``pairs`` may be any iterable, a generator included. It is consumed
-    once, and per subject only the flat indices of its reference
-    foreground are kept, so memory does not grow by a mask per pair.
-    ``subject_ids`` lets several pairs (one per method) share a subject
-    so the lesion-count grid counts each subject once.
+    ``subjects`` and each subject's predictions may be any iterables,
+    generators included; each is consumed once, so memory does not grow
+    with the number of masks.
     """
     if fp_denominator not in ("ref_negative", "pairs"):
         raise ValueError(f"bad fp_denominator {fp_denominator!r}")
-    pairs = iter(pairs)
-    first = next(pairs, None)
-    if first is None:
-        raise ArityError("fn_fp_maps needs at least one pair")
-    ref0 = first[0]
-    dims = ref0.dims
-    fn_num = np.zeros(dims, dtype=np.int64)
-    fn_den = np.zeros(dims, dtype=np.int64)
-    fp_num = np.zeros(dims, dtype=np.int64)
-
+    ref0 = None
     n = 0
-    last_sid = last_ref = None
-    # per subject, the sorted flat indices of its reference foreground
-    by_subject: dict[object, np.ndarray] = {}
-    for ref, pred in itertools.chain([first], pairs):
+    for ref, preds in subjects:
+        if ref0 is None:
+            ref0 = ref
+            fn_num, fn_den, fp_num, lesion_count = (
+                np.zeros(ref.dims, dtype=np.int64) for _ in range(4))
         same_grid(ref0, ref, "map inputs")
-        same_grid(ref, pred, "reference and prediction")
-        fn_num += ref.data & ~pred.data
-        fn_den += ref.data
-        fp_num += pred.data & ~ref.data
-        if subject_ids is None:
-            sid = n
-        elif n < len(subject_ids):
-            sid = subject_ids[n]
-        else:
-            raise ValueError("subject_ids must parallel pairs")
-        # a subject's rows usually repeat its reference: skip the union
-        if sid != last_sid or not np.array_equal(ref.data, last_ref):
-            voxels = np.flatnonzero(ref.data)
-            if sid in by_subject:
-                voxels = np.union1d(by_subject[sid], voxels)
-            by_subject[sid] = voxels
-        last_sid, last_ref = sid, ref.data
-        n += 1
-    if subject_ids is not None and len(subject_ids) != n:
-        raise ValueError("subject_ids must parallel pairs")
+        lesion_count += ref.data
+        background = ~ref.data
+        for pred in preds:
+            same_grid(ref, pred, "reference and prediction")
+            fn_num += ref.data & ~pred.data
+            fn_den += ref.data
+            fp_num += pred.data & background
+            n += 1
+    if n == 0:
+        raise ArityError("fn_fp_maps needs at least one pair")
 
     if fp_denominator == "ref_negative":
         fp_den = n - fn_den
     else:
-        fp_den = np.full(dims, n, dtype=np.int64)
-
-    lesion_count = np.zeros(dims, dtype=np.int64)
-    for voxels in by_subject.values():
-        lesion_count.reshape(-1)[voxels] += 1
+        fp_den = np.full_like(fn_den, n)
 
     def _rate(num, den):
-        out = np.zeros(dims, dtype=np.float64)
+        out = np.zeros(num.shape, dtype=np.float64)
         np.divide(num, den, out=out, where=den > 0)
         return out
 

@@ -12,6 +12,8 @@ import argparse
 import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import contextmanager
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -23,9 +25,9 @@ from .metrics import EvalConfig, evaluate_pair
 from .nifti import read_nifti, write_nifti, write_nifti_real
 from .ranking import (BootstrapConfig, SubjectResult, final_rank,
                       interscanner_rank, rank_with_ci)
-from .reportio import (dump_json, metric_report, rank_report, read_manifest,
-                       read_result_csv, write_rank_csv, write_result_csv,
-                       _envelope)
+from .reportio import (MANIFEST_COLUMNS, dump_json, metric_report,
+                       rank_report, read_manifest, read_result_csv,
+                       write_rank_csv, write_result_csv, _envelope)
 from .synth import PerturbOps, PhantomSpec, generate_phantom, perturb_mask
 from .volume import BinaryMask, LabelVolume, binarize_challenge
 
@@ -84,34 +86,50 @@ def cmd_evaluate(args) -> int:
     return 2 if vec.has_missing else 0
 
 
-def _batch_worker(task):
-    ref_path, pred_path, cfg = task
-    config = EvalConfig(*cfg)
-    return evaluate_pair(read_nifti(ref_path), read_nifti(pred_path), config)
+@contextmanager
+def _naming_row(manifest, subject, row):
+    """Re-raise an input error naming the manifest row and its files."""
+    try:
+        yield
+    except (SegEvalError, OSError) as exc:
+        raise SegEvalError(
+            f"{manifest}: row {row.line} ({subject.reference_path}, "
+            f"{row.prediction_path}): {exc}") from None
+
+
+def _score_subject(subject, config: EvalConfig, manifest) -> list:
+    """Score each row of a manifest subject against its reference."""
+    with _naming_row(manifest, subject, subject.rows[0]):
+        ref = read_nifti(subject.reference_path)
+    vectors = []
+    for row in subject.rows:
+        with _naming_row(manifest, subject, row):
+            vectors.append(evaluate_pair(ref, read_nifti(row.prediction_path),
+                                         config))
+    return vectors
 
 
 def cmd_evaluate_batch(args) -> int:
     config = _eval_config(args)
-    rows = read_manifest(args.manifest)
+    subjects = read_manifest(args.manifest)
     jobs = args.jobs if args.jobs is not None else _default_jobs()
     if jobs < 1:
         raise CliUsageError("--jobs must be >= 1")
-    cfg = (config.connectivity, config.h95_mode, config.ignore_mode)
-    tasks = [(str(r.reference_path), str(r.prediction_path), cfg)
-             for r in rows]
+    score = partial(_score_subject, config=config, manifest=args.manifest)
     if jobs == 1:
-        vectors = [_batch_worker(t) for t in tasks]
+        results = list(map(score, subjects))
     else:
         with ProcessPoolExecutor(max_workers=jobs) as pool:
-            # a few chunks per worker: fewer round trips, same order
-            chunk = max(1, len(tasks) // (4 * jobs))
-            vectors = list(pool.map(_batch_worker, tasks, chunksize=chunk))
-    records = [SubjectResult(r.method_id, r.subject_id, r.scanner_id, v)
-               for r, v in zip(rows, vectors)]
+            results = list(pool.map(score, subjects))
+    by_line = {row.line: SubjectResult(row.method_id, subject.subject_id,
+                                       subject.scanner_id, vec)
+               for subject, vectors in zip(subjects, results)
+               for row, vec in zip(subject.rows, vectors)}
+    records = [by_line[line] for line in sorted(by_line)]
     write_result_csv(records, args.output)
-    n_missing = sum(1 for v in vectors if v.has_missing)
+    n_missing = sum(1 for r in records if r.metrics.has_missing)
     if n_missing:
-        print(f"{n_missing} of {len(vectors)} pairs have undefined metrics",
+        print(f"{n_missing} of {len(records)} pairs have undefined metrics",
               file=sys.stderr)
         return 2
     return 0
@@ -169,17 +187,20 @@ def cmd_staple(args) -> int:
     return 0
 
 
+def _row_wmh(manifest, subject, row, path):
+    """The WMH mask of one of a manifest row's files."""
+    with _naming_row(manifest, subject, row):
+        return binarize_challenge(read_nifti(path))[0]
+
+
 def cmd_maps(args) -> int:
-    rows = read_manifest(args.manifest)
+    def predictions(subject):  # one row's mask at a time
+        return (_row_wmh(args.manifest, subject, row, row.prediction_path)
+                for row in subject.rows)
 
-    def pairs():  # one row's masks at a time
-        for r in rows:
-            ref_wmh, _ = binarize_challenge(read_nifti(r.reference_path))
-            pred_wmh, _ = binarize_challenge(read_nifti(r.prediction_path))
-            yield ref_wmh, pred_wmh
-
-    fn, fp = fn_fp_maps(pairs(), [r.subject_id for r in rows],
-                        args.fp_denominator)
+    subjects = ((_row_wmh(args.manifest, s, s.rows[0], s.reference_path),
+                 predictions(s)) for s in read_manifest(args.manifest))
+    fn, fp = fn_fp_maps(subjects, args.fp_denominator)
     write_nifti_real(fn.rate, fn.spacing, args.fn_out)
     write_nifti_real(fp.rate, fp.spacing, args.fp_out)
     if args.lesion_count_out:
@@ -189,15 +210,8 @@ def cmd_maps(args) -> int:
 
 
 def cmd_cohort(args) -> int:
-    rows = read_manifest(args.manifest)
-    seen = set()
-    masks = []
-    for r in rows:
-        if r.subject_id in seen:
-            continue
-        seen.add(r.subject_id)
-        wmh, _ = binarize_challenge(read_nifti(r.reference_path))
-        masks.append(wmh)
+    masks = [_row_wmh(args.manifest, s, s.rows[0], s.reference_path)
+             for s in read_manifest(args.manifest)]
     summary = summarize_cohort(masks, volume_bin_ml=args.volume_bin_ml,
                                count_bin=args.count_bin,
                                connectivity=args.connectivity)
@@ -267,8 +281,7 @@ def cmd_synth(args) -> int:
                                   ref_name, pred_name))
     manifest = out / "manifest.csv"
     with open(manifest, "w", newline="") as fh:
-        fh.write(",".join(("method_id", "subject_id", "scanner_id",
-                           "reference_path", "prediction_path")) + "\n")
+        fh.write(",".join(MANIFEST_COLUMNS) + "\n")
         for row in manifest_rows:
             fh.write(",".join(row) + "\n")
     print(f"wrote {args.subjects} subjects x {args.methods} methods "

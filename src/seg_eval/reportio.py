@@ -4,11 +4,17 @@ and the JSON report bodies.
 The result CSV schema is frozen; tools downstream key on these exact
 column names. Missing metric values are written as empty fields, never
 as sentinels.
+
+A manifest is read as a list of subjects: each has one reference, one
+scanner and the rows that score predictions against that reference.
+Both CSV files are UTF-8; any malformed file is a ``ParseError`` that
+names it.
 """
 
 from __future__ import annotations
 
 import csv
+import io
 import json
 from dataclasses import dataclass
 from pathlib import Path
@@ -16,7 +22,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .errors import ParseError
+from .errors import ArityError, ParseError
 from .metrics import MetricVector
 from .ranking import InterscannerResult, RankTable, ResultTable, SubjectResult
 
@@ -24,6 +30,7 @@ __all__ = [
     "RESULT_COLUMNS",
     "MANIFEST_COLUMNS",
     "ManifestRow",
+    "ManifestSubject",
     "write_result_csv",
     "read_result_csv",
     "read_manifest",
@@ -58,131 +65,131 @@ def _fmt(value) -> str:
 
 
 def write_result_csv(records: list[SubjectResult], path: str | Path) -> None:
-    with open(path, "w", newline="") as fh:
+    with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(RESULT_COLUMNS)
         for rec in records:
-            m = rec.metrics
-            writer.writerow([
-                rec.method_id, rec.subject_id, rec.scanner_id,
-                _fmt(m.dsc), _fmt(m.h95_mm), _fmt(m.avd_pct), _fmt(m.lavd),
-                _fmt(m.recall), _fmt(m.f1),
-                _fmt(m.recall_small), _fmt(m.recall_large),
-                _fmt(m.n_ref_lesions), _fmt(m.ref_volume_ml),
-                _fmt(m.pred_volume_ml),
-            ])
+            writer.writerow([rec.method_id, rec.subject_id, rec.scanner_id,
+                             *(_fmt(getattr(rec.metrics, name))
+                               for name in RESULT_COLUMNS[3:])])
 
 
-def _parse_float(cell: str, row: int, column: str) -> float | None:
+def _parse_cell(path, cell: str, row: int, column: str, kind: type):
     if cell == "":
         return None
     try:
-        return float(cell)
+        return kind(cell)
     except ValueError:
-        raise ParseError(f"row {row}, column {column}: "
-                         f"cannot parse {cell!r} as a number",
+        raise ParseError(f"{path}: row {row}, column {column}: "
+                         f"cannot parse {cell!r} as {kind.__name__}",
                          row=row, column=column) from None
 
 
-def _parse_int(cell: str, row: int, column: str) -> int | None:
-    if cell == "":
-        return None
+def _csv_rows(path: Path, columns: tuple[str, ...]):
+    """Yield (row number, cells) for each row of a UTF-8 CSV file under
+    the header ``columns``; anything else is a ParseError naming it."""
     try:
-        return int(cell)
-    except ValueError:
-        raise ParseError(f"row {row}, column {column}: "
-                         f"cannot parse {cell!r} as an integer",
-                         row=row, column=column) from None
+        text = path.read_bytes().decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"{path}: not UTF-8 text: {exc}") from None
+    reader = csv.reader(io.StringIO(text, newline=""))
+    header = next(reader, None)
+    if header is None:
+        raise ParseError(f"{path}: empty file", row=1)
+    if tuple(header) != columns:
+        raise ParseError(f"{path}: unexpected header {header}", row=1)
+    for lineno, cells in enumerate(reader, start=2):
+        if len(cells) != len(columns):
+            raise ParseError(f"{path}: row {lineno} has {len(cells)} "
+                             f"cells, expected {len(columns)}", row=lineno)
+        yield lineno, cells
 
 
 def read_result_csv(path: str | Path) -> ResultTable:
-    """Load a result CSV back into a table, validating the header and
-    every cell."""
+    """Load a result CSV back into a table, validating the header, every
+    cell and the table's invariants."""
     records = []
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise ParseError(f"{path}: empty file", row=1) from None
-        if tuple(header) != RESULT_COLUMNS:
-            raise ParseError(f"{path}: unexpected header {header}", row=1)
-        for lineno, cells in enumerate(reader, start=2):
-            if len(cells) != len(RESULT_COLUMNS):
-                raise ParseError(f"{path}: row {lineno} has {len(cells)} "
-                                 f"cells, expected {len(RESULT_COLUMNS)}",
-                                 row=lineno)
-            row = dict(zip(RESULT_COLUMNS, cells))
-            values: dict[str, float | int | None] = {}
-            for name in _FLOAT_FIELDS:
-                values[name] = _parse_float(row[name], lineno, name)
-            values["n_ref_lesions"] = _parse_int(
-                row["n_ref_lesions"], lineno, "n_ref_lesions")
-            for name in _REQUIRED_FIELDS:
-                if values[name] is None:
-                    raise ParseError(
-                        f"row {lineno}: column {name} must not be empty",
-                        row=lineno, column=name)
-            records.append(SubjectResult(
-                method_id=row["method_id"], subject_id=row["subject_id"],
-                scanner_id=row["scanner_id"],
-                metrics=MetricVector(
-                    dsc=values["dsc"], h95_mm=values["h95_mm"],
-                    avd_pct=values["avd_pct"], lavd=values["lavd"],
-                    recall=values["recall"], f1=values["f1"],
-                    recall_small=values["recall_small"],
-                    recall_large=values["recall_large"],
-                    n_ref_lesions=values["n_ref_lesions"],
-                    ref_volume_ml=values["ref_volume_ml"],
-                    pred_volume_ml=values["pred_volume_ml"])))
-    return ResultTable(records)
+    for lineno, cells in _csv_rows(Path(path), RESULT_COLUMNS):
+        row = dict(zip(RESULT_COLUMNS, cells))
+        values = {name: _parse_cell(path, row[name], lineno, name, float)
+                  for name in _FLOAT_FIELDS}
+        values["n_ref_lesions"] = _parse_cell(
+            path, row["n_ref_lesions"], lineno, "n_ref_lesions", int)
+        for name in _REQUIRED_FIELDS:
+            if values[name] is None:
+                raise ParseError(
+                    f"{path}: row {lineno}: column {name} must not be empty",
+                    row=lineno, column=name)
+        records.append(SubjectResult(row["method_id"], row["subject_id"],
+                                     row["scanner_id"], MetricVector(**values)))
+    try:
+        return ResultTable(records)
+    except (ArityError, ValueError) as exc:
+        raise ParseError(f"{path}: {exc}") from None
 
 
 @dataclass(frozen=True)
 class ManifestRow:
+    """One manifest row: its 1-based number, method and prediction."""
+
+    line: int
     method_id: str
-    subject_id: str
-    scanner_id: str
-    reference_path: Path
     prediction_path: Path
 
 
-def read_manifest(path: str | Path) -> list[ManifestRow]:
-    """Read an evaluation manifest; relative paths resolve against the
+@dataclass(frozen=True)
+class ManifestSubject:
+    """A manifest subject: its one reference and scanner, and its rows."""
+
+    subject_id: str
+    scanner_id: str
+    reference_path: Path
+    rows: list[ManifestRow]
+
+
+def read_manifest(path: str | Path) -> list[ManifestSubject]:
+    """Read an evaluation manifest into its subjects, in order of first
+    appearance. A subject's rows need not be adjacent, but must agree on
+    its reference and scanner. Relative paths resolve against the
     manifest's own directory."""
     path = Path(path)
     base = path.parent
-    rows = []
+    subjects: dict[str, ManifestSubject] = {}
+    raw_refs: dict[str, str] = {}
     seen = set()
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise ParseError(f"{path}: empty manifest", row=1) from None
-        if tuple(header) != MANIFEST_COLUMNS:
-            raise ParseError(f"{path}: unexpected header {header}", row=1)
-        for lineno, cells in enumerate(reader, start=2):
-            if len(cells) != len(MANIFEST_COLUMNS):
-                raise ParseError(f"{path}: row {lineno} has {len(cells)} "
-                                 f"cells, expected {len(MANIFEST_COLUMNS)}",
-                                 row=lineno)
-            method, subject, scanner, ref, pred = cells
-            if not ref or not pred:
-                raise ParseError(f"{path}: row {lineno} has an empty path",
-                                 row=lineno)
-            key = (method, subject)
-            if key in seen:
-                raise ParseError(
-                    f"{path}: duplicate (method, subject) {key} "
-                    f"at row {lineno}", row=lineno)
-            seen.add(key)
-            rows.append(ManifestRow(
-                method_id=method, subject_id=subject, scanner_id=scanner,
-                reference_path=base / ref, prediction_path=base / pred))
-    if not rows:
+    for lineno, cells in _csv_rows(path, MANIFEST_COLUMNS):
+        method, subject, scanner, ref, pred = cells
+        if not ref or not pred:
+            raise ParseError(f"{path}: row {lineno} has an empty path",
+                             row=lineno)
+        if "\0" in ref or "\0" in pred:
+            raise ParseError(f"{path}: row {lineno} has a NUL byte in a "
+                             f"path", row=lineno)
+        key = (method, subject)
+        if key in seen:
+            raise ParseError(
+                f"{path}: duplicate (method, subject) {key} "
+                f"at row {lineno}", row=lineno)
+        seen.add(key)
+        group = subjects.get(subject)
+        if group is None:
+            group = subjects[subject] = ManifestSubject(
+                subject, scanner, base / ref, [])
+            raw_refs[subject] = ref
+        elif ref != raw_refs[subject] and base / ref != group.reference_path:
+            raise ParseError(
+                f"{path}: row {lineno}: subject {subject!r} has reference "
+                f"{ref!r}, but row {group.rows[0].line} gave "
+                f"{raw_refs[subject]!r}", row=lineno, column="reference_path")
+        if scanner != group.scanner_id:
+            raise ParseError(
+                f"{path}: row {lineno}: subject {subject!r} is under scanner "
+                f"{scanner!r}, but row {group.rows[0].line} gave "
+                f"{group.scanner_id!r}", row=lineno, column="scanner_id")
+        group.rows.append(ManifestRow(lineno, method, base / pred))
+    if not subjects:
         raise ParseError(f"{path}: manifest has a header but no rows", row=1)
-    return rows
+    return list(subjects.values())
 
 
 def _jsonable(value):

@@ -20,7 +20,7 @@ class TestRateMaps:
     def test_total_miss(self):
         ref = mask_from([(1, 1, 1), (2, 1, 1)], (4, 4, 4))
         pred = mask_from([], (4, 4, 4))
-        fn, fp = fn_fp_maps([(ref, pred)])
+        fn, fp = fn_fp_maps([(ref, [pred])])
         assert fn.rate[1, 1, 1] == 1.0
         assert fn.rate[2, 1, 1] == 1.0
         assert fn.rate.sum() == 2.0
@@ -28,11 +28,11 @@ class TestRateMaps:
 
     def test_perfect_predictions(self):
         rng = np.random.default_rng(101)
-        pairs = []
+        subjects = []
         for _ in range(3):
             m = random_mask(rng, (5, 5, 5), density=0.3)
-            pairs.append((m, m))
-        fn, fp = fn_fp_maps(pairs)
+            subjects.append((m, [m, m]))
+        fn, fp = fn_fp_maps(subjects)
         assert fn.rate.sum() == 0.0
         assert fp.rate.sum() == 0.0
 
@@ -40,23 +40,21 @@ class TestRateMaps:
         ref = mask_from([(2, 2, 2)], (5, 5, 5))
         hit = mask_from([(2, 2, 2)], (5, 5, 5))
         miss = mask_from([], (5, 5, 5))
-        fn, _ = fn_fp_maps([(ref, hit), (ref, miss)])
+        fn, _ = fn_fp_maps([(ref, [hit, miss])])
         assert fn.rate[2, 2, 2] == 0.5
         assert fn.numerator[2, 2, 2] == 1
         assert fn.denominator[2, 2, 2] == 2
 
     def test_counts_additive_over_concatenation(self):
         rng = np.random.default_rng(102)
-        mk = lambda: (random_mask(rng, (6, 6, 6), density=0.25),
-                      random_mask(rng, (6, 6, 6), density=0.25))
-        group1 = [mk() for _ in range(3)]
-        group2 = [mk() for _ in range(4)]
-        fn_a, fp_a = fn_fp_maps(group1, subject_ids=[f"a{i}" for i in range(3)])
-        fn_b, fp_b = fn_fp_maps(group2, subject_ids=[f"b{i}" for i in range(4)])
-        fn_all, fp_all = fn_fp_maps(
-            group1 + group2,
-            subject_ids=[f"a{i}" for i in range(3)] +
-                        [f"b{i}" for i in range(4)])
+        mk = lambda k: (random_mask(rng, (6, 6, 6), density=0.25),
+                        [random_mask(rng, (6, 6, 6), density=0.25)
+                         for _ in range(k)])
+        group1 = [mk(k) for k in (1, 3, 2)]
+        group2 = [mk(k) for k in (2, 1, 1, 3)]
+        fn_a, fp_a = fn_fp_maps(group1)
+        fn_b, fp_b = fn_fp_maps(group2)
+        fn_all, fp_all = fn_fp_maps(group1 + group2)
         assert np.array_equal(fn_all.numerator, fn_a.numerator + fn_b.numerator)
         assert np.array_equal(fn_all.denominator,
                               fn_a.denominator + fn_b.denominator)
@@ -67,26 +65,25 @@ class TestRateMaps:
     def test_empty_reference_pairs_leave_fn_rate_alone(self):
         ref = mask_from([(1, 1, 1)], (4, 4, 4))
         pred = mask_from([], (4, 4, 4))
-        fn_before, _ = fn_fp_maps([(ref, pred)])
+        fn_before, _ = fn_fp_maps([(ref, [pred])])
         empty = mask_from([], (4, 4, 4))
-        fn_after, _ = fn_fp_maps([(ref, pred), (empty, empty)])
+        fn_after, _ = fn_fp_maps([(ref, [pred]), (empty, [empty])])
         assert np.array_equal(fn_before.rate, fn_after.rate)
 
     def test_subject_dedup_in_lesion_count(self):
         ref = mask_from([(0, 0, 0)], (3, 3, 3))
         pred = mask_from([], (3, 3, 3))
-        shared, _ = fn_fp_maps([(ref, pred), (ref, pred)],
-                               subject_ids=["s1", "s1"])
-        distinct, _ = fn_fp_maps([(ref, pred), (ref, pred)],
-                                 subject_ids=["s1", "s2"])
+        shared, _ = fn_fp_maps([(ref, [pred, pred])])
+        distinct, _ = fn_fp_maps([(ref, [pred]), (ref, [pred])])
         assert shared.lesion_count[0, 0, 0] == 1
         assert distinct.lesion_count[0, 0, 0] == 2
+        assert np.array_equal(shared.denominator, distinct.denominator)
 
     def test_fp_denominator_modes(self):
         ref = mask_from([(0, 0, 0)], (3, 3, 3))
         pred = mask_from([(1, 1, 1)], (3, 3, 3))
-        _, by_negative = fn_fp_maps([(ref, pred), (ref, ref)])
-        _, by_pairs = fn_fp_maps([(ref, pred), (ref, ref)],
+        _, by_negative = fn_fp_maps([(ref, [pred, ref])])
+        _, by_pairs = fn_fp_maps([(ref, [pred, ref])],
                                  fp_denominator="pairs")
         assert by_negative.denominator[1, 1, 1] == 2
         assert by_negative.denominator[0, 0, 0] == 0   # ref-positive voxel
@@ -95,11 +92,12 @@ class TestRateMaps:
 
     def test_rates_bounded_and_denominator_dominates(self):
         rng = np.random.default_rng(103)
-        pairs = [(random_mask(rng, (6, 6, 6), density=0.3),
-                  random_mask(rng, (6, 6, 6), density=0.3))
-                 for _ in range(5)]
+        subjects = [(random_mask(rng, (6, 6, 6), density=0.3),
+                     [random_mask(rng, (6, 6, 6), density=0.3)
+                      for _ in range(k)])
+                    for k in (1, 2, 2)]
         for mode in ("ref_negative", "pairs"):
-            fn, fp = fn_fp_maps(pairs, fp_denominator=mode)
+            fn, fp = fn_fp_maps(subjects, fp_denominator=mode)
             for m in (fn, fp):
                 assert m.rate.min() >= 0.0 and m.rate.max() <= 1.0
                 assert (m.denominator >= m.numerator).all()
@@ -109,51 +107,40 @@ class TestRateMaps:
             fn_fp_maps([])
         a = mask_from([], (3, 3, 3))
         b = mask_from([], (4, 3, 3))
+        with pytest.raises(ArityError):
+            fn_fp_maps([(a, [])])
         with pytest.raises(ShapeMismatchError):
-            fn_fp_maps([(a, b)])
+            fn_fp_maps([(a, [b])])
+        with pytest.raises(ShapeMismatchError):
+            fn_fp_maps([(a, [a]), (b, [b])])
         with pytest.raises(ValueError, match="fp_denominator"):
-            fn_fp_maps([(a, a)], fp_denominator="everything")
-        with pytest.raises(ValueError, match="parallel"):
-            fn_fp_maps([(a, a)], subject_ids=["x", "y"])
-
+            fn_fp_maps([(a, [a])], fp_denominator="everything")
 
     def test_any_iterable_of_pairs(self):
         rng = np.random.default_rng(108)
-        pairs = [(random_mask(rng, (5, 4, 3), 0.3),
-                  random_mask(rng, (5, 4, 3), 0.3)) for _ in range(6)]
-        ids = ["s0", "s0", "s1", "s2", "s1", "s0"]
-        union = {}
-        for (ref, _), sid in zip(pairs, ids):
-            union[sid] = union.get(sid, False) | ref.data
+        subjects = [(random_mask(rng, (5, 4, 3), 0.3),
+                     [random_mask(rng, (5, 4, 3), 0.3) for _ in range(k)])
+                    for k in (3, 2, 1)]
         for mode in ("ref_negative", "pairs"):
-            want = fn_fp_maps(pairs, ids, mode)
-            assert np.array_equal(want[0].lesion_count, sum(union.values()))
-            got = fn_fp_maps((p for p in pairs), ids, mode)
+            want = fn_fp_maps(subjects, mode)
+            assert np.array_equal(want[0].lesion_count,
+                                  sum(ref.data for ref, _ in subjects))
+            got = fn_fp_maps(((ref, (p for p in preds))
+                              for ref, preds in subjects), mode)
             for w, g in zip(want, got):
                 for field in ("numerator", "denominator", "rate",
                               "lesion_count"):
                     assert np.array_equal(getattr(w, field),
                                           getattr(g, field)), field
 
-    def test_lesion_count_counts_subjects_once(self):
-        a = mask_from([(0, 0, 0), (1, 0, 0)], (3, 3, 3))
-        b = mask_from([(1, 0, 0), (2, 2, 2)], (3, 3, 3))
-        fn, _ = fn_fp_maps([(a, a), (b, b), (a, b)], ["x", "x", "y"])
-        assert fn.lesion_count[0, 0, 0] == 2
-        assert fn.lesion_count[1, 0, 0] == 2
-        assert fn.lesion_count[2, 2, 2] == 1
-        assert fn.lesion_count.sum() == 5
-
     def test_validation_on_a_generator(self):
         a = mask_from([(1, 1, 1)], (3, 3, 3))
         with pytest.raises(ArityError):
             fn_fp_maps(iter([]))
         with pytest.raises(ArityError):
-            fn_fp_maps(iter([]), subject_ids=["x"])
-        with pytest.raises(ValueError, match="parallel"):
-            fn_fp_maps(((a, a) for _ in range(1)), subject_ids=["x", "y"])
-        with pytest.raises(ValueError, match="parallel"):
-            fn_fp_maps(((a, a) for _ in range(3)), subject_ids=["x", "y"])
+            fn_fp_maps((a, iter([])) for _ in range(2))
+        with pytest.raises(ShapeMismatchError):
+            fn_fp_maps(iter([(a, (m for m in [a, mask_from([], (3, 3, 4))]))]))
 
 
 class TestCohortSummary:

@@ -30,7 +30,7 @@ from seg_eval.nifti import read_nifti, write_nifti
 from seg_eval.ranking import (BootstrapConfig, final_rank, interscanner_rank,
                               rank_with_ci)
 from seg_eval.reportio import read_result_csv, write_result_csv
-from seg_eval.volume import BinaryMask, binarize_challenge
+from seg_eval.volume import BinaryMask, LabelVolume, binarize_challenge
 
 
 def read_real(path) -> np.ndarray:
@@ -209,22 +209,37 @@ class TestEvaluateBatch:
         assert one.read_bytes() == two.read_bytes()
 
     def test_jobs_do_not_change_a_chunked_output(self, tmp_path, capsys):
-        # 25 pairs: --jobs 2 sends chunks of 3 and --jobs 3 chunks of 2,
-        # neither of which divides the task list
+        # 5 subjects of 5 rows: neither 2 nor 3 workers divide the
+        # subjects, and in method-major order no subject's rows are
+        # adjacent, so each worker's results are scattered in the CSV
         corpus = tmp_path / "corpus"
         assert main(["synth", "--out-dir", str(corpus), "--subjects", "5",
                      "--methods", "5", "--scanners", "2", "--seed", "4",
                      "--dims", "16", "16", "8", "--lesions", "3",
                      "--size-range", "3", "15"]) == 0
-        outputs = []
-        for jobs in ("1", "2", "3"):
-            out = tmp_path / f"jobs{jobs}.csv"
-            assert main(["evaluate-batch", str(corpus / "manifest.csv"),
-                         "-o", str(out), "--jobs", jobs]) in (0, 2)
-            outputs.append(out.read_bytes())
+        subject_major = corpus / "manifest.csv"
+        header, *lines = subject_major.read_text().splitlines()
+        method_major = corpus / "by_method.csv"
+        method_major.write_text("\n".join(
+            [header] + sorted(lines, key=lambda ln: ln.split(",")[0])) + "\n")
+        outputs = {}
+        for manifest in (subject_major, method_major):
+            for jobs in ("1", "2", "3"):
+                out = tmp_path / f"{manifest.stem}_jobs{jobs}.csv"
+                assert main(["evaluate-batch", str(manifest),
+                             "-o", str(out), "--jobs", jobs]) in (0, 2)
+                outputs[manifest.stem, jobs] = out.read_bytes()
         capsys.readouterr()
-        assert len(outputs[0].splitlines()) == 1 + 25
-        assert outputs[0] == outputs[1] == outputs[2]
+        subject_rows = outputs["manifest", "1"].splitlines()
+        method_rows = outputs["by_method", "1"].splitlines()
+        assert len(subject_rows) == 1 + 25
+        for stem in ("manifest", "by_method"):
+            assert outputs[stem, "1"] == outputs[stem, "2"] \
+                == outputs[stem, "3"]
+        assert method_rows[0] == subject_rows[0]
+        assert method_rows[1:] == sorted(
+            subject_rows[1:], key=lambda ln: ln.split(b",")[0])
+        assert method_rows[1:] != subject_rows[1:]
 
     def test_undefined_metrics_are_counted_on_stderr(self, tmp_path, capsys):
         ref = labels_from(REF_COORDS, (8, 8, 4))
@@ -278,6 +293,49 @@ class TestEvaluateBatch:
                    "-o", str(tmp_path / "r.csv")])
         assert rc == 1
         assert "error:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("jobs", ["1", "2"])
+    def test_a_bad_label_names_its_row_and_file(self, batch_corpus,
+                                                tmp_path, capsys, jobs):
+        manifest, *_ = batch_corpus
+        bad = np.zeros((8, 8, 4), dtype=np.int32)
+        bad[3, 4, 2] = 3
+        write_nifti(LabelVolume(bad, (1.0, 1.0, 1.0)),
+                    tmp_path / "s1_b.nii.gz")
+        rc = main(["evaluate-batch", str(manifest),
+                   "-o", str(tmp_path / "r.csv"), "--jobs", jobs])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.count("error:") == 1 and err.startswith("error:")
+        # rows run a-s0, a-s1, b-s0, b-s1 from line 2
+        assert "row 5" in err
+        assert str(tmp_path / "s1_b.nii.gz") in err
+        assert "label 3 at voxel (3, 4, 2)" in err
+
+    def test_a_missing_reference_names_its_subjects_first_row(
+            self, batch_corpus, tmp_path, capsys):
+        manifest, *_ = batch_corpus
+        (tmp_path / "s1_ref.nii.gz").unlink()
+        rc = main(["evaluate-batch", str(manifest),
+                   "-o", str(tmp_path / "r.csv")])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:")
+        assert "row 3" in err and str(tmp_path / "s1_ref.nii.gz") in err
+
+    def test_a_subject_under_two_scanners_is_an_error(self, batch_corpus,
+                                                      tmp_path, capsys):
+        _, _, _, rows = batch_corpus
+        rows = [r if (r[0], r[1]) != ("b", "s1")
+                else (*r[:2], "scannerB", *r[3:]) for r in rows]
+        manifest = write_manifest(tmp_path / "two.csv", rows)
+        rc = main(["evaluate-batch", str(manifest),
+                   "-o", str(tmp_path / "r.csv")])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:")
+        assert str(manifest) in err and "row 5" in err
+        assert not (tmp_path / "r.csv").exists()
 
 
 @pytest.fixture
@@ -394,6 +452,25 @@ class TestRank:
         assert rc == 1
         assert "error:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("edit, message", [
+        (lambda ln: ln.replace(",s001,scB,", ",s001,scA,", 1), "scanners"),
+        (lambda ln: ln.replace("m_c,s003,", "m_c,s002,", 1), "duplicate"),
+        (lambda ln: ln.replace("m_c,s003,", "m_c,s009,", 1), "subject set"),
+    ])
+    def test_a_broken_table_is_an_error_naming_the_file(
+            self, results_csv, tmp_path, capsys, edit, message):
+        header, *lines = results_csv.read_text().splitlines()
+        # edit the last line that the substitution changes
+        last = max(i for i, ln in enumerate(lines) if edit(ln) != ln)
+        lines[last] = edit(lines[last])
+        bad = tmp_path / "bad.csv"
+        bad.write_text("\n".join([header, *lines]) + "\n")
+        rc = main(["rank", str(bad), "--bootstrap", "0"])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:")
+        assert str(bad) in err and message in err
+
 
 @pytest.fixture
 def raters_on_disk(tmp_path):
@@ -487,20 +564,27 @@ def maps_corpus(tmp_path):
         "s2": (labels_from([(1, 1, 1)], dims),
                labels_from([(1, 1, 1), (3, 3, 2)], dims)),
     }
+    empty = labels_from([], dims)
+    write_nifti(empty, tmp_path / "empty.nii")
     rows = []
     for sid, (ref, pred) in pairs.items():
         write_nifti(ref, tmp_path / f"{sid}_ref.nii")
         write_nifti(pred, tmp_path / f"{sid}_pred.nii")
         rows.append(("m", sid, "sc", f"{sid}_ref.nii", f"{sid}_pred.nii"))
+    # a second method, listed after all of the first: a subject's rows
+    # are not adjacent
+    rows += [("n", sid, "sc", f"{sid}_ref.nii", "empty.nii")
+             for sid in pairs]
     manifest = write_manifest(tmp_path / "m.csv", rows)
-    mask_pairs = [(binarize_challenge(ref)[0], binarize_challenge(pred)[0])
-                  for ref, pred in pairs.values()]
-    return manifest, mask_pairs, list(pairs)
+    subjects = [(binarize_challenge(ref)[0],
+                 [binarize_challenge(pred)[0], binarize_challenge(empty)[0]])
+                for ref, pred in pairs.values()]
+    return manifest, subjects
 
 
 class TestMaps:
     def test_rate_maps_match_library(self, maps_corpus, tmp_path):
-        manifest, mask_pairs, subject_ids = maps_corpus
+        manifest, subjects = maps_corpus
         fn_p = tmp_path / "fn.nii.gz"
         fp_p = tmp_path / "fp.nii.gz"
         count_p = tmp_path / "count.nii.gz"
@@ -508,23 +592,41 @@ class TestMaps:
                    "--fp-out", str(fp_p),
                    "--lesion-count-out", str(count_p)])
         assert rc == 0
-        fn, fp = fn_fp_maps(mask_pairs, subject_ids)
+        fn, fp = fn_fp_maps(subjects)
         assert np.array_equal(read_real(fn_p), fn.rate.astype(np.float32))
         assert np.array_equal(read_real(fp_p), fp.rate.astype(np.float32))
         assert np.array_equal(read_real(count_p),
                               fn.lesion_count.astype(np.float32))
-        # s1 misses its (3, 3, 2) lesion voxel: one ref there, one miss
+        # both methods miss s1's (3, 3, 2) lesion voxel
         assert read_real(fn_p)[3, 3, 2] == 1.0
+        # (1, 1, 1) is in both references, each listed twice
+        assert read_real(count_p)[1, 1, 1] == 2.0
+        assert read_real(fn_p)[1, 1, 1] == 0.5
 
     def test_fp_denominator_flag(self, maps_corpus, tmp_path):
-        manifest, mask_pairs, subject_ids = maps_corpus
+        manifest, subjects = maps_corpus
         fp_p = tmp_path / "fp.nii.gz"
         rc = main(["maps", str(manifest), "--fn-out",
                    str(tmp_path / "fn.nii.gz"), "--fp-out", str(fp_p),
                    "--fp-denominator", "pairs"])
         assert rc == 0
-        _, fp = fn_fp_maps(mask_pairs, subject_ids, "pairs")
+        _, fp = fn_fp_maps(subjects, "pairs")
         assert np.array_equal(read_real(fp_p), fp.rate.astype(np.float32))
+
+    def test_a_bad_label_names_its_row_and_file(self, maps_corpus, tmp_path,
+                                                capsys):
+        manifest, _ = maps_corpus
+        bad = np.zeros((6, 6, 4), dtype=np.int32)
+        bad[1, 2, 3] = 3
+        write_nifti(LabelVolume(bad, (1.0, 1.0, 1.0)), tmp_path / "s2_pred.nii")
+        rc = main(["maps", str(manifest), "--fn-out",
+                   str(tmp_path / "fn.nii.gz"), "--fp-out",
+                   str(tmp_path / "fp.nii.gz")])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.count("error:") == 1 and err.startswith("error:")
+        assert "row 3" in err and str(tmp_path / "s2_pred.nii") in err
+        assert "label 3 at voxel (1, 2, 3)" in err
 
 
 class TestCohort:
