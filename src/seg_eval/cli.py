@@ -29,7 +29,7 @@ from .reportio import (MANIFEST_COLUMNS, dump_json, metric_report,
                        rank_report, read_manifest, read_result_csv,
                        write_rank_csv, write_result_csv, _envelope)
 from .synth import PerturbOps, PhantomSpec, generate_phantom, perturb_mask
-from .volume import BinaryMask, LabelVolume, binarize_challenge
+from .volume import BinaryMask, LabelVolume, binarize_challenge, same_grid
 
 
 class CliUsageError(SegEvalError):
@@ -187,20 +187,32 @@ def cmd_staple(args) -> int:
     return 0
 
 
-def _row_wmh(manifest, subject, row, path):
-    """The WMH mask of one of a manifest row's files."""
+def _row_wmh(manifest, subject, row, path, grid=None, what=""):
+    """The WMH mask of one of a manifest row's files, checked to lie on
+    ``grid``'s grid when one is given."""
     with _naming_row(manifest, subject, row):
-        return binarize_challenge(read_nifti(path))[0]
+        wmh = binarize_challenge(read_nifti(path))[0]
+        if grid is not None:
+            same_grid(grid, wmh, what)
+    return wmh
 
 
 def cmd_maps(args) -> int:
-    def predictions(subject):  # one row's mask at a time
-        return (_row_wmh(args.manifest, subject, row, row.prediction_path)
+    def predictions(subject, ref):  # one row's mask at a time
+        return (_row_wmh(args.manifest, subject, row, row.prediction_path,
+                         ref, "reference and prediction")
                 for row in subject.rows)
 
-    subjects = ((_row_wmh(args.manifest, s, s.rows[0], s.reference_path),
-                 predictions(s)) for s in read_manifest(args.manifest))
-    fn, fp = fn_fp_maps(subjects, args.fp_denominator)
+    def subjects():
+        first = None
+        for s in read_manifest(args.manifest):
+            ref = _row_wmh(args.manifest, s, s.rows[0], s.reference_path,
+                           first, "first and this subject's reference")
+            if first is None:
+                first = ref
+            yield ref, predictions(s, ref)
+
+    fn, fp = fn_fp_maps(subjects(), args.fp_denominator)
     write_nifti_real(fn.rate, fn.spacing, args.fn_out)
     write_nifti_real(fp.rate, fp.spacing, args.fp_out)
     if args.lesion_count_out:

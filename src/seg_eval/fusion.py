@@ -65,7 +65,7 @@ def majority_vote(masks: list[BinaryMask]) -> BinaryMask:
         raise ArityError("majority vote needs at least one mask")
     for m in masks[1:]:
         same_grid(masks[0], m, "rater masks")
-    votes = np.zeros(masks[0].dims, dtype=np.int32)
+    votes = np.zeros_like(masks[0].data, dtype=np.int32)
     for m in masks:
         votes += m.data
     return BinaryMask(votes * 2 > len(masks), masks[0].spacing)
@@ -84,10 +84,14 @@ def staple_fuse(masks: list[BinaryMask],
     n_full = int(np.prod(dims))
     n_raters = len(masks)
 
-    union = np.zeros(dims, dtype=bool)
-    for m in masks:
-        union |= m.data
-    votes = np.stack([m.data[union] for m in masks], axis=1)   # (K, R)
+    # flat in the first rater's layout, so the gathers below walk memory
+    # in order; a rater in the other layout is copied by its ravel
+    order = "F" if masks[0].data.flags.f_contiguous else "C"
+    flat = [m.data.ravel(order) for m in masks]
+    union = flat[0] | flat[1]
+    for f in flat[2:]:
+        union |= f
+    votes = np.stack([f[union] for f in flat], axis=1)   # (K, R)
     if votes.size == 0:
         raise DegenerateInputError("every rater mask is empty")
 
@@ -147,8 +151,9 @@ def staple_fuse(masks: list[BinaryMask],
             converged = True
             break
 
-    weights = np.full(dims, w[0])
+    weights = np.full(n_full, w[0])
     weights[union] = w[1:][inverse]
+    weights = weights.reshape(dims, order=order)
     consensus = BinaryMask(weights >= params.threshold, spacing)
     return FusionResult(
         consensus=consensus, weights=weights,

@@ -239,19 +239,25 @@ def relative_difference(value: float, baseline: float) -> float:
     return (value - baseline) / baseline
 
 
-def _lesion_box(a: np.ndarray, b: np.ndarray) -> tuple[slice, ...] | None:
-    """Bounding box of ``a | b`` grown by one voxel and clipped to the
-    grid, or None when both are empty."""
-    union = a | b
-    plane = union.any(axis=2)
+def _label_profiles(vol: LabelVolume) -> list[np.ndarray]:
+    """The largest label in each x, y and z plane of a volume, from two
+    reductions that allocate nothing grid-sized."""
+    plane = vol.data.max(axis=2, initial=0)
+    return [plane.max(axis=1, initial=0), plane.max(axis=0, initial=0),
+            vol.data.max(axis=(0, 1), initial=0)]
+
+
+def _lesion_box(*profiles: list[np.ndarray]) -> tuple[slice, ...]:
+    """Bounding box of the voxels with a non-zero label in any of the
+    profiled volumes, grown by one voxel and clipped to the grid; the
+    origin voxel when every label is 0."""
     box = []
-    for hit in (plane.any(axis=1), plane.any(axis=0),
-                union.any(axis=(0, 1))):
-        idx = np.flatnonzero(hit)
+    for axis_profiles in zip(*profiles):
+        idx = np.flatnonzero(np.logical_or.reduce(axis_profiles))
         if idx.size == 0:
-            return None
+            return (slice(0, 1),) * 3
         box.append(slice(max(int(idx[0]) - 1, 0),
-                         min(int(idx[-1]) + 2, hit.size)))
+                         min(int(idx[-1]) + 2, axis_profiles[0].size)))
     return tuple(box)
 
 
@@ -264,23 +270,25 @@ def evaluate_pair(ref: LabelVolume, pred: LabelVolume,
     plain background. Prediction label 2 is tolerated and treated as
     background either way.
 
-    Labels are validated on the whole grid; everything after that runs
-    on the bounding box of both masks plus a one-voxel margin. Every
+    Two reductions per volume give its largest label per plane: they
+    check that every label is in {0, 1, 2} and give the bounding box of
+    both volumes' non-zero labels. Everything after that, label 2
+    handling included, runs in that box plus a one-voxel margin. Every
     box face is then background or the grid boundary, so surfaces and
     component ids match the whole-grid ones; surface coordinates are
-    shifted back to the grid so H95 distances are bit-identical.
+    shifted back to the grid so H95 distances are bit-identical. Both
+    volumes may be in either memory layout.
     """
     same_grid(ref, pred, "reference and prediction")
-    ref_wmh, ignore = binarize_challenge(ref)
-    pred_wmh, _ = binarize_challenge(pred)
-    ref_data, pred_data = ref_wmh.data, pred_wmh.data
-    if config.ignore_mode == "exclude" and ignore.data.any():
-        keep = ~ignore.data
-        ref_data, pred_data = ref_data & keep, pred_data & keep
-
-    box = _lesion_box(ref_data, pred_data)
-    if box is not None:
-        ref_data, pred_data = ref_data[box], pred_data[box]
+    profiles = [_label_profiles(vol) for vol in (ref, pred)]
+    for vol, prof in zip((ref, pred), profiles):
+        if prof[2].max(initial=0) > 2:
+            binarize_challenge(vol)   # raises, naming the first bad voxel
+    box = _lesion_box(*profiles)
+    ref_box, pred_box = ref.data[box], pred.data[box]
+    ref_data, pred_data = ref_box == 1, pred_box == 1
+    if config.ignore_mode == "exclude":
+        pred_data &= ref_box != 2
     ref_eval = BinaryMask(ref_data, ref.spacing)
     pred_eval = BinaryMask(pred_data, ref.spacing)
 

@@ -3,8 +3,16 @@
 Only what the evaluation pipeline needs: 3-D volumes, datatypes uint8,
 int16 and float32, optional gzip container selected by a ``.gz``
 suffix. The payload is stored x-fastest, which is how NIfTI defines
-its on-disk order; arrays therefore round-trip through
-``reshape(order="F")`` / ``tobytes(order="F")``.
+its on-disk order. A read volume keeps that order: its data is the
+F-ordered ``reshape(order="F")`` of the payload, converted to int32
+without a transpose, and ``tobytes(order="F")`` writes it back as a
+plain copy. Arrays in C order are written correctly too, through a
+transposing copy.
+
+Every voxel value is a label as stored: the scaling fields
+``scl_slope``/``scl_inter`` must say so (slope 0 or 1, intercept 0),
+and a label that is negative or beyond int32 is rejected. Every error
+names the file.
 
 Written files are deterministic: unused header fields are zeroed and
 gzip members carry mtime 0, so identical volumes produce identical
@@ -23,7 +31,7 @@ import numpy as np
 
 from .errors import (FormatError, InvalidLabelError, TruncatedFileError,
                      UnsupportedDataTypeError)
-from .volume import BinaryMask, LabelVolume
+from .volume import BinaryMask, LabelVolume, _first_where
 
 __all__ = ["read_nifti", "write_nifti", "write_nifti_real"]
 
@@ -33,6 +41,7 @@ _MAGIC_PAIR = b"ni1\x00"
 
 _DTYPE_BY_CODE = {2: np.uint8, 4: np.int16, 16: np.float32}
 _BITPIX_BY_CODE = {2: 8, 4: 16, 16: 32}
+_LABEL_MAX = np.iinfo(np.int32).max
 
 
 def _read_container(path: Path) -> bytes:
@@ -67,7 +76,9 @@ def read_nifti(path: str | Path) -> LabelVolume:
 
     Big-endian headers are detected through the dim[0] range check and
     byte-swapped. Float payloads are rounded to the nearest integer,
-    ties away from zero; non-finite or negative results are rejected.
+    ties away from zero. Non-finite values and labels outside
+    [0, 2**31 - 1] are rejected with the file, value and voxel. The
+    returned data keeps the file's x-fastest order (F-contiguous).
     """
     path = Path(path)
     raw = _read_container(path)
@@ -91,7 +102,7 @@ def read_nifti(path: str | Path) -> LabelVolume:
     dim = struct.unpack_from(bo + "8h", raw, 40)
     datatype, bitpix = struct.unpack_from(bo + "2h", raw, 70)
     pixdim = struct.unpack_from(bo + "8f", raw, 76)
-    vox_offset, = struct.unpack_from(bo + "f", raw, 108)
+    vox_offset, slope, inter = struct.unpack_from(bo + "3f", raw, 108)
 
     if datatype not in _DTYPE_BY_CODE:
         raise UnsupportedDataTypeError(
@@ -113,6 +124,11 @@ def read_nifti(path: str | Path) -> LabelVolume:
 
     if not math.isfinite(vox_offset):
         raise FormatError(f"{path}: vox_offset {vox_offset} is not finite")
+    if slope not in (0.0, 1.0) or inter != 0.0:   # NaN fails both
+        raise FormatError(
+            f"{path}: scl_slope {slope} and scl_inter {inter} rescale "
+            f"voxel values; labels must be stored unscaled (slope 0 or 1, "
+            f"intercept 0)")
     offset = int(vox_offset) if vox_offset >= HEADER_SIZE else 352
     dt = np.dtype(_DTYPE_BY_CODE[datatype]).newbyteorder(bo)
     nvox = nx * ny * nz
@@ -126,16 +142,21 @@ def read_nifti(path: str | Path) -> LabelVolume:
     data = flat.reshape((nx, ny, nz), order="F")
 
     if datatype == 16:
-        if not np.isfinite(data).all():
-            raise InvalidLabelError(f"{path}: non-finite voxel value")
-        rounded = _round_half_away(data.astype(np.float64))
-        if rounded.size and rounded.min() < 0:
+        finite = np.isfinite(data)
+        if not finite.all():
+            at = _first_where(~finite)
             raise InvalidLabelError(
-                f"{path}: negative label after rounding "
-                f"(min {rounded.min():g})", value=float(rounded.min()))
-        data = rounded.astype(np.int32)
-
-    return LabelVolume(np.ascontiguousarray(data), spacing)
+                f"{path}: non-finite voxel value {data[at]} at voxel {at}",
+                value=float(data[at]), coordinate=at)
+        data = _round_half_away(data.astype(np.float64))
+    if datatype != 2 and (data.min() < 0 or data.max() > _LABEL_MAX):
+        at = _first_where((data < 0) | (data > _LABEL_MAX))
+        raise InvalidLabelError(
+            f"{path}: label {data[at]:g} at voxel {at} is outside "
+            f"[0, {_LABEL_MAX}]", value=float(data[at]), coordinate=at)
+    if datatype == 16:
+        data = data.astype(np.int32, order="K")
+    return LabelVolume(data, spacing)
 
 
 def _pack_header(dims: tuple[int, int, int],

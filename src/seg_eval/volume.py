@@ -3,7 +3,10 @@
 Conventions used throughout the package:
 
 * Arrays are indexed ``(x, y, z)`` and the linear scan order is
-  x-fastest (Fortran order), matching the on-disk NIfTI layout.
+  x-fastest, matching the on-disk NIfTI layout. Volumes keep the memory
+  layout they are given: a volume read from disk is F-ordered, a
+  built one usually C-ordered, and every operation here gives the same
+  result for either, with allocations following the input's layout.
 * ``spacing`` is the voxel edge length in millimetres along each axis.
 * Challenge label volumes use 0 = background, 1 = WMH, 2 = other
   pathology. Label 2 marks voxels that are excised from both masks
@@ -49,7 +52,9 @@ class LabelVolume:
     """An integer-labelled 3-D grid with voxel spacing in mm.
 
     ``data`` is normalised to a read-only int32 array of shape
-    ``(nx, ny, nz)``. Labels must be non-negative.
+    ``(nx, ny, nz)`` in the layout it arrives in; an int32 array that
+    is C- or F-contiguous is kept without a copy. Labels must be
+    non-negative.
     """
 
     data: np.ndarray
@@ -60,14 +65,12 @@ class LabelVolume:
         spacing = _check_grid(arr, self.spacing)
         if not np.issubdtype(arr.dtype, np.integer):
             raise TypeError(f"label data must be integer, got {arr.dtype}")
-        if arr.size and int(arr.min()) < 0:
+        if arr.dtype.kind == "i" and arr.size and int(arr.min()) < 0:
             bad = _first_where(arr < 0)
             raise InvalidLabelError(
                 f"negative label {int(arr[bad])} at voxel {bad}",
                 value=float(arr[bad]), coordinate=bad)
-        arr = np.ascontiguousarray(arr, dtype=np.int32)
-        arr.setflags(write=False)
-        object.__setattr__(self, "data", arr)
+        object.__setattr__(self, "data", _frozen(arr, np.int32))
         object.__setattr__(self, "spacing", spacing)
 
     @property
@@ -86,7 +89,12 @@ class LabelVolume:
 
 @dataclass(frozen=True, eq=False)
 class BinaryMask:
-    """A boolean 3-D grid with voxel spacing in mm."""
+    """A boolean 3-D grid with voxel spacing in mm.
+
+    ``data`` is a read-only bool array; contiguous input (C or F) is
+    kept as it is, a strided view such as a crop is copied once in its
+    own layout.
+    """
 
     data: np.ndarray
     spacing: tuple[float, float, float]
@@ -99,9 +107,7 @@ class BinaryMask:
                 arr = arr != 0
             else:
                 raise TypeError(f"mask data must be bool, got {arr.dtype}")
-        arr = np.ascontiguousarray(arr)
-        arr.setflags(write=False)
-        object.__setattr__(self, "data", arr)
+        object.__setattr__(self, "data", _frozen(arr, np.bool_))
         object.__setattr__(self, "spacing", spacing)
 
     @property
@@ -119,6 +125,16 @@ class BinaryMask:
     def volume_ml(self) -> float:
         """Foreground volume in millilitres."""
         return self.count() * self.voxel_volume_mm3 / 1000.0
+
+
+def _frozen(arr: np.ndarray, dtype) -> np.ndarray:
+    """``arr`` as a read-only contiguous ``dtype`` array, copied (in its
+    own layout) only when the dtype differs or it is strided."""
+    if arr.dtype != dtype or not (arr.flags.c_contiguous
+                                  or arr.flags.f_contiguous):
+        arr = arr.astype(dtype, order="K")
+    arr.setflags(write=False)
+    return arr
 
 
 def same_grid(a, b, what: str = "volumes") -> None:
@@ -161,9 +177,8 @@ def binarize_challenge(volume: LabelVolume) -> tuple[BinaryMask, BinaryMask]:
     coordinate rather than being clamped.
     """
     data = volume.data
-    bad = data > 2
-    if bad.any():
-        at = _first_where(bad)
+    if data.max(initial=0) > 2:
+        at = _first_where(data > 2)
         raise InvalidLabelError(
             f"label {int(data[at])} at voxel {at} is outside {{0, 1, 2}}",
             value=float(data[at]), coordinate=at)
@@ -175,7 +190,7 @@ def merge_labels(wmh: BinaryMask, other: BinaryMask) -> LabelVolume:
     """Compose a challenge label volume from WMH and other-pathology
     masks. Where both are set, WMH (label 1) wins."""
     same_grid(wmh, other, "masks")
-    data = np.zeros(wmh.dims, dtype=np.int32)
+    data = np.zeros_like(wmh.data, dtype=np.int32)
     data[other.data] = 2
     data[wmh.data] = 1
     return LabelVolume(data, wmh.spacing)
@@ -203,10 +218,10 @@ def surface_voxels(mask: BinaryMask) -> np.ndarray:
     """Coordinates (K, 3) of foreground voxels with at least one face
     neighbour that is background or outside the volume."""
     m = mask.data
-    interior = np.ones(m.shape, dtype=bool)
+    interior = np.ones_like(m)
     for off in ((1, 0, 0), (-1, 0, 0), (0, 1, 0),
                 (0, -1, 0), (0, 0, 1), (0, 0, -1)):
-        neighbour = np.zeros(m.shape, dtype=bool)
+        neighbour = np.zeros_like(m)
         _shift_into(np.logical_or, neighbour, m, off)
         interior &= neighbour
     surf = m & ~interior
@@ -238,6 +253,8 @@ def connected_components(mask: BinaryMask, connectivity: int = 26
     scipy labels in the order its C-order scan first meets each
     component. Run on the transposed view, that scan is our x-fastest
     scan, so component k is the k-th one met by it with no renumbering.
+    For an F-ordered mask, as read from disk, the transposed view is
+    C-contiguous and scipy scans it in place.
     Supported connectivities: 6, 18, 26 (default 26).
     """
     if connectivity not in _CONNECTIVITY_RANK:

@@ -628,6 +628,27 @@ class TestMaps:
         assert "row 3" in err and str(tmp_path / "s2_pred.nii") in err
         assert "label 3 at voxel (1, 2, 3)" in err
 
+    @pytest.mark.parametrize("rows", [
+        [("m", "s1", "sc", "r.nii", "r5.nii")],
+        [("m", "s1", "sc", "r.nii", "r.nii"),
+         ("m", "s2", "sc", "r5.nii", "r5.nii")],
+    ], ids=["prediction-vs-reference", "reference-vs-first-reference"])
+    def test_a_grid_mismatch_names_its_row_and_files(self, tmp_path, capsys,
+                                                     rows):
+        write_nifti(labels_from([(1, 1, 1)], (4, 4, 4)), tmp_path / "r.nii")
+        write_nifti(labels_from([(1, 1, 1)], (4, 4, 5)), tmp_path / "r5.nii")
+        manifest = write_manifest(tmp_path / "m.csv", rows)
+        rc = main(["maps", str(manifest), "--fn-out",
+                   str(tmp_path / "fn.nii.gz"), "--fp-out",
+                   str(tmp_path / "fp.nii.gz")])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.count("error:") == 1 and err.startswith("error:")
+        ref, pred = rows[-1][3:]
+        assert (f"m.csv: row {len(rows) + 1} ({tmp_path / ref}, "
+                f"{tmp_path / pred}): ") in err
+        assert "differ in dims: (4, 4, 4) vs (4, 4, 5)" in err
+
 
 class TestCohort:
     def test_summary_uses_each_subject_once(self, tmp_path, capsys):

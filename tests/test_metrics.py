@@ -3,7 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from seg_eval.errors import ShapeMismatchError, UndefinedMetricError
+from seg_eval.errors import (InvalidLabelError, ShapeMismatchError,
+                             UndefinedMetricError)
 from seg_eval.metrics import (EvalConfig, avd_percent, dice, evaluate_pair,
                               hausdorff95, lesion_recall_f1, log_avd,
                               relative_difference, size_split_recall)
@@ -443,6 +444,32 @@ class TestEvaluatePairCrop:
         pred = labels_from(blob + [(6, 1, 5)], (8, 8, 6))
         assert_same_as_uncropped(ref, pred,
                                  EvalConfig(ignore_mode=ignore_mode))
+
+    @pytest.mark.parametrize("ignore_mode", ["exclude", "background"])
+    def test_label_2_far_from_the_lesions_widens_the_box_only(
+            self, ignore_mode):
+        dims, config = (12, 11, 9), EvalConfig(ignore_mode=ignore_mode)
+        ref_wmh, pred_wmh = [(4, 4, 3), (5, 4, 3)], [(5, 4, 3), (5, 5, 3)]
+        plain = evaluate_pair(labels_from(ref_wmh, dims),
+                              labels_from(pred_wmh, dims), config)
+        far = [(0, 0, 0), (11, 10, 8)]
+        for ref_far, pred_far in ((far, []), ([], far), (far, far)):
+            ref = labels_from(ref_wmh, dims, ignore_coords=ref_far)
+            pred = labels_from(pred_wmh, dims, ignore_coords=pred_far)
+            assert evaluate_pair(ref, pred, config) == plain
+            assert_same_as_uncropped(ref, pred, config)
+
+    @pytest.mark.parametrize("which", ["reference", "prediction"])
+    def test_a_label_above_2_names_its_first_voxel(self, which):
+        data = np.zeros((5, 4, 3), dtype=np.int32)
+        data[3, 2, 1] = data[1, 3, 2] = 7   # x-fastest: (3, 2, 1) first
+        bad = LabelVolume(np.asfortranarray(data), (1, 1, 1))
+        good = labels_from([(1, 1, 1)], (5, 4, 3))
+        args = (bad, good) if which == "reference" else (good, bad)
+        with pytest.raises(InvalidLabelError,
+                           match=r"label 7 at voxel \(3, 2, 1\)") as err:
+            evaluate_pair(*args)
+        assert err.value.coordinate == (3, 2, 1)
 
     def test_lesions_far_from_the_origin_on_anisotropic_spacing(self):
         # the C9 spacing makes scaled coordinates inexact in binary, so

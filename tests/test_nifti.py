@@ -1,10 +1,14 @@
 import gzip
 import struct
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
-from seg_eval.errors import (FormatError, InvalidLabelError,
+from seg_eval.cli import main
+from seg_eval.errors import (FormatError, InvalidLabelError, SegEvalError,
                              TruncatedFileError, UnsupportedDataTypeError)
 from seg_eval.nifti import read_nifti, write_nifti, write_nifti_real
 from seg_eval.volume import BinaryMask, LabelVolume
@@ -14,7 +18,7 @@ from helpers import labels_from
 
 def build_file(dims=(2, 2, 1), pixdim=(1.0, 1.0, 3.0), datatype=2,
                bitpix=None, vox_offset=348.0, magic=b"n+1\x00",
-               payload=None, byteorder="<", ndim=3):
+               payload=None, byteorder="<", ndim=3, scaling=(0.0, 0.0)):
     """Hand-assembled NIfTI-1 bytes, independent of the writer."""
     if bitpix is None:
         bitpix = {2: 8, 4: 16, 16: 32}.get(datatype, 8)
@@ -25,7 +29,7 @@ def build_file(dims=(2, 2, 1), pixdim=(1.0, 1.0, 3.0), datatype=2,
     struct.pack_into(byteorder + "2h", hdr, 70, datatype, bitpix)
     struct.pack_into(byteorder + "8f", hdr, 76,
                      1.0, pixdim[0], pixdim[1], pixdim[2], 0, 0, 0, 0)
-    struct.pack_into(byteorder + "f", hdr, 108, vox_offset)
+    struct.pack_into(byteorder + "3f", hdr, 108, vox_offset, *scaling)
     hdr[344:348] = magic
     if payload is None:
         n = dims[0] * dims[1] * dims[2]
@@ -265,3 +269,176 @@ class TestWriterLayout:
         write_nifti(vol, tmp_path / "p2.nii")
         assert (tmp_path / "p1.nii").read_bytes() == \
                (tmp_path / "p2.nii").read_bytes()
+
+
+class TestLabelRange:
+    def test_negative_int16_label_names_file_value_and_voxel(self, on_disk):
+        payload = struct.pack("<4h", 0, -3, 1, 0)
+        path = on_disk(build_file(datatype=4, payload=payload))
+        with pytest.raises(InvalidLabelError) as err:
+            read_nifti(path)
+        assert str(path) in str(err.value)
+        assert "label -3 at voxel (1, 0, 0)" in str(err.value)
+        assert err.value.value == -3
+        assert err.value.coordinate == (1, 0, 0)
+
+    def test_float_beyond_int32_is_rejected_without_a_cast_warning(
+            self, on_disk):
+        payload = struct.pack("<4f", 0, 1, 0, 3e9)
+        path = on_disk(build_file(datatype=16, payload=payload))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(InvalidLabelError) as err:
+                read_nifti(path)
+        assert str(path) in str(err.value)
+        assert "label 3e+09 at voxel (1, 1, 0)" in str(err.value)
+        assert err.value.coordinate == (1, 1, 0)
+
+    def test_largest_float32_below_two_to_the_31_is_kept(self, on_disk):
+        top = float(np.nextafter(np.float32(2 ** 31), np.float32(0)))
+        payload = struct.pack("<4f", 0, top, 0, 0)
+        vol = read_nifti(on_disk(build_file(datatype=16, payload=payload)))
+        assert vol.data[1, 0, 0] == int(top)
+
+    def test_nan_names_its_voxel(self, on_disk):
+        payload = struct.pack("<4f", 0, 1, float("nan"), 0)
+        with pytest.raises(InvalidLabelError, match=r"voxel \(0, 1, 0\)"):
+            read_nifti(on_disk(build_file(datatype=16, payload=payload)))
+
+    def test_cli_error_line_names_the_file(self, on_disk, tmp_path, capsys):
+        bad = on_disk(build_file(datatype=4,
+                                 payload=struct.pack("<4h", 0, -3, 1, 0)))
+        good = tmp_path / "good.nii"
+        write_nifti(LabelVolume(np.zeros((2, 2, 1), np.int32), (1, 1, 3)),
+                    good)
+        for argv in (["evaluate", str(good), str(bad)],
+                     ["staple", str(good), str(bad),
+                      "-o", str(tmp_path / "c.nii")]):
+            assert main(argv) == 1
+            err = capsys.readouterr().err
+            assert err.startswith("error:") and err.count("error:") == 1
+            assert str(bad) in err
+
+
+class TestScaling:
+    @pytest.mark.parametrize("scaling", [(0.0, 0.0), (1.0, 0.0)])
+    def test_identity_scaling_accepted(self, on_disk, scaling):
+        blob = build_file(payload=bytes([0, 1, 2, 1]), scaling=scaling)
+        assert read_nifti(on_disk(blob)).data[1, 0, 0] == 1
+
+    def test_writer_scaling_reads_back(self, tmp_path):
+        p = tmp_path / "w.nii"
+        write_nifti(LabelVolume(np.ones((2, 2, 2), np.int32), (1, 1, 1)), p)
+        assert struct.unpack_from("<2f", p.read_bytes(), 112) == (1.0, 0.0)
+        assert read_nifti(p).data.sum() == 8
+
+    @pytest.mark.parametrize("scaling", [
+        (2.0, 0.0), (1.0, 0.5), (0.0, 1.0), (-1.0, 0.0),
+        (float("nan"), 0.0), (float("inf"), 0.0), (1.0, float("nan")),
+        (1.0, float("-inf")),
+    ])
+    def test_rescaling_header_rejected(self, on_disk, scaling):
+        path = on_disk(build_file(payload=bytes(4), scaling=scaling))
+        with pytest.raises(FormatError) as err:
+            read_nifti(path)
+        msg = str(err.value)
+        assert str(path) in msg
+        assert f"scl_slope {scaling[0]}" in msg
+        assert f"scl_inter {scaling[1]}" in msg
+
+    def test_big_endian_scaling_rejected(self, on_disk):
+        blob = build_file(datatype=4, payload=bytes(8), byteorder=">",
+                          scaling=(2.0, 0.0))
+        with pytest.raises(FormatError, match="scl_slope 2.0"):
+            read_nifti(on_disk(blob))
+
+
+DISTINCT = np.arange(3 * 5 * 7, dtype=np.int32).reshape(3, 5, 7)
+
+
+class TestLayout:
+    @pytest.mark.parametrize("suffix", [".nii", ".nii.gz"])
+    @pytest.mark.parametrize("order", ["C", "F"])
+    def test_non_cubic_distinct_round_trip(self, tmp_path, suffix, order):
+        vol = LabelVolume(np.array(DISTINCT, order=order), (0.5, 1.0, 2.0))
+        p = tmp_path / f"d{suffix}"
+        write_nifti(vol, p)
+        raw = p.read_bytes()
+        if suffix == ".nii.gz":
+            raw = gzip.decompress(raw)
+        assert raw[352:] == DISTINCT.astype(np.uint8).tobytes(order="F")
+        back = read_nifti(p)
+        assert back.dims == (3, 5, 7)
+        assert np.array_equal(back.data, DISTINCT)
+
+    @pytest.mark.parametrize("byteorder", ["<", ">"])
+    def test_hand_built_int16_in_both_byte_orders(self, on_disk, byteorder):
+        payload = struct.pack(f"{byteorder}{DISTINCT.size}h",
+                              *DISTINCT.ravel(order="F").tolist())
+        blob = build_file(dims=(3, 5, 7), datatype=4, payload=payload,
+                          byteorder=byteorder)
+        assert np.array_equal(read_nifti(on_disk(blob)).data, DISTINCT)
+
+    @pytest.mark.parametrize("datatype, fmt", [(2, "B"), (4, "h"), (16, "f")])
+    def test_read_data_is_f_contiguous_and_read_only(self, on_disk,
+                                                     datatype, fmt):
+        payload = struct.pack(f"<{DISTINCT.size}{fmt}",
+                              *DISTINCT.ravel(order="F").tolist())
+        vol = read_nifti(on_disk(build_file(dims=(3, 5, 7),
+                                            datatype=datatype,
+                                            payload=payload)))
+        assert vol.data.dtype == np.int32
+        assert vol.data.flags.f_contiguous
+        assert not vol.data.flags.writeable
+        assert np.array_equal(vol.data, DISTINCT)
+
+
+def _valid_blobs() -> list[bytes]:
+    labels = np.arange(12, dtype=np.int32).reshape(3, 2, 2) % 3
+    flat = labels.ravel(order="F").tolist()
+    return [build_file(dims=(3, 2, 2), datatype=2, payload=bytes(flat)),
+            build_file(dims=(3, 2, 2), datatype=4, byteorder=">",
+                       payload=struct.pack(">12h", *flat)),
+            build_file(dims=(3, 2, 2), datatype=16, scaling=(1.0, 0.0),
+                       payload=struct.pack("<12f", *flat))]
+
+
+@st.composite
+def _damaged_files(draw) -> bytes:
+    """A valid file with some bytes overwritten, the header fields and
+    the payload more often than the rest, then maybe cut short."""
+    blob = bytearray(draw(st.sampled_from(_valid_blobs())))
+    for _ in range(draw(st.integers(1, 6))):
+        at = draw(st.integers(0, len(blob) - 1) | st.integers(40, 123)
+                  | st.integers(352, len(blob) - 1))
+        blob[at] = draw(st.integers(0, 255))
+    cut = draw(st.none() | st.integers(0, len(blob)))
+    return bytes(blob[:cut])
+
+
+class TestArbitraryBytes:
+    """Any bytes either parse or raise a ``SegEvalError`` naming the
+    file, with no warning on the way."""
+
+    @pytest.mark.parametrize("suffix", [".nii", ".nii.gz"])
+    def test_parses_or_names_the_file(self, tmp_path, suffix):
+        path = tmp_path / f"any{suffix}"
+
+        @settings(max_examples=300, derandomize=True, deadline=None,
+                  suppress_health_check=[HealthCheck.function_scoped_fixture])
+        @given(st.binary(max_size=600) | _damaged_files(), st.booleans())
+        def check(raw, compress):
+            if suffix == ".nii.gz" and compress:
+                raw = gzip.compress(raw, mtime=0)
+            path.write_bytes(raw)
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                try:
+                    vol = read_nifti(path)
+                except SegEvalError as exc:
+                    assert str(path) in str(exc)
+                else:
+                    assert vol.data.dtype == np.int32
+                    assert vol.data.min(initial=0) >= 0
+
+        check()
