@@ -31,7 +31,7 @@ import numpy as np
 
 from .errors import (FormatError, InvalidLabelError, TruncatedFileError,
                      UnsupportedDataTypeError)
-from .volume import BinaryMask, LabelVolume, _first_where
+from .volume import _LABEL_MAX, BinaryMask, LabelVolume, _first_where
 
 __all__ = ["read_nifti", "write_nifti", "write_nifti_real"]
 
@@ -41,7 +41,6 @@ _MAGIC_PAIR = b"ni1\x00"
 
 _DTYPE_BY_CODE = {2: np.uint8, 4: np.int16, 16: np.float32}
 _BITPIX_BY_CODE = {2: 8, 4: 16, 16: 32}
-_LABEL_MAX = np.iinfo(np.int32).max
 
 
 def _read_container(path: Path) -> bytes:

@@ -34,6 +34,7 @@ __all__ = [
 ]
 
 _CONNECTIVITY_RANK = {6: 1, 18: 2, 26: 3}
+_LABEL_MAX = np.iinfo(np.int32).max
 
 
 def _check_grid(data: np.ndarray, spacing) -> tuple[float, float, float]:
@@ -53,8 +54,8 @@ class LabelVolume:
 
     ``data`` is normalised to a read-only int32 array of shape
     ``(nx, ny, nz)`` in the layout it arrives in; an int32 array that
-    is C- or F-contiguous is kept without a copy. Labels must be
-    non-negative.
+    is C- or F-contiguous is kept without a copy. Labels must lie in
+    [0, 2**31 - 1].
     """
 
     data: np.ndarray
@@ -69,6 +70,13 @@ class LabelVolume:
             bad = _first_where(arr < 0)
             raise InvalidLabelError(
                 f"negative label {int(arr[bad])} at voxel {bad}",
+                value=float(arr[bad]), coordinate=bad)
+        # only dtypes wider than int32 can hold a label that would wrap
+        if (np.iinfo(arr.dtype).max > _LABEL_MAX and arr.size
+                and int(arr.max()) > _LABEL_MAX):
+            bad = _first_where(arr > _LABEL_MAX)
+            raise InvalidLabelError(
+                f"label {int(arr[bad])} at voxel {bad} does not fit int32",
                 value=float(arr[bad]), coordinate=bad)
         object.__setattr__(self, "data", _frozen(arr, np.int32))
         object.__setattr__(self, "spacing", spacing)

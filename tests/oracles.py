@@ -282,6 +282,42 @@ def r2_direct(x, y) -> float:
     return float((sx * sy).sum() ** 2 / ((sx ** 2).sum() * (sy ** 2).sum()))
 
 
+# ----------------------------------------------------------------- ranking
+
+def bootstrap_oracle(vals, higher_better, replicates: int, seed: int):
+    """The bootstrap as one replicate at a time: draw subjects from the
+    replicate's own Philox stream (redrawing while some (method, metric)
+    cell is empty), average, then min-max rank each metric column.
+
+    ``vals`` is (methods, metrics, subjects) with NaN for missing.
+    Returns (replicate means (R, M, K), replicate finals (R, M), redraws).
+    """
+    vals = np.asarray(vals, dtype=np.float64)
+    n_methods, n_metrics, n_subj = vals.shape
+    rep_means = np.empty((replicates, n_methods, n_metrics))
+    rep_final = np.empty((replicates, n_methods))
+    redraws = 0
+    for r in range(replicates):
+        rng = np.random.Generator(np.random.Philox(
+            key=(seed & (2**64 - 1)) + ((r + 1) << 64)))
+        while True:
+            sub = vals[:, :, rng.integers(0, n_subj, n_subj)]
+            if (~np.isnan(sub)).sum(axis=2).min() > 0:
+                break
+            redraws += 1
+        with np.errstate(invalid="ignore"):
+            means = np.nanmean(sub, axis=2)
+        ranks = np.empty_like(means)
+        for k in range(n_metrics):
+            v = -means[:, k] if higher_better[k] else means[:, k]
+            lo, hi = v.min(), v.max()
+            ranks[:, k] = (0.0 if hi == lo
+                           else np.round((v - lo) / (hi - lo), 9))
+        rep_means[r] = means
+        rep_final[r] = ranks.mean(axis=1)
+    return rep_means, rep_final, redraws
+
+
 # ------------------------------------------------------------------ fusion
 
 def staple_oracle(rater_masks, prior, max_iter=100, tol=1e-6):

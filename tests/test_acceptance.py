@@ -22,14 +22,16 @@ from challenge_data import (AVD_FINAL_RANK, AVD_ORDER, AVD_SWAPS,
                             UNRESOLVABLE_ADJACENT, WINNER_RECALL_LARGE,
                             WINNER_RECALL_SMALL, mean_table)
 from helpers import phantom_pair, table_from_columns
-from oracles import evaluate_pair_oracle
+from oracles import bootstrap_oracle, evaluate_pair_oracle
+from seg_eval import ranking
 from seg_eval.cli import main
 from seg_eval.fusion import StapleParams, majority_vote, staple_fuse
 from seg_eval.metrics import (EvalConfig, MetricVector, dice, evaluate_pair,
                               relative_difference)
 from seg_eval.nifti import read_nifti, write_nifti
-from seg_eval.ranking import (BootstrapConfig, ResultTable, SubjectResult,
-                              final_rank, rank_with_ci, significance_clusters)
+from seg_eval.ranking import (HIGHER_BETTER, BootstrapConfig, ResultTable,
+                              SubjectResult, final_rank, rank_with_ci,
+                              selected_metrics, significance_clusters)
 from seg_eval.synth import PerturbOps, PhantomSpec, generate_phantom, \
     perturb_mask
 from seg_eval.volume import BinaryMask, LabelVolume, binarize_challenge
@@ -237,6 +239,37 @@ def _redraw_prone_columns(rng) -> dict:
     return columns
 
 
+def _oracle_table(name: str):
+    rng = np.random.default_rng(61)
+    if name == "redraw-prone":
+        columns = _redraw_prone_columns(rng)
+    elif name == "flat-column":
+        columns = _random_columns(rng, 4, 12)
+        for obs in columns.values():
+            obs["recall"] = [0.75] * 12
+    else:
+        columns = _random_columns(rng, 20, 110)
+    return table_from_columns(columns)
+
+
+def _assert_matches_bootstrap_oracle(table, config):
+    got = rank_with_ci(table, "lavd", config)
+    metrics = selected_metrics("lavd")
+    rep_means, rep_final, redraws = bootstrap_oracle(
+        table.values(metrics), [HIGHER_BETTER[m] for m in metrics],
+        config.replicates, config.seed)
+    order = [table.methods.index(m) for m in got.methods]
+    q = [100.0 * (1.0 - config.confidence) / 2.0,
+         100.0 * (1.0 + config.confidence) / 2.0]
+    final_ci = np.percentile(rep_final, q, axis=0)[:, order].T
+    mean_ci = np.percentile(rep_means, q, axis=0)[:, order]
+    assert got.redraws == redraws
+    assert np.array_equal(got.final_ci, final_ci)
+    for k, name in enumerate(metrics):
+        assert np.array_equal(got.mean_ci[name], mean_ci[:, :, k].T), name
+    return got
+
+
 class TestBootstrap:
     pytestmark = pytest.mark.criterion("C6")
 
@@ -253,6 +286,30 @@ class TestBootstrap:
         for name in first.mean_ci:
             assert np.array_equal(first.mean_ci[name],
                                   second.mean_ci[name])
+
+    @pytest.mark.parametrize("name, replicates", [
+        ("redraw-prone", 300), ("flat-column", 300), ("paper-shape", 200)])
+    def test_matches_the_per_replicate_oracle(self, name, replicates):
+        table = _oracle_table(name)
+        config = BootstrapConfig(replicates=replicates, seed=8)
+        got = _assert_matches_bootstrap_oracle(table, config)
+        assert (got.redraws > 0) == (name == "redraw-prone")
+
+    @pytest.mark.parametrize("budget", [1, 2**30])
+    def test_block_size_does_not_change_the_intervals(self, monkeypatch,
+                                                      budget):
+        for name in ("redraw-prone", "flat-column"):
+            table = _oracle_table(name)
+            config = BootstrapConfig(replicates=150, seed=9)
+            want = rank_with_ci(table, "lavd", config)
+            monkeypatch.setattr(ranking, "_GATHER_BUDGET", budget)
+            got = _assert_matches_bootstrap_oracle(table, config)
+            monkeypatch.undo()
+            assert got.redraws == want.redraws
+            assert np.array_equal(got.final_ci, want.final_ci)
+            for metric in want.mean_ci:
+                assert np.array_equal(got.mean_ci[metric],
+                                      want.mean_ci[metric])
 
     def test_jobs_do_not_change_batch_output(self, tmp_path):
         corpus = tmp_path / "corpus"

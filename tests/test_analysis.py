@@ -1,5 +1,6 @@
 import math
 import statistics
+import warnings
 
 import numpy as np
 import pytest
@@ -258,6 +259,15 @@ class TestWelch:
         assert apart.p_value == 0.0
         assert apart.infinite
         assert apart.t == -math.inf
+
+    def test_one_constant_group_is_finite_and_silent(self):
+        a, b = [2.0, 2.0, 2.0], [1.0, 2.0, 4.0]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            res = welch_ttest(a, b)
+        assert math.isfinite(res.t) and not res.infinite
+        assert res.p_value == pytest.approx(welch_p_quadrature(a, b),
+                                            abs=1e-9)
 
     def test_arity(self):
         with pytest.raises(ArityError):

@@ -763,22 +763,26 @@ class TestTopLevel:
         assert rc == 1
         assert "usage error:" in capsys.readouterr().err
 
+    @staticmethod
+    def _child(code: str, *args: str, cwd) -> subprocess.CompletedProcess:
+        # Put the directory holding the imported seg_eval first, so the
+        # child runs the same code as this process.
+        src = str(Path(seg_eval.__file__).parent.parent)
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            filter(None, (src, os.environ.get("PYTHONPATH"))))}
+        return subprocess.run([sys.executable, "-c", code, *args],
+                              capture_output=True, text=True, timeout=60,
+                              cwd=cwd, env=env)
+
     def test_console_script_help(self, tmp_path):
         # Launch the declared [project.scripts] target the way the
         # pip-generated wrapper does, so no install is needed.
         scripts = read_pyproject()["project"]["scripts"]
         assert scripts.get("seg-eval") == "seg_eval.cli:main"
         module, attr = scripts["seg-eval"].split(":")
-        # Put the directory holding the imported seg_eval first, so the
-        # child runs the same code as this process.
-        src = str(Path(seg_eval.__file__).parent.parent)
-        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
-            filter(None, (src, os.environ.get("PYTHONPATH"))))}
-        proc = subprocess.run(
-            [sys.executable, "-c",
-             f"import sys; from {module} import {attr}; sys.exit({attr}())",
-             "--help"],
-            capture_output=True, text=True, timeout=60, cwd=tmp_path, env=env)
+        proc = self._child(
+            f"import sys; from {module} import {attr}; sys.exit({attr}())",
+            "--help", cwd=tmp_path)
         assert proc.returncode == 0, proc.stderr
         # Match whole names in the "{a,b,...}" choices list: "evaluate" is
         # a substring of "evaluate-batch", "cohort" of a help line.
@@ -787,3 +791,13 @@ class TestTopLevel:
         for command in ("evaluate", "evaluate-batch", "rank", "staple",
                         "maps", "cohort", "synth"):
             assert command in choices.group(1).split(","), proc.stdout
+
+    def test_import_leaves_scipy_stats_and_spatial_unloaded(self, tmp_path):
+        # scipy.stats alone nearly doubles the RSS of importing the CLI,
+        # so it and scipy.spatial load only inside the functions using them
+        proc = self._child(
+            "import sys, seg_eval.cli; print(sorted(m for m in sys.modules "
+            "if m.startswith(('scipy.stats', 'scipy.spatial'))))",
+            cwd=tmp_path)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "[]"

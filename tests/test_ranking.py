@@ -6,9 +6,10 @@ import pytest
 from seg_eval.errors import AllMissingError, ArityError, EvaluationWarning
 from seg_eval.metrics import MetricVector
 from seg_eval.ranking import (HIGHER_BETTER, BootstrapConfig, ResultTable,
-                              SubjectResult, final_rank, interscanner_rank,
-                              metric_means, rank_with_ci, relative_rank,
-                              selected_metrics, significance_clusters)
+                              SubjectResult, _minmax_ranks, final_rank,
+                              interscanner_rank, metric_means, rank_with_ci,
+                              relative_rank, selected_metrics,
+                              significance_clusters)
 
 from helpers import table_from_columns
 
@@ -96,6 +97,19 @@ class TestRelativeRank:
         r = relative_rank(v, higher_better=False)
         assert np.array_equal(np.argsort(v, kind="stable"),
                               np.argsort(r, kind="stable"))
+
+    def test_matches_every_column_of_the_block_ranker(self):
+        rng = np.random.default_rng(94)
+        block = rng.integers(0, 4, (6, 5, 4)).astype(np.float64) * 0.3
+        block[2, :, 1] = 0.7                    # flat columns
+        block[4, :, 3] = np.inf
+        higher_better = np.array([True, False, True, False])
+        ranks = _minmax_ranks(block, higher_better)
+        assert ranks.shape == block.shape
+        for b in range(block.shape[0]):
+            for k, hb in enumerate(higher_better):
+                assert np.array_equal(relative_rank(block[b, :, k], hb),
+                                      ranks[b, :, k])
 
     def test_input_validation(self):
         with pytest.raises(ArityError):

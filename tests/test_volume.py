@@ -29,6 +29,30 @@ class TestLabelVolume:
         assert err.value.coordinate == (2, 1, 0)
         assert err.value.value == -4
 
+    @pytest.mark.parametrize("dtype", [np.int64, np.uint32, np.uint64,
+                                       np.dtype(">u4"), np.dtype(">i8")])
+    def test_rejects_label_beyond_int32_with_x_fastest_location(self, dtype):
+        data = np.zeros((3, 3, 2), dtype=dtype)
+        data[0, 1, 0] = 2**31       # first in C order
+        data[1, 0, 0] = 2**31 + 5   # first in x-fastest order
+        with pytest.raises(InvalidLabelError) as err:
+            LabelVolume(data, (1, 1, 1))
+        assert err.value.coordinate == (1, 0, 0)
+        assert err.value.value == 2**31 + 5
+        assert "2147483653" in str(err.value)
+
+    @pytest.mark.parametrize("dtype", [np.int64, np.uint32, np.uint64])
+    def test_largest_int32_label_is_kept(self, dtype):
+        data = np.full((1, 1, 2), 2**31 - 1, dtype=dtype)
+        kept = LabelVolume(data, (1, 1, 1)).data
+        assert kept.tolist() == [[[2**31 - 1, 2**31 - 1]]]
+
+    @pytest.mark.parametrize("dtype", [np.uint8, np.int16, np.int32])
+    def test_narrow_dtypes_keep_their_largest_value(self, dtype):
+        top = np.iinfo(dtype).max
+        data = np.full((2, 1, 1), top, dtype=dtype)
+        assert LabelVolume(data, (1, 1, 1)).data.max() == top
+
     def test_rejects_bad_spacing(self):
         data = np.zeros((2, 2, 2), dtype=np.int32)
         for spacing in [(0, 1, 1), (-1, 1, 1), (np.nan, 1, 1), (np.inf, 1, 1)]:
