@@ -4,7 +4,8 @@ __version__ = "0.1.0"
 
 from .errors import SegEvalError
 from .volume import BinaryMask, LabelVolume
-from .metrics import EvalConfig, MetricVector, evaluate_pair
+from .metrics import (EvalConfig, MetricVector, evaluate_pair,
+                      prepare_reference)
 from .fusion import FusionResult, StapleParams, majority_vote, staple_fuse
 from .ranking import (BootstrapConfig, RankTable, ResultTable, SubjectResult,
                       final_rank, interscanner_rank, rank_with_ci,
@@ -20,6 +21,7 @@ __all__ = [
     "EvalConfig",
     "MetricVector",
     "evaluate_pair",
+    "prepare_reference",
     "FusionResult",
     "StapleParams",
     "majority_vote",

@@ -21,7 +21,8 @@ import numpy as np
 from .analysis import fn_fp_maps, summarize_cohort
 from .errors import SegEvalError
 from .fusion import StapleParams, staple_fuse
-from .metrics import EvalConfig, evaluate_pair
+from .metrics import (EvalConfig, evaluate_pair, prepare_reference,
+                      wmh_in_lesion_box)
 from .nifti import read_nifti, write_nifti, write_nifti_real
 from .ranking import (BootstrapConfig, SubjectResult, final_rank,
                       interscanner_rank, rank_with_ci)
@@ -80,9 +81,7 @@ def cmd_evaluate(args) -> int:
     vec = evaluate_pair(ref, pred, config)
     body = metric_report(vec, _config_echo(
         args, ("connectivity", "h95_mode", "ignore_mode")))
-    text = dump_json(body, args.output)
-    if args.output is None:
-        print(text)
+    dump_json(body, args.output)
     return 2 if vec.has_missing else 0
 
 
@@ -100,7 +99,7 @@ def _naming_row(manifest, subject, row):
 def _score_subject(subject, config: EvalConfig, manifest) -> list:
     """Score each row of a manifest subject against its reference."""
     with _naming_row(manifest, subject, subject.rows[0]):
-        ref = read_nifti(subject.reference_path)
+        ref = prepare_reference(read_nifti(subject.reference_path), config)
     vectors = []
     for row in subject.rows:
         with _naming_row(manifest, subject, row):
@@ -151,9 +150,7 @@ def cmd_rank(args) -> int:
     body = rank_report(rank, _config_echo(
         args, ("volume_metric", "bootstrap", "seed", "confidence",
                "interscanner", "interscanner_normalization")), inter)
-    text = dump_json(body, args.output)
-    if args.output is None:
-        print(text)
+    dump_json(body, args.output)
     if args.csv:
         write_rank_csv(rank, args.csv)
     return 0
@@ -187,7 +184,7 @@ def cmd_staple(args) -> int:
     return 0
 
 
-def _row_wmh(manifest, subject, row, path, grid=None, what=""):
+def _row_wmh(manifest, subject, row, path, grid, what):
     """The WMH mask of one of a manifest row's files, checked to lie on
     ``grid``'s grid when one is given."""
     with _naming_row(manifest, subject, row):
@@ -222,8 +219,10 @@ def cmd_maps(args) -> int:
 
 
 def cmd_cohort(args) -> int:
-    masks = [_row_wmh(args.manifest, s, s.rows[0], s.reference_path)
-             for s in read_manifest(args.manifest)]
+    masks = []   # each reference's WMH in its lesion box, not the grid
+    for s in read_manifest(args.manifest):
+        with _naming_row(args.manifest, s, s.rows[0]):
+            masks.append(wmh_in_lesion_box(read_nifti(s.reference_path)))
     summary = summarize_cohort(masks, volume_bin_ml=args.volume_bin_ml,
                                count_bin=args.count_bin,
                                connectivity=args.connectivity)
@@ -231,24 +230,19 @@ def cmd_cohort(args) -> int:
         args, ("volume_bin_ml", "count_bin", "connectivity")))
     body["n"] = summary.n
 
-    def stats(s):
+    def stats(s, values, hist):
         return {"mean": s.mean, "sd": s.sd, "min": s.minimum, "q1": s.q1,
                 "median": s.median, "q3": s.q3, "max": s.maximum, "n": s.n,
-                "sd_degenerate": s.sd_degenerate}
+                "sd_degenerate": s.sd_degenerate,
+                "values": [float(v) for v in values],
+                "histogram": {"edges": [float(e) for e in hist[0]],
+                              "counts": [int(c) for c in hist[1]]}}
 
-    body["volume_ml"] = stats(summary.volume)
-    body["volume_ml"]["values"] = [float(v) for v in summary.volumes_ml]
-    body["volume_ml"]["histogram"] = {
-        "edges": [float(e) for e in summary.volume_hist[0]],
-        "counts": [int(c) for c in summary.volume_hist[1]]}
-    body["lesion_count"] = stats(summary.count)
-    body["lesion_count"]["values"] = [float(v) for v in summary.lesion_counts]
-    body["lesion_count"]["histogram"] = {
-        "edges": [float(e) for e in summary.count_hist[0]],
-        "counts": [int(c) for c in summary.count_hist[1]]}
-    text = dump_json(body, args.output)
-    if args.output is None:
-        print(text)
+    body["volume_ml"] = stats(summary.volume, summary.volumes_ml,
+                              summary.volume_hist)
+    body["lesion_count"] = stats(summary.count, summary.lesion_counts,
+                                 summary.count_hist)
+    dump_json(body, args.output)
     return 0
 
 

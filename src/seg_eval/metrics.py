@@ -3,7 +3,8 @@
 The five challenge metrics are the Dice coefficient, the 95th
 percentile Hausdorff distance in mm, the absolute volume difference in
 percent, its log-scale variant, and lesion-level recall/F1 based on
-connected components. ``evaluate_pair`` bundles them into one record.
+connected components. ``evaluate_pair`` bundles them into one record;
+``prepare_reference`` readies a reference once for many predictions.
 
 A metric that is undefined for a particular pair (for instance H95
 against an empty prediction) is reported as ``None`` and written as an
@@ -26,6 +27,7 @@ from .volume import (BinaryMask, ComponentLabeling, LabelVolume,
 __all__ = [
     "EvalConfig",
     "MetricVector",
+    "PreparedReference",
     "LesionMatch",
     "dice",
     "hausdorff95",
@@ -34,6 +36,8 @@ __all__ = [
     "lesion_recall_f1",
     "size_split_recall",
     "relative_difference",
+    "prepare_reference",
+    "wmh_in_lesion_box",
     "evaluate_pair",
 ]
 
@@ -88,20 +92,7 @@ class MetricVector:
     pred_volume_ml: float | None = None
 
     def as_dict(self) -> dict:
-        return {
-            "dsc": self.dsc,
-            "h95_mm": self.h95_mm,
-            "avd_pct": self.avd_pct,
-            "lavd": self.lavd,
-            "recall": self.recall,
-            "f1": self.f1,
-            "recall_small": self.recall_small,
-            "recall_large": self.recall_large,
-            "n_ref_lesions": self.n_ref_lesions,
-            "n_pred_lesions": self.n_pred_lesions,
-            "ref_volume_ml": self.ref_volume_ml,
-            "pred_volume_ml": self.pred_volume_ml,
-        }
+        return dict(vars(self))   # every field, in declaration order
 
     @property
     def has_missing(self) -> bool:
@@ -112,11 +103,12 @@ class MetricVector:
 def dice(ref: BinaryMask, pred: BinaryMask) -> float:
     """Dice overlap. Two empty masks agree perfectly, so 1.0."""
     same_grid(ref, pred, "masks")
-    total = ref.count() + pred.count()
-    if total == 0:
-        return 1.0
-    inter = int(np.logical_and(ref.data, pred.data).sum())
-    return 2.0 * inter / total
+    return _dice(int(np.logical_and(ref.data, pred.data).sum()),
+                 ref.count() + pred.count())
+
+
+def _dice(inter: int, total: int) -> float:
+    return 1.0 if total == 0 else 2.0 * inter / total
 
 
 def hausdorff95(ref: BinaryMask, pred: BinaryMask,
@@ -134,10 +126,14 @@ def hausdorff95(ref: BinaryMask, pred: BinaryMask,
 
 
 def _surface_h95(surf_ref: np.ndarray, surf_pred: np.ndarray,
-                 spacing: tuple[float, float, float], mode: str) -> float:
-    """H95 between two non-empty sets of surface voxel coordinates."""
+                 spacing: tuple[float, float, float], mode: str,
+                 ref_tree=None) -> float:
+    """H95 between non-empty surfaces; ``ref_tree`` is a KD-tree over
+    ``surf_ref`` in mm, built here when None."""
     d_rp = directed_surface_distances(surf_ref, surf_pred, spacing)
-    d_pr = directed_surface_distances(surf_pred, surf_ref, spacing)
+    d_pr = (directed_surface_distances(surf_pred, surf_ref, spacing)
+            if ref_tree is None
+            else ref_tree.query(surf_pred * np.asarray(spacing), k=1)[0])
     if mode == "directed":
         return float(max(np.percentile(d_rp, 95.0),
                          np.percentile(d_pr, 95.0)))
@@ -187,26 +183,28 @@ def lesion_recall_f1(ref: BinaryMask, pred: BinaryMask,
     same_grid(ref, pred, "masks")
     comps_ref = connected_components(ref, connectivity)
     comps_pred = connected_components(pred, connectivity)
+    match = LesionMatch(comps_ref, comps_pred,
+                        _hits(comps_ref.labels[pred.data], comps_ref.count),
+                        _hits(comps_pred.labels[ref.data], comps_pred.count))
+    return (*_recall_f1(match), match)
 
-    ref_detected = np.zeros(comps_ref.count, dtype=bool)
-    pred_matched = np.zeros(comps_pred.count, dtype=bool)
-    if comps_ref.count and comps_pred.count:
-        hit = np.unique(comps_ref.labels[pred.data])
-        ref_detected[hit[hit > 0] - 1] = True
-        hit = np.unique(comps_pred.labels[ref.data])
-        pred_matched[hit[hit > 0] - 1] = True
 
-    if comps_ref.count == 0 and comps_pred.count == 0:
-        recall = f1 = 1.0
-    elif comps_ref.count == 0 or comps_pred.count == 0:
-        recall = f1 = 0.0
-    else:
-        recall = float(ref_detected.sum()) / comps_ref.count
-        precision = float(pred_matched.sum()) / comps_pred.count
-        f1 = (0.0 if precision + recall == 0
-              else 2.0 * precision * recall / (precision + recall))
-    match = LesionMatch(comps_ref, comps_pred, ref_detected, pred_matched)
-    return recall, f1, match
+def _hits(labels: np.ndarray, count: int) -> np.ndarray:
+    """Flags for component ids 1..count: which of them ``labels`` holds."""
+    hit = np.zeros(count, dtype=bool)
+    ids = np.unique(labels)
+    hit[ids[ids > 0] - 1] = True
+    return hit
+
+
+def _recall_f1(match: LesionMatch) -> tuple[float, float]:
+    n_ref, n_pred = match.ref_components.count, match.pred_components.count
+    if n_ref == 0 or n_pred == 0:   # both empty agree perfectly
+        return (1.0, 1.0) if n_ref == n_pred else (0.0, 0.0)
+    recall = float(match.ref_detected.sum()) / n_ref
+    precision = float(match.pred_matched.sum()) / n_pred
+    return recall, (0.0 if precision + recall == 0
+                    else 2.0 * precision * recall / (precision + recall))
 
 
 def size_split_recall(match: LesionMatch
@@ -239,15 +237,18 @@ def relative_difference(value: float, baseline: float) -> float:
     return (value - baseline) / baseline
 
 
-def _label_profiles(vol: LabelVolume) -> list[np.ndarray]:
-    """The largest label in each x, y and z plane of a volume, from two
-    reductions that allocate nothing grid-sized."""
+def _label_profiles(vol: LabelVolume) -> tuple[np.ndarray, ...]:
+    """The largest label in each x, y and z plane of a volume, by two
+    plane-sized reductions; a label above 2 raises, naming its voxel."""
     plane = vol.data.max(axis=2, initial=0)
-    return [plane.max(axis=1, initial=0), plane.max(axis=0, initial=0),
-            vol.data.max(axis=(0, 1), initial=0)]
+    profiles = (plane.max(axis=1, initial=0), plane.max(axis=0, initial=0),
+                vol.data.max(axis=(0, 1), initial=0))
+    if profiles[2].max(initial=0) > 2:
+        binarize_challenge(vol)
+    return profiles
 
 
-def _lesion_box(*profiles: list[np.ndarray]) -> tuple[slice, ...]:
+def _lesion_box(*profiles: tuple[np.ndarray, ...]) -> tuple[slice, ...]:
     """Bounding box of the voxels with a non-zero label in any of the
     profiled volumes, grown by one voxel and clipped to the grid; the
     origin voxel when every label is 0."""
@@ -261,7 +262,55 @@ def _lesion_box(*profiles: list[np.ndarray]) -> tuple[slice, ...]:
     return tuple(box)
 
 
-def evaluate_pair(ref: LabelVolume, pred: LabelVolume,
+def wmh_in_lesion_box(vol: LabelVolume) -> BinaryMask:
+    """The label-1 mask of a challenge volume inside its lesion box: the
+    whole-grid mask's voxel count and components, in fewer voxels."""
+    return BinaryMask(vol.data[_lesion_box(_label_profiles(vol))] == 1,
+                      vol.spacing)
+
+
+@dataclass(frozen=True, eq=False)
+class PreparedReference:
+    """A reference's read-only share of :func:`evaluate_pair`: in its
+    lesion ``box``, its label-1 (``wmh``) and label-2 (``other``) voxels
+    and the components of ``wmh`` (the whole grid's ids and sizes), and
+    its ``surface`` in grid coordinates with a KD-tree over it in mm."""
+
+    volume: LabelVolume
+    profiles: tuple[np.ndarray, ...]
+    box: tuple[slice, ...]
+    wmh: BinaryMask
+    other: np.ndarray
+    count: int
+    components: ComponentLabeling
+    surface: np.ndarray
+    tree: object
+    connectivity: int
+
+
+def prepare_reference(ref: LabelVolume, config: EvalConfig = EvalConfig()
+                      ) -> PreparedReference:
+    """Check, crop, label and surface a reference once, for scoring
+    many predictions with :func:`evaluate_pair`."""
+    from scipy.spatial import cKDTree
+
+    profiles = _label_profiles(ref)
+    box = _lesion_box(profiles)
+    labels = ref.data[box]
+    wmh = BinaryMask(labels == 1, ref.spacing)
+    other = labels == 2
+    count = wmh.count()
+    surface = surface_voxels(wmh) + [sl.start for sl in box]
+    for array in (*profiles, other, surface):
+        array.setflags(write=False)
+    tree = cKDTree(surface * np.asarray(ref.spacing)) if count else None
+    return PreparedReference(
+        ref, profiles, box, wmh, other, count,
+        connected_components(wmh, config.connectivity), surface, tree,
+        config.connectivity)
+
+
+def evaluate_pair(ref: LabelVolume | PreparedReference, pred: LabelVolume,
                   config: EvalConfig = EvalConfig()) -> MetricVector:
     """Score one prediction against one reference.
 
@@ -270,57 +319,57 @@ def evaluate_pair(ref: LabelVolume, pred: LabelVolume,
     plain background. Prediction label 2 is tolerated and treated as
     background either way.
 
-    Two reductions per volume give its largest label per plane: they
-    check that every label is in {0, 1, 2} and give the bounding box of
-    both volumes' non-zero labels. Everything after that, label 2
-    handling included, runs in that box plus a one-voxel margin. Every
-    box face is then background or the grid boundary, so surfaces and
-    component ids match the whole-grid ones; surface coordinates are
-    shifted back to the grid so H95 distances are bit-identical. Both
-    volumes may be in either memory layout.
+    ``ref`` is a label volume, prepared here, or a reference prepared
+    with the same connectivity by :func:`prepare_reference`. Two
+    reductions per volume give its largest label per plane: they check
+    that every label is in {0, 1, 2} and give the bounding box of both
+    volumes' non-zero labels. The prediction is scored in that box plus
+    a one-voxel margin, against the reference's own box inside it. Box
+    faces are background or the grid boundary, so surfaces, component
+    ids and (shifted back) H95 distances are the whole grid's, bit for
+    bit, in either memory layout.
     """
-    same_grid(ref, pred, "reference and prediction")
-    profiles = [_label_profiles(vol) for vol in (ref, pred)]
-    for vol, prof in zip((ref, pred), profiles):
-        if prof[2].max(initial=0) > 2:
-            binarize_challenge(vol)   # raises, naming the first bad voxel
-    box = _lesion_box(*profiles)
-    ref_box, pred_box = ref.data[box], pred.data[box]
-    ref_data, pred_data = ref_box == 1, pred_box == 1
+    if not isinstance(ref, PreparedReference):
+        ref = prepare_reference(ref, config)
+    elif ref.connectivity != config.connectivity:
+        raise ValueError(f"reference was prepared with connectivity "
+                         f"{ref.connectivity}, not {config.connectivity}")
+    same_grid(ref.volume, pred, "reference and prediction")
+    box = _lesion_box(ref.profiles, _label_profiles(pred))
+    pred_data = pred.data[box] == 1
+    # the reference's box in the union box; an all-zero reference's box
+    # (the origin voxel, empty) may lie outside and is clamped into it
+    at = [max(r.start - u.start, 0) for r, u in zip(ref.box, box)]
+    sub = tuple(slice(a, a + n) for a, n in zip(at, ref.wmh.dims))
     if config.ignore_mode == "exclude":
-        pred_data &= ref_box != 2
-    ref_eval = BinaryMask(ref_data, ref.spacing)
-    pred_eval = BinaryMask(pred_data, ref.spacing)
-
-    n_ref_vox = ref_eval.count()
+        pred_data[sub][ref.other] = False
+    pred_eval = BinaryMask(pred_data, ref.volume.spacing)
     n_pred_vox = pred_eval.count()
-    ref_ml = ref_eval.volume_ml()
-    pred_ml = pred_eval.volume_ml()
+    comps_pred = connected_components(pred_eval, config.connectivity)
 
-    dsc = dice(ref_eval, pred_eval)
-    if n_ref_vox and n_pred_vox:
-        origin = [sl.start for sl in box]
-        h95 = _surface_h95(surface_voxels(ref_eval) + origin,
-                           surface_voxels(pred_eval) + origin,
-                           ref.spacing, config.h95_mode)
-    else:
-        h95 = None
-    if n_ref_vox == 0:
-        avd = None
-        lavd = None
-    else:
-        avd = avd_percent(n_ref_vox, n_pred_vox)
-        lavd = log_avd(n_ref_vox, n_pred_vox)
-    recall, f1, match = lesion_recall_f1(ref_eval, pred_eval,
-                                         config.connectivity)
-    if match.ref_components.count:
-        recall_small, recall_large = size_split_recall(match)
-    else:
-        recall_small = recall_large = None
+    # lesions are hit where reference and prediction overlap
+    overlap = np.nonzero(ref.wmh.data & pred_data[sub])
+    match = LesionMatch(
+        ref.components, comps_pred,
+        _hits(ref.components.labels[overlap], ref.components.count),
+        _hits(comps_pred.labels[sub][overlap], comps_pred.count))
+    dsc = _dice(overlap[0].size, ref.count + n_pred_vox)
+    h95 = avd = lavd = None
+    if ref.count and n_pred_vox:
+        h95 = _surface_h95(
+            ref.surface, surface_voxels(pred_eval) + [sl.start for sl in box],
+            pred_eval.spacing, config.h95_mode, ref.tree)
+    if ref.count:
+        avd = avd_percent(ref.count, n_pred_vox)
+        lavd = log_avd(ref.count, n_pred_vox)
+    recall, f1 = _recall_f1(match)
+    recall_small, recall_large = (size_split_recall(match)
+                                  if ref.components.count else (None, None))
 
     return MetricVector(
         dsc=dsc, h95_mm=h95, avd_pct=avd, lavd=lavd, recall=recall, f1=f1,
         recall_small=recall_small, recall_large=recall_large,
-        n_ref_lesions=match.ref_components.count,
-        n_pred_lesions=match.pred_components.count,
-        ref_volume_ml=ref_ml, pred_volume_ml=pred_ml)
+        n_ref_lesions=ref.components.count,
+        n_pred_lesions=comps_pred.count,
+        ref_volume_ml=ref.wmh.volume_ml(),
+        pred_volume_ml=pred_eval.volume_ml())

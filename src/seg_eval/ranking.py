@@ -117,22 +117,22 @@ class ResultTable:
         self.scanner_of = dict(scanner_of)
         self._cell = {(r.method_id, r.subject_id): r.metrics
                       for r in records}
+        self._columns: dict[str, np.ndarray] = {}
 
     @property
     def scanners(self) -> tuple[str, ...]:
         return tuple(sorted(set(self.scanner_of.values())))
 
     def values(self, metrics: tuple[str, ...]) -> np.ndarray:
-        """Array (n_methods, n_metrics, n_subjects); missing -> NaN."""
-        out = np.full((len(self.methods), len(metrics), len(self.subjects)),
-                      np.nan)
-        for mi, method in enumerate(self.methods):
-            for si, subject in enumerate(self.subjects):
-                vec = self._cell[(method, subject)]
-                for ki, name in enumerate(metrics):
-                    v = getattr(vec, name)
-                    if v is not None:
-                        out[mi, ki, si] = v
+        """A fresh array (n_methods, n_metrics, n_subjects), missing ->
+        NaN, from metric columns built once per table."""
+        out = np.empty((len(self.methods), len(metrics), len(self.subjects)))
+        for ki, name in enumerate(metrics):
+            if name not in self._columns:
+                self._columns[name] = np.array(
+                    [[getattr(self._cell[(m, s)], name) for s in self.subjects]
+                     for m in self.methods], dtype=np.float64)
+            out[:, ki] = self._columns[name]
         return out
 
 
@@ -264,6 +264,19 @@ def _replicate_rng(seed: int, replicate: int) -> np.random.Generator:
         np.random.Philox(key=(seed & (2**64 - 1)) + ((replicate + 1) << 64)))
 
 
+def _draw_replicate(out: np.ndarray, seed: int, replicate: int,
+                    defined: np.ndarray) -> int:
+    """Fill ``out`` with a replicate's draw; return the draws discarded."""
+    rng = _replicate_rng(seed, replicate)
+    for redraws in range(_MAX_REDRAW):
+        out[:] = rng.integers(0, len(out), len(out))
+        if defined[:, :, out].any(axis=2).all():
+            return redraws
+    raise AllMissingError(
+        f"bootstrap replicate {replicate} kept drawing subject sets with an "
+        f"empty (method, metric) cell")
+
+
 def rank_with_ci(table: ResultTable, volume_metric: str = "lavd",
                  config: BootstrapConfig = BootstrapConfig()) -> RankTable:
     """Rank with percentile bootstrap CIs over subjects.
@@ -283,33 +296,22 @@ def rank_with_ci(table: ResultTable, volume_metric: str = "lavd",
     metrics = selected_metrics(volume_metric)
     vals = table.values(metrics)                 # (M, K, S)
 
+    # draw, average and rank the replicates a block at a time
     defined = ~np.isnan(vals)
-    draws = np.empty((config.replicates, n_subj), dtype=np.int64)
-    redraws = 0
-    for r in range(config.replicates):
-        rng = _replicate_rng(config.seed, r)
-        for _ in range(_MAX_REDRAW):
-            idx = rng.integers(0, n_subj, n_subj)
-            if defined[:, :, idx].any(axis=2).all():
-                break
-            redraws += 1
-        else:
-            raise AllMissingError(
-                f"bootstrap replicate {r} kept drawing subject sets with an "
-                f"empty (method, metric) cell")
-        draws[r] = idx
-
-    # average and rank the replicates a block at a time
     block = max(1, _GATHER_BUDGET // vals.size)
     higher_better = [HIGHER_BETTER[m] for m in metrics]
     rep_means = np.empty((config.replicates, *vals.shape[:2]))   # (R, M, K)
     rep_final = np.empty((config.replicates, len(vals)))
+    block_draws = np.empty((min(block, config.replicates), n_subj), np.int64)
+    redraws = 0
     for s in range(0, config.replicates, block):
-        gathered = vals[:, :, draws[s:s + block]]              # (M, K, B, S)
+        draws = block_draws[:config.replicates - s]
+        for i, row in enumerate(draws):
+            redraws += _draw_replicate(row, config.seed, s + i, defined)
+        gathered = vals[:, :, draws]                          # (M, K, B, S)
         means = rep_means[s:s + block]
         means[:] = np.nanmean(gathered, axis=3).transpose(2, 0, 1)
         rep_final[s:s + block] = _minmax_ranks(means, higher_better).mean(2)
-    del draws
 
     # percentiles over replicates, realigned to the base table's order
     q = [100.0 * (1.0 - config.confidence) / 2.0,

@@ -289,8 +289,10 @@ def write_rank_csv(rank: RankTable, path: str | Path) -> None:
             writer.writerow(row)
 
 
-def dump_json(body: dict, path: str | Path | None) -> str:
+def dump_json(body: dict, path: str | Path | None) -> None:
+    """Write a JSON report to ``path``, or to stdout when it is None."""
     text = json.dumps(body, indent=2, sort_keys=False)
-    if path is not None:
+    if path is None:
+        print(text)
+    else:
         Path(path).write_text(text + "\n")
-    return text

@@ -82,7 +82,6 @@ def _walk_blob(rng: np.random.Generator, dims, size: int):
 def _touches_occupied(occupied: np.ndarray, coords: np.ndarray) -> bool:
     """True if any coord is within one voxel (26-neighbourhood) of an
     occupied voxel."""
-    nx, ny, nz = occupied.shape
     for x, y, z in coords:
         window = occupied[max(0, x - 1):x + 2,
                           max(0, y - 1):y + 2,

@@ -54,8 +54,9 @@ class LabelVolume:
 
     ``data`` is normalised to a read-only int32 array of shape
     ``(nx, ny, nz)`` in the layout it arrives in; an int32 array that
-    is C- or F-contiguous is kept without a copy. Labels must lie in
-    [0, 2**31 - 1].
+    is C- or F-contiguous is kept without a copy and frozen in place,
+    so the caller's array becomes read-only too: a prepared reference
+    relies on this to never go stale. Labels must lie in [0, 2**31 - 1].
     """
 
     data: np.ndarray
@@ -99,9 +100,9 @@ class LabelVolume:
 class BinaryMask:
     """A boolean 3-D grid with voxel spacing in mm.
 
-    ``data`` is a read-only bool array; contiguous input (C or F) is
-    kept as it is, a strided view such as a crop is copied once in its
-    own layout.
+    ``data`` is a read-only bool array; contiguous bool input (C or F)
+    is kept and frozen in place as in :class:`LabelVolume`, a strided
+    view such as a crop is copied once in its own layout.
     """
 
     data: np.ndarray
@@ -274,5 +275,6 @@ def connected_components(mask: BinaryMask, connectivity: int = 26
     sizes = np.bincount(labels[mask.data], minlength=n + 1)[1:]
     sizes = sizes.astype(np.int64, copy=False)
     labels.setflags(write=False)
+    sizes.setflags(write=False)
     return ComponentLabeling(labels=labels, count=int(n), sizes=sizes,
                              connectivity=connectivity, spacing=mask.spacing)

@@ -312,6 +312,23 @@ class TestEvaluateBatch:
         assert str(tmp_path / "s1_b.nii.gz") in err
         assert "label 3 at voxel (3, 4, 2)" in err
 
+    @pytest.mark.parametrize("jobs", ["1", "2"])
+    def test_a_bad_reference_label_names_its_subjects_first_row(
+            self, batch_corpus, tmp_path, capsys, jobs):
+        manifest, *_ = batch_corpus
+        bad = np.zeros((8, 8, 4), dtype=np.int32)
+        bad[5, 1, 3] = 3
+        write_nifti(LabelVolume(bad, (1.0, 1.0, 1.0)),
+                    tmp_path / "s1_ref.nii.gz")
+        rc = main(["evaluate-batch", str(manifest),
+                   "-o", str(tmp_path / "r.csv"), "--jobs", jobs])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.count("error:") == 1 and err.startswith("error:")
+        # s1's rows are lines 3 and 5
+        assert f"row 3 ({tmp_path / 's1_ref.nii.gz'}, " in err
+        assert "label 3 at voxel (5, 1, 3)" in err
+
     def test_a_missing_reference_names_its_subjects_first_row(
             self, batch_corpus, tmp_path, capsys):
         manifest, *_ = batch_corpus

@@ -7,7 +7,9 @@ from seg_eval.errors import (InvalidLabelError, ShapeMismatchError,
                              UndefinedMetricError)
 from seg_eval.metrics import (EvalConfig, avd_percent, dice, evaluate_pair,
                               hausdorff95, lesion_recall_f1, log_avd,
-                              relative_difference, size_split_recall)
+                              prepare_reference, relative_difference,
+                              size_split_recall)
+from seg_eval.synth import PerturbOps
 from seg_eval.volume import BinaryMask, LabelVolume, binarize_challenge
 
 from helpers import labels_from, mask_from, phantom_pair, random_mask
@@ -486,3 +488,94 @@ class TestEvaluatePairCrop:
                 assert_same_as_uncropped(LabelVolume(ref, spacing),
                                          LabelVolume(pred, spacing),
                                          EvalConfig(h95_mode=mode))
+
+
+def prepared_arrays(prepared):
+    return [*prepared.profiles, prepared.wmh.data, prepared.other,
+            prepared.components.labels, prepared.components.sizes,
+            prepared.surface]
+
+
+def assert_prepared_matches(ref, preds, config=EvalConfig()):
+    """One prepared reference scores every prediction exactly as
+    evaluate_pair on the raw volumes does, and scoring leaves it as it
+    was."""
+    prepared = prepare_reference(ref, config)
+    before = [a.copy() for a in prepared_arrays(prepared)]
+    for pred in preds:
+        assert (evaluate_pair(prepared, pred, config)
+                == evaluate_pair(ref, pred, config))
+    for array, copy in zip(prepared_arrays(prepared), before):
+        assert not array.flags.writeable
+        assert np.array_equal(array, copy)
+
+
+class TestPreparedReference:
+    @pytest.mark.parametrize("ignore_mode", ["exclude", "background"])
+    def test_one_reference_over_twenty_predictions(self, ignore_mode):
+        def pair(ops=None):
+            return phantom_pair(5, dims=(28, 26, 14), n_lesions=6,
+                                ignore_fraction=0.3, ops=ops)
+        ref, _ = pair()
+        preds = [pair(PerturbOps(dilate=int(i % 3 == 1),
+                                 erode=int(i % 3 == 2), add_blobs=i % 4,
+                                 blob_size=5,
+                                 translate=(i % 2, -int(i % 3 == 0), 0),
+                                 seed=i))[1]
+                 for i in range(20)]
+        for h95_mode in ("directed", "pooled"):
+            assert_prepared_matches(ref, preds, EvalConfig(
+                h95_mode=h95_mode, ignore_mode=ignore_mode))
+
+    def test_empty_reference_against_a_far_prediction(self):
+        # the reference's box is the origin voxel, outside the union box
+        dims = (30, 28, 12)
+        empty = labels_from([], dims)
+        far = labels_from([(25, 24, 9), (26, 24, 9), (20, 3, 10)], dims,
+                          ignore_coords=[(28, 26, 11)])
+        assert_prepared_matches(empty, [far, empty])
+        assert_same_as_uncropped(empty, far)
+
+    @pytest.mark.parametrize("ignore_mode", ["exclude", "background"])
+    def test_reference_with_only_label_2(self, ignore_mode):
+        dims = (16, 14, 8)
+        blob_ = [(6, 6, 3), (7, 6, 3), (7, 7, 4)]
+        ref = labels_from([], dims, ignore_coords=blob_)
+        preds = [labels_from(blob_, dims), labels_from([], dims),
+                 labels_from(blob_[:1] + [(14, 12, 7)], dims),
+                 labels_from([(0, 0, 0)], dims)]
+        config = EvalConfig(ignore_mode=ignore_mode)
+        assert_prepared_matches(ref, preds, config)
+        for pred in preds:
+            assert_same_as_uncropped(ref, pred, config)
+
+    @pytest.mark.parametrize("ignore_mode", ["exclude", "background"])
+    def test_prediction_wholly_outside_the_reference_box(self, ignore_mode):
+        dims = (20, 18, 10)
+        ref = labels_from([(2, 2, 1), (3, 2, 1), (4, 5, 2)], dims,
+                          ignore_coords=[(3, 3, 1)])
+        preds = [labels_from([(15, 14, 8), (16, 14, 8)], dims),
+                 labels_from([(19, 0, 9)], dims, ignore_coords=[(3, 3, 1)])]
+        config = EvalConfig(ignore_mode=ignore_mode)
+        assert_prepared_matches(ref, preds, config)
+        for pred in preds:
+            assert_same_as_uncropped(ref, pred, config)
+
+    @pytest.mark.parametrize("connectivity", [6, 18, 26])
+    def test_connectivities(self, connectivity):
+        dims = (12, 12, 6)
+        # touching by a face, an edge and a corner
+        ref = labels_from([(2, 2, 2), (3, 2, 2), (4, 3, 2), (5, 4, 3),
+                           (8, 8, 1)], dims)
+        preds = [ref, labels_from([(3, 2, 2), (4, 3, 2), (9, 9, 1)], dims),
+                 labels_from([(5, 4, 3), (6, 5, 4), (7, 5, 4)], dims)]
+        config = EvalConfig(connectivity=connectivity)
+        assert_prepared_matches(ref, preds, config)
+        assert prepare_reference(ref, config).components.count == {
+            6: 4, 18: 3, 26: 2}[connectivity]
+
+    def test_connectivity_mismatch_is_an_error(self):
+        ref = labels_from([(1, 1, 1)], (4, 4, 4))
+        prepared = prepare_reference(ref, EvalConfig(connectivity=6))
+        with pytest.raises(ValueError, match="connectivity 6, not 26"):
+            evaluate_pair(prepared, ref)

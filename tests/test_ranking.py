@@ -49,6 +49,19 @@ class TestResultTable:
         assert np.isnan(vals[0, 1, 1])
         assert vals[1, 1, 1] == 3.0
 
+    def test_values_are_fresh_arrays_in_any_metric_order(self):
+        t = table_from_columns(
+            {"a": {"h95_mm": [1.0, None], "dsc": [0.25, 0.75]},
+             "b": {"h95_mm": [2.0, 3.0], "dsc": [0.5, 1.0]}})
+        first = t.values(("dsc", "h95_mm"))
+        first[:] = -1.0
+        again = t.values(("h95_mm", "dsc", "h95_mm"))
+        want_h95 = [[1.0, np.nan], [2.0, 3.0]]
+        np.testing.assert_array_equal(again[:, 0], want_h95)
+        np.testing.assert_array_equal(again[:, 1], [[0.25, 0.75], [0.5, 1.0]])
+        np.testing.assert_array_equal(again[:, 2], want_h95)
+        assert t.values(()).shape == (2, 0, 2)
+
 
 class TestRelativeRank:
     def test_lower_better_spread(self):
