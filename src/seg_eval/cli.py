@@ -9,6 +9,7 @@ input files and flags; there are no timestamps or hidden state.
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
@@ -44,15 +45,31 @@ class _Parser(argparse.ArgumentParser):
         raise CliUsageError(message)
 
 
+def _checked(kind, ok, what: str):
+    """An argparse type: ``kind(text)`` if ``ok`` accepts it, else a
+    usage error saying the value must be ``what``."""
+    def parse(text):
+        try:
+            value = kind(text)
+            if ok(value):
+                return value
+        except ValueError:
+            pass
+        raise argparse.ArgumentTypeError(f"must be {what}, got {text!r}")
+    return parse
+
+
+_AT_LEAST_1 = _checked(int, lambda v: v >= 1, "an integer >= 1")
+_AT_LEAST_0 = _checked(int, lambda v: v >= 0, "an integer >= 0")
+_POSITIVE = _checked(float, lambda v: 0 < v < math.inf, "a finite number > 0")
+
+
 def _default_jobs() -> int:
     raw = os.environ.get("SEG_EVAL_JOBS", "1")
     try:
-        jobs = int(raw)
-    except ValueError:
-        raise CliUsageError(f"SEG_EVAL_JOBS={raw!r} is not an integer")
-    if jobs < 1:
-        raise CliUsageError(f"SEG_EVAL_JOBS={raw!r} must be >= 1")
-    return jobs
+        return _AT_LEAST_1(raw)
+    except argparse.ArgumentTypeError as exc:
+        raise CliUsageError(f"SEG_EVAL_JOBS {exc}") from None
 
 
 def _add_eval_config(p: argparse.ArgumentParser) -> None:
@@ -78,6 +95,8 @@ def cmd_evaluate(args) -> int:
     config = _eval_config(args)
     ref = read_nifti(args.reference)
     pred = read_nifti(args.prediction)
+    same_grid(ref, pred, f"reference {args.reference} and prediction "
+              f"{args.prediction}")
     vec = evaluate_pair(ref, pred, config)
     body = metric_report(vec, _config_echo(
         args, ("connectivity", "h95_mode", "ignore_mode")))
@@ -112,8 +131,6 @@ def cmd_evaluate_batch(args) -> int:
     config = _eval_config(args)
     subjects = read_manifest(args.manifest)
     jobs = args.jobs if args.jobs is not None else _default_jobs()
-    if jobs < 1:
-        raise CliUsageError("--jobs must be >= 1")
     score = partial(_score_subject, config=config, manifest=args.manifest)
     if jobs == 1:
         results = list(map(score, subjects))
@@ -157,20 +174,14 @@ def cmd_rank(args) -> int:
 
 
 def cmd_staple(args) -> int:
-    if args.prior.upper() == "AUTO":
-        prior = None
-    else:
-        try:
-            prior = float(args.prior)
-        except ValueError:
-            raise CliUsageError(f"--prior must be AUTO or a number, "
-                                f"got {args.prior!r}")
     params = StapleParams(max_iter=args.max_iter, tol=args.tol,
-                          threshold=args.threshold, prior=prior)
+                          threshold=args.threshold, prior=args.prior)
     masks = []
     for path in args.inputs:
         vol = read_nifti(path)
         masks.append(BinaryMask(vol.data != 0, vol.spacing))
+        same_grid(masks[0], masks[-1],
+                  f"raters {args.inputs[0]} and {path}")
     result = staple_fuse(masks, params)
     write_nifti(result.consensus, args.output)
     if args.weights_out:
@@ -261,9 +272,12 @@ def _method_ops(index: int, seed: int) -> PerturbOps:
 
 
 def cmd_synth(args) -> int:
+    lo, hi = args.size_range
+    if lo > hi:
+        raise CliUsageError(f"--size-range must be LOW HIGH with LOW <= HIGH,"
+                            f" got {lo} {hi}")
     out = Path(args.out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    lo, hi = args.size_range
     manifest_rows = []
     for si in range(args.subjects):
         spec = PhantomSpec(dims=tuple(args.dims),
@@ -312,7 +326,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("manifest")
     _add_eval_config(p)
     p.add_argument("-o", "--output", required=True, help="result CSV path")
-    p.add_argument("--jobs", type=int, default=None,
+    p.add_argument("--jobs", type=_AT_LEAST_1, default=None,
                    help="worker processes (default: SEG_EVAL_JOBS or 1)")
     p.set_defaults(func=cmd_evaluate_batch)
 
@@ -320,10 +334,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("results")
     p.add_argument("--volume-metric", choices=("lavd", "avd"),
                    default="lavd")
-    p.add_argument("--bootstrap", type=int, default=2000,
+    p.add_argument("--bootstrap", type=_AT_LEAST_0, default=2000,
                    help="bootstrap replicates; 0 disables CIs")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--confidence", type=float, default=0.95)
+    p.add_argument("--confidence", default=0.95, type=_checked(
+        float, lambda v: 0 < v < 1, "a number in (0, 1)"))
     p.add_argument("--interscanner", action="store_true",
                    help="also rank inter-scanner robustness")
     p.add_argument("--interscanner-normalization",
@@ -336,10 +351,13 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("staple", help="fuse segmentations with STAPLE")
     p.add_argument("inputs", nargs="+")
     p.add_argument("-o", "--output", required=True)
-    p.add_argument("--max-iter", type=int, default=100)
-    p.add_argument("--tol", type=float, default=1e-6)
-    p.add_argument("--threshold", type=float, default=0.5)
-    p.add_argument("--prior", default="AUTO",
+    p.add_argument("--max-iter", type=_AT_LEAST_1, default=100)
+    p.add_argument("--tol", type=_POSITIVE, default=1e-6)
+    p.add_argument("--threshold", default=0.5, type=_checked(
+        float, lambda v: 0 < v <= 1, "a number in (0, 1]"))
+    p.add_argument("--prior", default="AUTO", type=_checked(
+        lambda t: None if t.upper() == "AUTO" else float(t),
+        lambda v: v is None or 0 < v < 1, "AUTO or a number in (0, 1)"),
                    help="foreground prior, AUTO = mean vote rate")
     p.add_argument("--weights-out", default=None,
                    help="write per-voxel foreground probability here")
@@ -356,8 +374,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("cohort", help="reference cohort summary")
     p.add_argument("manifest")
-    p.add_argument("--volume-bin-ml", type=float, default=10.0)
-    p.add_argument("--count-bin", type=float, default=10.0)
+    p.add_argument("--volume-bin-ml", type=_POSITIVE, default=10.0)
+    p.add_argument("--count-bin", type=_POSITIVE, default=10.0)
     p.add_argument("--connectivity", type=int, choices=(6, 18, 26),
                    default=26)
     p.add_argument("-o", "--output", default=None)
@@ -365,15 +383,17 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("synth", help="generate phantom pairs + manifest")
     p.add_argument("--out-dir", required=True)
-    p.add_argument("--subjects", type=int, default=5)
-    p.add_argument("--methods", type=int, default=2)
-    p.add_argument("--scanners", type=int, default=2)
+    p.add_argument("--subjects", type=_AT_LEAST_1, default=5)
+    p.add_argument("--methods", type=_AT_LEAST_1, default=2)
+    p.add_argument("--scanners", type=_AT_LEAST_1, default=2)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--dims", type=int, nargs=3, default=(32, 32, 32))
-    p.add_argument("--spacing", type=float, nargs=3, default=(1.0, 1.0, 1.0))
-    p.add_argument("--lesions", type=int, default=5)
-    p.add_argument("--size-range", type=int, nargs=2, default=(3, 40))
-    p.add_argument("--ignore-fraction", type=float, default=0.0)
+    p.add_argument("--dims", type=_AT_LEAST_1, nargs=3, default=(32, 32, 32))
+    p.add_argument("--spacing", type=_POSITIVE, nargs=3,
+                   default=(1.0, 1.0, 1.0))
+    p.add_argument("--lesions", type=_AT_LEAST_0, default=5)
+    p.add_argument("--size-range", type=_AT_LEAST_1, nargs=2, default=(3, 40))
+    p.add_argument("--ignore-fraction", default=0.0, type=_checked(
+        float, lambda v: 0 <= v < 1, "a number in [0, 1)"))
     p.set_defaults(func=cmd_synth)
     return parser
 

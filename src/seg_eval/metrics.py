@@ -28,12 +28,8 @@ __all__ = [
     "EvalConfig",
     "MetricVector",
     "PreparedReference",
-    "LesionMatch",
-    "dice",
-    "hausdorff95",
     "avd_percent",
     "log_avd",
-    "lesion_recall_f1",
     "size_split_recall",
     "relative_difference",
     "prepare_reference",
@@ -100,48 +96,6 @@ class MetricVector:
                                        self.recall_small, self.recall_large))
 
 
-def dice(ref: BinaryMask, pred: BinaryMask) -> float:
-    """Dice overlap. Two empty masks agree perfectly, so 1.0."""
-    same_grid(ref, pred, "masks")
-    return _dice(int(np.logical_and(ref.data, pred.data).sum()),
-                 ref.count() + pred.count())
-
-
-def _dice(inter: int, total: int) -> float:
-    return 1.0 if total == 0 else 2.0 * inter / total
-
-
-def hausdorff95(ref: BinaryMask, pred: BinaryMask,
-                mode: str = "directed") -> float | None:
-    """95th percentile Hausdorff distance in mm, or None if either
-    mask is empty.
-
-    Percentiles use linear interpolation between order statistics.
-    """
-    same_grid(ref, pred, "masks")
-    if ref.count() == 0 or pred.count() == 0:
-        return None
-    return _surface_h95(surface_voxels(ref), surface_voxels(pred),
-                        ref.spacing, mode)
-
-
-def _surface_h95(surf_ref: np.ndarray, surf_pred: np.ndarray,
-                 spacing: tuple[float, float, float], mode: str,
-                 ref_tree=None) -> float:
-    """H95 between non-empty surfaces; ``ref_tree`` is a KD-tree over
-    ``surf_ref`` in mm, built here when None."""
-    d_rp = directed_surface_distances(surf_ref, surf_pred, spacing)
-    d_pr = (directed_surface_distances(surf_pred, surf_ref, spacing)
-            if ref_tree is None
-            else ref_tree.query(surf_pred * np.asarray(spacing), k=1)[0])
-    if mode == "directed":
-        return float(max(np.percentile(d_rp, 95.0),
-                         np.percentile(d_pr, 95.0)))
-    if mode == "pooled":
-        return float(np.percentile(np.concatenate([d_rp, d_pr]), 95.0))
-    raise ValueError(f"bad mode {mode!r}")
-
-
 def avd_percent(ref_volume: float, pred_volume: float) -> float:
     """Absolute volume difference relative to the reference, in %."""
     if ref_volume <= 0:
@@ -161,34 +115,6 @@ def log_avd(ref_volume: float, pred_volume: float) -> float | None:
     return abs(math.log(pred_volume / ref_volume))
 
 
-@dataclass(frozen=True, eq=False)
-class LesionMatch:
-    """Component-level correspondence between reference and prediction.
-
-    A reference lesion counts as detected when at least one predicted
-    voxel falls inside it; a predicted component counts as matched when
-    it touches at least one reference lesion.
-    """
-
-    ref_components: ComponentLabeling
-    pred_components: ComponentLabeling
-    ref_detected: np.ndarray
-    pred_matched: np.ndarray
-
-
-def lesion_recall_f1(ref: BinaryMask, pred: BinaryMask,
-                     connectivity: int = 26
-                     ) -> tuple[float, float, LesionMatch]:
-    """Lesion-wise recall and F1 over connected components."""
-    same_grid(ref, pred, "masks")
-    comps_ref = connected_components(ref, connectivity)
-    comps_pred = connected_components(pred, connectivity)
-    match = LesionMatch(comps_ref, comps_pred,
-                        _hits(comps_ref.labels[pred.data], comps_ref.count),
-                        _hits(comps_pred.labels[ref.data], comps_pred.count))
-    return (*_recall_f1(match), match)
-
-
 def _hits(labels: np.ndarray, count: int) -> np.ndarray:
     """Flags for component ids 1..count: which of them ``labels`` holds."""
     hit = np.zeros(count, dtype=bool)
@@ -197,32 +123,35 @@ def _hits(labels: np.ndarray, count: int) -> np.ndarray:
     return hit
 
 
-def _recall_f1(match: LesionMatch) -> tuple[float, float]:
-    n_ref, n_pred = match.ref_components.count, match.pred_components.count
+def _recall_f1(ref_hit: np.ndarray, pred_hit: np.ndarray
+               ) -> tuple[float, float]:
+    """Lesion recall and F1 from the flags of the reference lesions that
+    a prediction detects and the predicted lesions that touch one."""
+    n_ref, n_pred = ref_hit.size, pred_hit.size
     if n_ref == 0 or n_pred == 0:   # both empty agree perfectly
         return (1.0, 1.0) if n_ref == n_pred else (0.0, 0.0)
-    recall = float(match.ref_detected.sum()) / n_ref
-    precision = float(match.pred_matched.sum()) / n_pred
+    recall = float(ref_hit.sum()) / n_ref
+    precision = float(pred_hit.sum()) / n_pred
     return recall, (0.0 if precision + recall == 0
                     else 2.0 * precision * recall / (precision + recall))
 
 
-def size_split_recall(match: LesionMatch
+def size_split_recall(sizes: np.ndarray, detected: np.ndarray
                       ) -> tuple[float | None, float | None]:
-    """Recall split at the median reference lesion size.
+    """Recall split at the median reference lesion size, given each
+    reference lesion's voxel count and whether it was detected.
 
     Small lesions are those at or below the median voxel count, large
     ones strictly above. A stratum with no lesions (all lesions the
     same size leaves the large stratum empty) reports None.
     """
-    sizes = match.ref_components.sizes
+    sizes = np.asarray(sizes)
     if sizes.size == 0:
         raise UndefinedMetricError(
             "size-split recall needs a nonempty reference")
-    median = float(np.median(sizes))
-    small = sizes <= median
+    detected = np.asarray(detected, dtype=bool)
+    small = sizes <= float(np.median(sizes))
     large = ~small
-    detected = match.ref_detected
     recall_small = float(detected[small].mean()) if small.any() else None
     recall_large = float(detected[large].mean()) if large.any() else None
     return recall_small, recall_large
@@ -237,36 +166,28 @@ def relative_difference(value: float, baseline: float) -> float:
     return (value - baseline) / baseline
 
 
-def _label_profiles(vol: LabelVolume) -> tuple[np.ndarray, ...]:
-    """The largest label in each x, y and z plane of a volume, by two
-    plane-sized reductions; a label above 2 raises, naming its voxel."""
+def _lesion_box(vol: LabelVolume) -> tuple[slice, ...]:
+    """Bounding box of a volume's non-zero labels, empty when every
+    label is 0. Two plane-sized reductions give the largest label in
+    each x, y and z plane; a label above 2 raises, naming its voxel."""
     plane = vol.data.max(axis=2, initial=0)
     profiles = (plane.max(axis=1, initial=0), plane.max(axis=0, initial=0),
                 vol.data.max(axis=(0, 1), initial=0))
     if profiles[2].max(initial=0) > 2:
         binarize_challenge(vol)
-    return profiles
-
-
-def _lesion_box(*profiles: tuple[np.ndarray, ...]) -> tuple[slice, ...]:
-    """Bounding box of the voxels with a non-zero label in any of the
-    profiled volumes, grown by one voxel and clipped to the grid; the
-    origin voxel when every label is 0."""
     box = []
-    for axis_profiles in zip(*profiles):
-        idx = np.flatnonzero(np.logical_or.reduce(axis_profiles))
+    for profile in profiles:
+        idx = np.flatnonzero(profile)
         if idx.size == 0:
-            return (slice(0, 1),) * 3
-        box.append(slice(max(int(idx[0]) - 1, 0),
-                         min(int(idx[-1]) + 2, axis_profiles[0].size)))
+            return (slice(0, 0),) * 3
+        box.append(slice(int(idx[0]), int(idx[-1]) + 1))
     return tuple(box)
 
 
 def wmh_in_lesion_box(vol: LabelVolume) -> BinaryMask:
     """The label-1 mask of a challenge volume inside its lesion box: the
     whole-grid mask's voxel count and components, in fewer voxels."""
-    return BinaryMask(vol.data[_lesion_box(_label_profiles(vol))] == 1,
-                      vol.spacing)
+    return BinaryMask(vol.data[_lesion_box(vol)] == 1, vol.spacing)
 
 
 @dataclass(frozen=True, eq=False)
@@ -277,7 +198,6 @@ class PreparedReference:
     its ``surface`` in grid coordinates with a KD-tree over it in mm."""
 
     volume: LabelVolume
-    profiles: tuple[np.ndarray, ...]
     box: tuple[slice, ...]
     wmh: BinaryMask
     other: np.ndarray
@@ -285,7 +205,6 @@ class PreparedReference:
     components: ComponentLabeling
     surface: np.ndarray
     tree: object
-    connectivity: int
 
 
 def prepare_reference(ref: LabelVolume, config: EvalConfig = EvalConfig()
@@ -294,20 +213,32 @@ def prepare_reference(ref: LabelVolume, config: EvalConfig = EvalConfig()
     many predictions with :func:`evaluate_pair`."""
     from scipy.spatial import cKDTree
 
-    profiles = _label_profiles(ref)
-    box = _lesion_box(profiles)
+    box = _lesion_box(ref)
     labels = ref.data[box]
     wmh = BinaryMask(labels == 1, ref.spacing)
     other = labels == 2
     count = wmh.count()
     surface = surface_voxels(wmh) + [sl.start for sl in box]
-    for array in (*profiles, other, surface):
-        array.setflags(write=False)
+    other.setflags(write=False)
+    surface.setflags(write=False)
     tree = cKDTree(surface * np.asarray(ref.spacing)) if count else None
     return PreparedReference(
-        ref, profiles, box, wmh, other, count,
-        connected_components(wmh, config.connectivity), surface, tree,
-        config.connectivity)
+        ref, box, wmh, other, count,
+        connected_components(wmh, config.connectivity), surface, tree)
+
+
+def _surface_h95(ref: PreparedReference, surf_pred: np.ndarray,
+                 mode: str) -> float:
+    """H95 between a prepared reference's surface and a prediction's,
+    both non-empty and in grid coordinates. Percentiles use linear
+    interpolation between order statistics."""
+    spacing = ref.volume.spacing
+    d_rp = directed_surface_distances(ref.surface, surf_pred, spacing)
+    d_pr = ref.tree.query(surf_pred * np.asarray(spacing), k=1)[0]
+    if mode == "directed":
+        return float(max(np.percentile(d_rp, 95.0),
+                         np.percentile(d_pr, 95.0)))
+    return float(np.percentile(np.concatenate([d_rp, d_pr]), 95.0))
 
 
 def evaluate_pair(ref: LabelVolume | PreparedReference, pred: LabelVolume,
@@ -320,51 +251,54 @@ def evaluate_pair(ref: LabelVolume | PreparedReference, pred: LabelVolume,
     background either way.
 
     ``ref`` is a label volume, prepared here, or a reference prepared
-    with the same connectivity by :func:`prepare_reference`. Two
-    reductions per volume give its largest label per plane: they check
-    that every label is in {0, 1, 2} and give the bounding box of both
-    volumes' non-zero labels. The prediction is scored in that box plus
-    a one-voxel margin, against the reference's own box inside it. Box
-    faces are background or the grid boundary, so surfaces, component
-    ids and (shifted back) H95 distances are the whole grid's, bit for
-    bit, in either memory layout.
+    with the same connectivity by :func:`prepare_reference`. Each volume
+    is cropped to its own lesion box. Every voxel outside that box is
+    background, so a voxel on a face of the crop borders background in
+    the whole grid too: surfaces, component ids and (shifted back) H95
+    distances are the whole grid's, bit for bit, in either memory
+    layout. The label-2 exclusion and the overlap are taken where the
+    two boxes intersect.
     """
     if not isinstance(ref, PreparedReference):
         ref = prepare_reference(ref, config)
-    elif ref.connectivity != config.connectivity:
+    elif ref.components.connectivity != config.connectivity:
         raise ValueError(f"reference was prepared with connectivity "
-                         f"{ref.connectivity}, not {config.connectivity}")
+                         f"{ref.components.connectivity}, "
+                         f"not {config.connectivity}")
     same_grid(ref.volume, pred, "reference and prediction")
-    box = _lesion_box(ref.profiles, _label_profiles(pred))
+    box = _lesion_box(pred)
     pred_data = pred.data[box] == 1
-    # the reference's box in the union box; an all-zero reference's box
-    # (the origin voxel, empty) may lie outside and is clamped into it
-    at = [max(r.start - u.start, 0) for r, u in zip(ref.box, box)]
-    sub = tuple(slice(a, a + n) for a, n in zip(at, ref.wmh.dims))
+    # where the two boxes meet, as slices into each crop
+    lo = [max(r.start, p.start) for r, p in zip(ref.box, box)]
+    hi = [max(min(r.stop, p.stop), a) for r, p, a in zip(ref.box, box, lo)]
+    in_ref, in_pred = (tuple(slice(a - sl.start, b - sl.start)
+                             for sl, a, b in zip(crop, lo, hi))
+                       for crop in (ref.box, box))
     if config.ignore_mode == "exclude":
-        pred_data[sub][ref.other] = False
+        pred_data[in_pred][ref.other[in_ref]] = False
     pred_eval = BinaryMask(pred_data, ref.volume.spacing)
     n_pred_vox = pred_eval.count()
     comps_pred = connected_components(pred_eval, config.connectivity)
 
     # lesions are hit where reference and prediction overlap
-    overlap = np.nonzero(ref.wmh.data & pred_data[sub])
-    match = LesionMatch(
-        ref.components, comps_pred,
-        _hits(ref.components.labels[overlap], ref.components.count),
-        _hits(comps_pred.labels[sub][overlap], comps_pred.count))
-    dsc = _dice(overlap[0].size, ref.count + n_pred_vox)
+    overlap = np.nonzero(ref.wmh.data[in_ref] & pred_data[in_pred])
+    ref_hit = _hits(ref.components.labels[in_ref][overlap],
+                    ref.components.count)
+    pred_hit = _hits(comps_pred.labels[in_pred][overlap], comps_pred.count)
+    total = ref.count + n_pred_vox
+    dsc = 1.0 if total == 0 else 2.0 * overlap[0].size / total
     h95 = avd = lavd = None
     if ref.count and n_pred_vox:
         h95 = _surface_h95(
-            ref.surface, surface_voxels(pred_eval) + [sl.start for sl in box],
-            pred_eval.spacing, config.h95_mode, ref.tree)
+            ref, surface_voxels(pred_eval) + [sl.start for sl in box],
+            config.h95_mode)
     if ref.count:
         avd = avd_percent(ref.count, n_pred_vox)
         lavd = log_avd(ref.count, n_pred_vox)
-    recall, f1 = _recall_f1(match)
-    recall_small, recall_large = (size_split_recall(match)
-                                  if ref.components.count else (None, None))
+    recall, f1 = _recall_f1(ref_hit, pred_hit)
+    recall_small, recall_large = (
+        size_split_recall(ref.components.sizes, ref_hit)
+        if ref.components.count else (None, None))
 
     return MetricVector(
         dsc=dsc, h95_mm=h95, avd_pct=avd, lavd=lavd, recall=recall, f1=f1,

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from seg_eval.metrics import MetricVector
+from seg_eval.metrics import EvalConfig, MetricVector, evaluate_pair
 from seg_eval.ranking import ResultTable, SubjectResult
 from seg_eval.synth import PerturbOps, PhantomSpec, generate_phantom, \
     perturb_mask
@@ -26,6 +26,13 @@ def labels_from(wmh_coords, dims, spacing=(1.0, 1.0, 1.0),
     for c in wmh_coords:
         data[tuple(c)] = 1
     return LabelVolume(data, spacing)
+
+
+def score_masks(ref: BinaryMask, pred: BinaryMask,
+                config: EvalConfig = EvalConfig()) -> MetricVector:
+    """evaluate_pair on two binary masks taken as label-1 volumes."""
+    return evaluate_pair(*(LabelVolume(m.data.astype(np.int32), m.spacing)
+                           for m in (ref, pred)), config)
 
 
 def random_mask(rng, dims, density=0.1, spacing=(1.0, 1.0, 1.0)) -> BinaryMask:

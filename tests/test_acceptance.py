@@ -22,11 +22,11 @@ from challenge_data import (AVD_FINAL_RANK, AVD_ORDER, AVD_SWAPS,
                             UNRESOLVABLE_ADJACENT, WINNER_RECALL_LARGE,
                             WINNER_RECALL_SMALL, mean_table)
 from helpers import phantom_pair, table_from_columns
-from oracles import bootstrap_oracle, evaluate_pair_oracle
+from oracles import bootstrap_oracle, dice_oracle, evaluate_pair_oracle
 from seg_eval import ranking
 from seg_eval.cli import main
 from seg_eval.fusion import StapleParams, majority_vote, staple_fuse
-from seg_eval.metrics import (EvalConfig, MetricVector, dice, evaluate_pair,
+from seg_eval.metrics import (EvalConfig, MetricVector, evaluate_pair,
                               relative_difference)
 from seg_eval.nifti import read_nifti, write_nifti
 from seg_eval.ranking import (HIGHER_BETTER, BootstrapConfig, ResultTable,
@@ -415,9 +415,8 @@ class TestStapleFusion:
         assert result.converged
         assert np.abs(result.sensitivity - p_true).max() <= 0.05
         assert np.abs(result.specificity - q_true).max() <= 0.05
-        truth_mask = BinaryMask(truth, (1.0, 1.0, 1.0))
-        fused = dice(result.consensus, truth_mask)
-        assert all(fused >= dice(m, truth_mask) for m in masks)
+        fused = dice_oracle(result.consensus.data, truth)
+        assert all(fused >= dice_oracle(m.data, truth) for m in masks)
 
     def test_log_likelihood_never_decreases(self):
         truth = np.zeros((16, 16, 16), dtype=bool)

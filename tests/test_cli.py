@@ -135,6 +135,16 @@ class TestEvaluate:
         assert rc == 1
         assert "error:" in capsys.readouterr().err
 
+    def test_a_grid_mismatch_names_both_files(self, pair_on_disk, tmp_path,
+                                              capsys):
+        _, _, ref_p, _ = pair_on_disk
+        other = tmp_path / "other.nii.gz"
+        write_nifti(labels_from([(1, 1, 1)], (8, 8, 5)), other)
+        assert main(["evaluate", str(ref_p), str(other)]) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert err == [f"error: reference {ref_p} and prediction {other} "
+                       f"differ in dims: (8, 8, 4) vs (8, 8, 5)"]
+
     def test_truncated_gzip_is_an_error_naming_the_file(self, pair_on_disk,
                                                         tmp_path, capsys):
         _, _, ref_p, _ = pair_on_disk
@@ -557,6 +567,19 @@ class TestStaple:
         assert rc == 1
         assert "usage error:" in capsys.readouterr().err
 
+    def test_a_grid_mismatch_names_both_files(self, raters_on_disk,
+                                              tmp_path, capsys):
+        _, paths = raters_on_disk
+        odd = tmp_path / "odd.nii.gz"
+        write_nifti(BinaryMask(np.ones((12, 12, 9), dtype=bool),
+                               (1.0, 1.0, 1.0)), odd)
+        out = tmp_path / "c.nii"
+        assert main(["staple", *paths, str(odd), "-o", str(out)]) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert err == [f"error: raters {paths[0]} and {odd} differ in dims: "
+                       f"(12, 12, 8) vs (12, 12, 9)"]
+        assert not out.exists()
+
     def test_bad_prior_is_a_usage_error(self, raters_on_disk, tmp_path,
                                         capsys):
         _, paths = raters_on_disk
@@ -672,19 +695,22 @@ class TestCohort:
         dims = (6, 6, 4)
         ref1 = labels_from([(1, 1, 1), (1, 2, 1), (4, 4, 2)], dims)
         ref2 = labels_from([(2, 2, 2)], dims)
+        ref3 = labels_from([], dims)   # an empty lesion box
         write_nifti(ref1, tmp_path / "r1.nii")
         write_nifti(ref2, tmp_path / "r2.nii")
+        write_nifti(ref3, tmp_path / "r3.nii")
         write_nifti(ref1, tmp_path / "p.nii")  # predictions are ignored
         rows = [("mA", "s1", "sc", "r1.nii", "p.nii"),
                 ("mB", "s1", "sc", "r1.nii", "p.nii"),
-                ("mA", "s2", "sc", "r2.nii", "p.nii")]
+                ("mA", "s2", "sc", "r2.nii", "p.nii"),
+                ("mA", "s3", "sc", "r3.nii", "p.nii")]
         manifest = write_manifest(tmp_path / "m.csv", rows)
         rc = main(["cohort", str(manifest)])
         assert rc == 0
         body = json.loads(capsys.readouterr().out)
-        expected = summarize_cohort([binarize_challenge(ref1)[0],
-                                     binarize_challenge(ref2)[0]])
-        assert body["n"] == 2
+        expected = summarize_cohort([binarize_challenge(ref)[0]
+                                     for ref in (ref1, ref2, ref3)])
+        assert body["n"] == 3
         assert body["volume_ml"]["values"] \
             == [float(v) for v in expected.volumes_ml]
         assert body["volume_ml"]["mean"] == expected.volume.mean
@@ -769,11 +795,47 @@ class TestSynth:
         assert body["methods"][0]["position"] == 1
 
 
+BAD_OPTION_VALUES = [
+    ["rank", "r.csv", "--confidence", "1.5"],
+    ["rank", "r.csv", "--bootstrap", "-1"],
+    ["staple", "a.nii", "-o", "c.nii", "--max-iter", "0"],
+    ["staple", "a.nii", "-o", "c.nii", "--tol", "-1"],
+    ["staple", "a.nii", "-o", "c.nii", "--threshold", "2"],
+    ["staple", "a.nii", "-o", "c.nii", "--prior", "1.5"],
+    ["cohort", "m.csv", "--volume-bin-ml", "0"],
+    ["cohort", "m.csv", "--count-bin", "-1"],
+    ["evaluate-batch", "m.csv", "-o", "r.csv", "--jobs", "0"],
+    ["synth", "--lesions", "-1"],
+    ["synth", "--size-range", "5", "2"],
+    ["synth", "--ignore-fraction", "2"],
+    ["synth", "--spacing", "0", "1", "1"],
+    ["synth", "--spacing", "nan", "1", "1"],
+    ["synth", "--dims", "0", "4", "4"],
+    ["synth", "--scanners", "0"],
+    ["synth", "--subjects", "-2"],
+    ["synth", "--methods", "0"],
+]
+
+
 class TestTopLevel:
     def test_no_arguments_is_a_usage_error(self, capsys):
         rc = main([])
         assert rc == 1
         assert "usage error:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv", BAD_OPTION_VALUES,
+                             ids=[" ".join(a) for a in BAD_OPTION_VALUES])
+    def test_a_bad_option_value_is_one_usage_error(self, argv, tmp_path,
+                                                   capsys):
+        # the value is refused before any file is read or written
+        flag = [a for a in argv if a.startswith("--")][-1]
+        out = tmp_path / "out"
+        extra = ["--out-dir", str(out)] if argv[0] == "synth" else []
+        assert main([*argv, *extra]) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("usage error:"), err
+        assert flag in err[0]
+        assert not out.exists()
 
     def test_unknown_command(self, capsys):
         rc = main(["frobnicate"])

@@ -4,12 +4,11 @@ import pytest
 from seg_eval.errors import (ArityError, DegenerateInputError,
                              ShapeMismatchError)
 from seg_eval.fusion import StapleParams, majority_vote, staple_fuse
-from seg_eval.metrics import dice
 from seg_eval.volume import BinaryMask
 
 from helpers import mask_from, random_mask
 from oracles import majority_vote as majority_oracle
-from oracles import staple_oracle
+from oracles import dice_oracle, staple_oracle
 
 
 def raters_from_truth(truth: np.ndarray, p_list, q_list, seed):
@@ -251,7 +250,6 @@ class TestStapleAgainstOracle:
         assert res.converged
         assert np.abs(res.sensitivity - p_true).max() < 0.05
         assert np.abs(res.specificity - q_true).max() < 0.05
-        truth_mask = BinaryMask(truth, (1.0, 1.0, 1.0))
-        fused_dsc = dice(res.consensus, truth_mask)
+        fused_dsc = dice_oracle(res.consensus.data, truth)
         for m in masks:
-            assert fused_dsc >= dice(m, truth_mask)
+            assert fused_dsc >= dice_oracle(m.data, truth)

@@ -2,18 +2,23 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, event, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from seg_eval.errors import (InvalidLabelError, ShapeMismatchError,
                              UndefinedMetricError)
-from seg_eval.metrics import (EvalConfig, avd_percent, dice, evaluate_pair,
-                              hausdorff95, lesion_recall_f1, log_avd,
+from seg_eval.metrics import (EvalConfig, avd_percent, evaluate_pair, log_avd,
                               prepare_reference, relative_difference,
                               size_split_recall)
 from seg_eval.synth import PerturbOps
-from seg_eval.volume import BinaryMask, LabelVolume, binarize_challenge
+from seg_eval.volume import (BinaryMask, LabelVolume, binarize_challenge,
+                             directed_surface_distances, surface_voxels)
 
-from helpers import labels_from, mask_from, phantom_pair, random_mask
-from oracles import dice_oracle, evaluate_pair_oracle, h95_oracle
+from helpers import (labels_from, mask_from, phantom_pair, random_mask,
+                     score_masks as score)
+from oracles import (cc_oracle, dice_oracle, evaluate_pair_oracle, h95_oracle,
+                     recall_f1_oracle)
 
 
 def blob(coords, dims=(8, 8, 8), spacing=(1.0, 1.0, 1.0)):
@@ -23,57 +28,61 @@ def blob(coords, dims=(8, 8, 8), spacing=(1.0, 1.0, 1.0)):
 class TestDice:
     def test_identical(self):
         m = blob([(1, 1, 1), (2, 1, 1)])
-        assert dice(m, m) == 1.0
+        assert score(m, m).dsc == 1.0
 
     def test_disjoint(self):
-        assert dice(blob([(0, 0, 0)]), blob([(5, 5, 5)])) == 0.0
+        assert score(blob([(0, 0, 0)]), blob([(5, 5, 5)])).dsc == 0.0
 
     def test_half_overlap(self):
         a = blob([(0, 0, 0), (1, 0, 0), (2, 0, 0), (3, 0, 0)])
         b = blob([(2, 0, 0), (3, 0, 0), (4, 0, 0), (5, 0, 0)])
-        assert dice(a, b) == 0.5
+        assert score(a, b).dsc == 0.5
 
     def test_both_empty(self):
-        assert dice(blob([]), blob([])) == 1.0
+        assert score(blob([]), blob([])).dsc == 1.0
 
     def test_one_empty(self):
-        assert dice(blob([]), blob([(0, 0, 0)])) == 0.0
+        assert score(blob([]), blob([(0, 0, 0)])).dsc == 0.0
 
     def test_shape_mismatch(self):
         with pytest.raises(ShapeMismatchError):
-            dice(blob([], dims=(4, 4, 4)), blob([], dims=(5, 4, 4)))
+            score(blob([], dims=(4, 4, 4)), blob([], dims=(5, 4, 4)))
 
     def test_symmetry_range_and_equality_cases(self):
         rng = np.random.default_rng(31)
         for _ in range(30):
             a = random_mask(rng, (7, 7, 7), density=0.3)
             b = random_mask(rng, (7, 7, 7), density=0.3)
-            d = dice(a, b)
-            assert dice(b, a) == d
+            d = score(a, b).dsc
+            assert score(b, a).dsc == d
             assert 0.0 <= d <= 1.0
             assert (d == 1.0) == bool(np.array_equal(a.data, b.data))
             assert d == pytest.approx(dice_oracle(a.data, b.data), abs=0)
 
 
+def h95(ref, pred, mode="directed"):
+    return score(ref, pred, EvalConfig(h95_mode=mode)).h95_mm
+
+
 class TestHausdorff95:
     def test_identical_is_zero(self):
         m = blob([(1, 2, 3), (2, 2, 3)])
-        assert hausdorff95(m, m) == 0.0
+        assert h95(m, m) == 0.0
 
     def test_single_voxel_offset_in_plane(self):
         a = blob([(2, 2, 1)], spacing=(1, 1, 3))
         b = blob([(3, 2, 1)], spacing=(1, 1, 3))
-        assert hausdorff95(a, b) == pytest.approx(1.0)
+        assert h95(a, b) == pytest.approx(1.0)
 
     def test_single_voxel_offset_through_plane(self):
         a = blob([(2, 2, 1)], spacing=(1, 1, 3))
         b = blob([(2, 2, 2)], spacing=(1, 1, 3))
-        assert hausdorff95(a, b) == pytest.approx(3.0)
+        assert h95(a, b) == pytest.approx(3.0)
 
     def test_empty_gives_missing(self):
-        assert hausdorff95(blob([]), blob([(1, 1, 1)])) is None
-        assert hausdorff95(blob([(1, 1, 1)]), blob([])) is None
-        assert hausdorff95(blob([]), blob([])) is None
+        assert h95(blob([]), blob([(1, 1, 1)])) is None
+        assert h95(blob([(1, 1, 1)]), blob([])) is None
+        assert h95(blob([]), blob([])) is None
 
     def test_symmetry(self):
         rng = np.random.default_rng(32)
@@ -82,7 +91,7 @@ class TestHausdorff95:
             b = random_mask(rng, (9, 9, 9), density=0.15)
             if a.count() == 0 or b.count() == 0:
                 continue
-            assert hausdorff95(a, b) == hausdorff95(b, a)
+            assert h95(a, b) == h95(b, a)
 
     def test_translation_invariance(self):
         base = [(2, 3, 2), (3, 3, 2), (3, 4, 2)]
@@ -93,7 +102,7 @@ class TestHausdorff95:
                   dims=(12, 12, 12))
         b1 = blob([tuple(c + s for c, s in zip(v, shift)) for v in pred],
                   dims=(12, 12, 12))
-        assert hausdorff95(a0, b0) == pytest.approx(hausdorff95(a1, b1))
+        assert h95(a0, b0) == pytest.approx(h95(a1, b1))
 
     def test_spacing_scales_linearly(self):
         coords_a = [(1, 1, 1), (2, 1, 1)]
@@ -102,8 +111,7 @@ class TestHausdorff95:
         b1 = blob(coords_b, spacing=(1, 1, 1))
         a2 = blob(coords_a, spacing=(2.5, 2.5, 2.5))
         b2 = blob(coords_b, spacing=(2.5, 2.5, 2.5))
-        assert hausdorff95(a2, b2) == pytest.approx(
-            2.5 * hausdorff95(a1, b1))
+        assert h95(a2, b2) == pytest.approx(2.5 * h95(a1, b1))
 
     @pytest.mark.parametrize("mode", ["directed", "pooled"])
     def test_matches_all_pairs_oracle(self, mode):
@@ -115,7 +123,7 @@ class TestHausdorff95:
                             spacing=(0.97, 1.2, 3.0))
             if a.count() == 0 or b.count() == 0:
                 continue
-            got = hausdorff95(a, b, mode)
+            got = h95(a, b, mode)
             want = h95_oracle(a.data, b.data, a.spacing, mode)
             assert got == pytest.approx(want, abs=1e-9)
 
@@ -161,19 +169,22 @@ class TestVolumeDifferences:
                 log_avd(k * v, v), rel=1e-12)
 
 
+def recall_f1(ref, pred, connectivity=26):
+    m = score(ref, pred, EvalConfig(connectivity=connectivity))
+    return m.recall, m.f1
+
+
 class TestLesionRecallF1:
     def test_perfect_match(self):
         m = blob([(0, 0, 0), (5, 5, 5), (2, 7, 3)])
-        recall, f1, match = lesion_recall_f1(m, m)
-        assert recall == 1.0 and f1 == 1.0
-        assert match.ref_detected.all() and match.pred_matched.all()
+        got = score(m, m)
+        assert got.recall == 1.0 and got.f1 == 1.0
+        assert got.n_ref_lesions == got.n_pred_lesions == 3
 
     def test_one_hit_one_fp(self):
         ref = blob([(0, 0, 0), (6, 6, 6)])
         pred = blob([(0, 0, 0), (3, 3, 3)])
-        recall, f1, _ = lesion_recall_f1(ref, pred)
-        assert recall == 0.5
-        assert f1 == 0.5
+        assert recall_f1(ref, pred) == (0.5, 0.5)
 
     def test_two_thirds_recall_four_sevenths_f1(self):
         # 3 reference lesions, 2 detected; 4 predicted components, 2
@@ -181,35 +192,29 @@ class TestLesionRecallF1:
         ref = blob([(0, 0, 0), (4, 0, 0), (0, 4, 0)], dims=(10, 10, 4))
         pred = blob([(0, 0, 0), (4, 0, 0), (8, 8, 2), (0, 8, 2)],
                     dims=(10, 10, 4))
-        recall, f1, _ = lesion_recall_f1(ref, pred)
+        recall, f1 = recall_f1(ref, pred)
         assert recall == pytest.approx(2 / 3)
         assert f1 == pytest.approx(4 / 7)
 
     def test_one_pred_blob_covering_two_ref_lesions(self):
         ref = blob([(2, 2, 2), (4, 2, 2)], dims=(8, 8, 8))
-        pred = BinaryMask(np.zeros((8, 8, 8), dtype=bool), (1, 1, 1))
-        data = pred.data.copy()
+        data = np.zeros((8, 8, 8), dtype=bool)
         data[2:5, 2, 2] = True      # one component touching both
-        pred = BinaryMask(data, (1, 1, 1))
-        recall, f1, _ = lesion_recall_f1(ref, pred)
-        assert recall == 1.0
-        assert f1 == 1.0
+        assert recall_f1(ref, BinaryMask(data, (1, 1, 1))) == (1.0, 1.0)
 
     def test_empty_conventions(self):
         empty = blob([])
         full = blob([(1, 1, 1)])
-        assert lesion_recall_f1(empty, empty)[:2] == (1.0, 1.0)
-        assert lesion_recall_f1(full, empty)[:2] == (0.0, 0.0)
-        assert lesion_recall_f1(empty, full)[:2] == (0.0, 0.0)
+        assert recall_f1(empty, empty) == (1.0, 1.0)
+        assert recall_f1(full, empty) == (0.0, 0.0)
+        assert recall_f1(empty, full) == (0.0, 0.0)
 
     def test_connectivity_changes_the_count(self):
         # diagonal pair: one lesion at 26, two at 6
         ref = blob([(0, 0, 0), (1, 1, 1)])
         pred = blob([(0, 0, 0)])
-        r26, _, _ = lesion_recall_f1(ref, pred, 26)
-        r6, _, _ = lesion_recall_f1(ref, pred, 6)
-        assert r26 == 1.0
-        assert r6 == 0.5
+        assert recall_f1(ref, pred, 26)[0] == 1.0
+        assert recall_f1(ref, pred, 6)[0] == 0.5
 
     def test_removing_a_false_positive_never_hurts(self):
         rng = np.random.default_rng(36)
@@ -219,27 +224,25 @@ class TestLesionRecallF1:
             pred = random_mask(rng, (10, 10, 6), density=0.08)
             if ref.count() == 0 or pred.count() == 0:
                 continue
-            recall, f1, match = lesion_recall_f1(ref, pred)
-            fps = np.flatnonzero(~match.pred_matched)
+            recall, f1 = recall_f1(ref, pred)
+            *_, matched, _ = recall_f1_oracle(ref.data, pred.data)
+            fps = np.flatnonzero(~np.asarray(matched))
             if fps.size == 0:
                 continue
             trials += 1
-            drop = fps[0] + 1
-            pruned = BinaryMask(
-                pred.data & (match.pred_components.labels != drop),
-                pred.spacing)
-            recall2, f12, _ = lesion_recall_f1(ref, pruned)
+            pred_labels = cc_oracle(pred.data)[0]
+            pruned = BinaryMask(pred.data & (pred_labels != fps[0] + 1),
+                                pred.spacing)
+            recall2, f12 = recall_f1(ref, pruned)
             assert recall2 == recall
             assert f12 >= f1
 
 
 class TestSizeSplit:
-    def _match(self, ref, pred):
-        return lesion_recall_f1(ref, pred)[2]
-
     def test_all_detected(self):
         ref = blob([(0, 0, 0), (4, 4, 4), (5, 4, 4)])   # sizes 1 and 2
-        assert size_split_recall(self._match(ref, ref)) == (1.0, 1.0)
+        m = score(ref, ref)
+        assert (m.recall_small, m.recall_large) == (1.0, 1.0)
 
     def test_median_split_counting(self):
         # sizes 1, 2 and 9; median 2; only the size-9 lesion detected
@@ -248,21 +251,24 @@ class TestSizeSplit:
         data[4:6, 0, 0] = True               # size 2
         data[10:19, 0, 0] = True             # size 9
         ref = BinaryMask(data, (1, 1, 1))
-        pred = blob([(12, 0, 0)], dims=(20, 8, 4))
-        small, large = size_split_recall(self._match(ref, pred))
-        assert small == 0.0
-        assert large == 1.0
+        m = score(ref, blob([(12, 0, 0)], dims=(20, 8, 4)))
+        assert m.recall_small == 0.0
+        assert m.recall_large == 1.0
+        assert size_split_recall([1, 2, 9], [False, False, True]) == (0.0,
+                                                                      1.0)
 
     def test_equal_sizes_leave_large_stratum_empty(self):
         ref = blob([(0, 0, 0), (4, 4, 0)], dims=(8, 8, 2))
-        small, large = size_split_recall(self._match(ref, ref))
-        assert small == 1.0
-        assert large is None
+        m = score(ref, ref)
+        assert m.recall_small == 1.0
+        assert m.recall_large is None
 
     def test_empty_reference_is_an_error(self):
-        match = self._match(blob([]), blob([]))
         with pytest.raises(UndefinedMetricError):
-            size_split_recall(match)
+            size_split_recall(np.zeros(0, dtype=np.int64),
+                              np.zeros(0, dtype=bool))
+        m = score(blob([]), blob([]))
+        assert m.recall_small is None and m.recall_large is None
 
     def test_winner_relative_difference(self):
         assert relative_difference(0.76, 0.94) == pytest.approx(-0.1914894,
@@ -370,10 +376,24 @@ class TestEvaluatePair:
                           labels_from([], (4, 4, 4), spacing=(1, 1, 2)))
 
 
+def whole_grid_h95(ref_mask, pred_mask, spacing, mode):
+    """H95 from the uncropped masks' surfaces, one KD-tree each way."""
+    if not ref_mask.any() or not pred_mask.any():
+        return None
+    surf_ref = surface_voxels(BinaryMask(ref_mask, spacing))
+    surf_pred = surface_voxels(BinaryMask(pred_mask, spacing))
+    d_rp = directed_surface_distances(surf_ref, surf_pred, spacing)
+    d_pr = directed_surface_distances(surf_pred, surf_ref, spacing)
+    if mode == "directed":
+        return float(max(np.percentile(d_rp, 95.0),
+                         np.percentile(d_pr, 95.0)))
+    return float(np.percentile(np.concatenate([d_rp, d_pr]), 95.0))
+
+
 def assert_same_as_uncropped(ref, pred, config=EvalConfig()):
-    """evaluate_pair, which works inside the lesion bounding box, against
-    the whole-grid oracle, with H95 bit-identical to hausdorff95 on the
-    uncropped masks."""
+    """evaluate_pair, which crops each volume to its lesion box, against
+    the whole-grid oracle, with H95 bit-identical to the same surface
+    distances taken on the uncropped masks."""
     got = evaluate_pair(ref, pred, config).as_dict()
     want = evaluate_pair_oracle(ref.data, pred.data, ref.spacing,
                                 config.connectivity, config.h95_mode,
@@ -388,10 +408,9 @@ def assert_same_as_uncropped(ref, pred, config=EvalConfig()):
     ref_wmh, ignore = binarize_challenge(ref)
     pred_wmh, _ = binarize_challenge(pred)
     keep = ~ignore.data if config.ignore_mode == "exclude" else True
-    whole = hausdorff95(BinaryMask(ref_wmh.data & keep, ref.spacing),
-                        BinaryMask(pred_wmh.data & keep, ref.spacing),
-                        config.h95_mode)
-    assert got["h95_mm"] == whole
+    assert got["h95_mm"] == whole_grid_h95(ref_wmh.data & keep,
+                                           pred_wmh.data & keep,
+                                           ref.spacing, config.h95_mode)
 
 
 FACE_DIMS = (9, 8, 7)
@@ -491,7 +510,7 @@ class TestEvaluatePairCrop:
 
 
 def prepared_arrays(prepared):
-    return [*prepared.profiles, prepared.wmh.data, prepared.other,
+    return [prepared.wmh.data, prepared.other,
             prepared.components.labels, prepared.components.sizes,
             prepared.surface]
 
@@ -528,7 +547,7 @@ class TestPreparedReference:
                 h95_mode=h95_mode, ignore_mode=ignore_mode))
 
     def test_empty_reference_against_a_far_prediction(self):
-        # the reference's box is the origin voxel, outside the union box
+        # the reference's box is empty, so it meets no prediction box
         dims = (30, 28, 12)
         empty = labels_from([], dims)
         far = labels_from([(25, 24, 9), (26, 24, 9), (20, 3, 10)], dims,
@@ -579,3 +598,85 @@ class TestPreparedReference:
         prepared = prepare_reference(ref, EvalConfig(connectivity=6))
         with pytest.raises(ValueError, match="connectivity 6, not 26"):
             evaluate_pair(prepared, ref)
+
+
+@st.composite
+def boxed_volumes(draw):
+    """Two sparse 0/1/2 volumes on one anisotropic grid of up to 12**3,
+    each filled inside a drawn region whose corners are set, so the
+    region is the volume's tight box. The second region is drawn inside
+    the first (nested) or anywhere (disjoint or partly overlapping);
+    either volume may be empty, and either may be the reference."""
+    dims = tuple(draw(st.integers(1, 12)) for _ in range(3))
+    spacing = tuple(draw(st.sampled_from((0.5, 0.96, 1.0, 1.3, 3.0)))
+                    for _ in range(3))
+    nested = draw(st.integers(0, 2)) == 0
+    regions, vols = [], []
+    for _ in range(2):
+        bounds = (regions[0] if nested and regions
+                  else [slice(0, n) for n in dims])
+        region = []
+        for sl in bounds:
+            lo = draw(st.integers(sl.start, sl.stop - 1))
+            region.append(slice(lo, draw(st.integers(lo + 1, sl.stop))))
+        regions.append(region)
+        data = np.zeros(dims, dtype=np.int32)
+        if draw(st.integers(0, 15)):
+            shape = tuple(sl.stop - sl.start for sl in region)
+            data[tuple(region)] = draw(hnp.arrays(
+                np.int32, shape, elements=st.sampled_from((1, 1, 2)),
+                fill=st.just(0)))
+            data[tuple(sl.start for sl in region)] = 1
+            data[tuple(sl.stop - 1 for sl in region)] = draw(
+                st.sampled_from((1, 2)))
+        vols.append(LabelVolume(data, spacing))
+    return vols if draw(st.booleans()) else vols[::-1]
+
+
+def box_relation(a, b):
+    """How two volumes' lesion boxes (their non-zero labels' boxes) meet."""
+    def box(vol):
+        nz = np.argwhere(vol.data)
+        return list(zip(nz.min(axis=0), nz.max(axis=0) + 1))
+    if not a.data.any() or not b.data.any():
+        return "empty"
+    pairs = list(zip(box(a), box(b)))
+    if any(x[1] <= y[0] or y[1] <= x[0] for x, y in pairs):
+        return "disjoint"
+    if (all(y[0] <= x[0] and x[1] <= y[1] for x, y in pairs)
+            or all(x[0] <= y[0] and y[1] <= x[1] for x, y in pairs)):
+        return "nested"
+    return "overlapping"
+
+
+ALL_CONFIGS = [EvalConfig(c, h, i) for c in (6, 18, 26)
+               for h in ("directed", "pooled")
+               for i in ("exclude", "background")]
+
+
+BOX_DRAWS = settings(max_examples=100, derandomize=True, deadline=None,
+                     suppress_health_check=[HealthCheck.too_slow,
+                                            HealthCheck.data_too_large])
+
+
+@BOX_DRAWS
+@given(boxed_volumes())
+def test_raw_and_prepared_match_the_oracle_for_any_two_boxes(vols):
+    ref, pred = vols
+    event(box_relation(ref, pred))
+    for config in ALL_CONFIGS:
+        assert_same_as_uncropped(ref, pred, config)
+        assert (evaluate_pair(prepare_reference(ref, config), pred, config)
+                == evaluate_pair(ref, pred, config))
+
+
+def test_the_box_draws_cover_every_relation():
+    seen = set()
+
+    @BOX_DRAWS
+    @given(boxed_volumes())
+    def collect(vols):
+        seen.add(box_relation(*vols))
+
+    collect()
+    assert seen == {"empty", "disjoint", "nested", "overlapping"}

@@ -2,13 +2,12 @@ import numpy as np
 import pytest
 
 from seg_eval.errors import CapacityError
-from seg_eval.metrics import hausdorff95, lesion_recall_f1
 from seg_eval.synth import (PerturbOps, PhantomSpec, generate_phantom,
                             perturb_mask)
 from seg_eval.volume import (BinaryMask, binarize_challenge,
                              connected_components)
 
-from helpers import mask_from
+from helpers import mask_from, score_masks as score
 
 
 class TestGeneratePhantom:
@@ -100,8 +99,7 @@ class TestPerturbMask:
     def test_drop_one_of_two_components_halves_recall(self):
         m = mask_from([(2, 2, 2), (10, 10, 10)], (16, 16, 16))
         pred = perturb_mask(m, PerturbOps(drop_components=(2,)))
-        recall, _, _ = lesion_recall_f1(m, pred)
-        assert recall == 0.5
+        assert score(m, pred).recall == 0.5
 
     def test_drop_out_of_range_component(self):
         m = mask_from([(2, 2, 2)], (8, 8, 8))
@@ -113,7 +111,7 @@ class TestPerturbMask:
         pred = perturb_mask(m, PerturbOps(translate=(1, 0, 0)))
         assert pred.data[5, 4, 4]
         assert pred.count() == 1
-        assert hausdorff95(m, pred) == pytest.approx(1.0)
+        assert score(m, pred).h95_mm == pytest.approx(1.0)
 
     def test_translation_clips_at_the_boundary(self):
         m = mask_from([(0, 0, 0), (3, 3, 3)], (4, 4, 4))
@@ -125,10 +123,8 @@ class TestPerturbMask:
         for seed in range(5):
             ref = self._phantom_mask(seed=30 + seed, n_lesions=4)
             pred = perturb_mask(ref, PerturbOps(erode=1, seed=seed))
-            base_recall, _, _ = lesion_recall_f1(ref, pred)
             grown = perturb_mask(pred, PerturbOps(dilate=1))
-            grown_recall, _, _ = lesion_recall_f1(ref, grown)
-            assert grown_recall >= base_recall
+            assert score(ref, grown).recall >= score(ref, pred).recall
 
     def test_dilate_then_erode_supersets_original(self):
         # closing never removes original voxels
