@@ -3,22 +3,19 @@
 The voxelwise maps aggregate where methods miss lesions (false
 negatives) and where they hallucinate them (false positives) across a
 cohort, given subject by subject as one reference and the predictions
-scored against it. The scalar routines cover the cohort summary
-table and the hypothesis tests used to compare patient groups: Welch's
-unequal-variance t-test and Fisher's exact test.
+scored against it. The scalar routine builds the cohort summary
+table.
 """
 
 from __future__ import annotations
 
 import math
-import warnings
 from collections.abc import Iterable
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (ArityError, EvaluationWarning, ShapeMismatchError,
-                     UndefinedMetricError)
+from .errors import ArityError
 from .volume import BinaryMask, connected_components, same_grid
 
 __all__ = [
@@ -27,10 +24,6 @@ __all__ = [
     "Summary",
     "CohortSummary",
     "summarize_cohort",
-    "WelchResult",
-    "welch_ttest",
-    "fisher_exact",
-    "train_test_r2",
 ]
 
 
@@ -167,75 +160,3 @@ def summarize_cohort(masks: list[BinaryMask], volume_bin_ml: float = 10.0,
         volume=_summary(volumes), count=_summary(counts),
         volume_hist=_histogram(volumes, volume_bin_ml),
         count_hist=_histogram(counts, count_bin))
-
-
-@dataclass(frozen=True)
-class WelchResult:
-    t: float
-    df: float
-    p_value: float
-    infinite: bool = False   # variances were zero with unequal means
-
-
-def welch_ttest(a, b) -> WelchResult:
-    """Two-sided Welch t-test (unequal variances), through
-    ``scipy.stats.ttest_ind(equal_var=False)``.
-
-    Degenerate inputs are mapped to the sensible limits: identical
-    constant samples give p = 1, constant samples with different means
-    give p = 0 with the ``infinite`` flag set.
-    """
-    from scipy import stats
-
-    a = np.asarray(a, dtype=np.float64)
-    b = np.asarray(b, dtype=np.float64)
-    if len(a) < 2 or len(b) < 2:
-        raise ArityError("welch_ttest needs at least two values per group")
-    if a.var(ddof=1) == 0.0 and b.var(ddof=1) == 0.0:
-        ma, mb = a.mean(), b.mean()
-        if ma == mb:
-            return WelchResult(t=0.0, df=float("nan"), p_value=1.0)
-        return WelchResult(t=math.copysign(float("inf"), ma - mb),
-                           df=float("nan"), p_value=0.0, infinite=True)
-    with warnings.catch_warnings():
-        # one constant group is exact here, not a loss of precision
-        warnings.simplefilter("ignore", RuntimeWarning)
-        res = stats.ttest_ind(a, b, equal_var=False)
-    return WelchResult(t=float(res.statistic), df=float(res.df),
-                       p_value=float(res.pvalue))
-
-
-def fisher_exact(table) -> float:
-    """Two-sided Fisher exact p for a 2x2 contingency table, through
-    ``scipy.stats.fisher_exact``. Zero margins -> p = 1."""
-    from scipy import stats
-
-    (a, b), (c, d) = table
-    cells = [[int(a), int(b)], [int(c), int(d)]]
-    if min(cells[0] + cells[1]) < 0:
-        raise ValueError(f"negative cell in {table}")
-    return float(stats.fisher_exact(cells).pvalue)
-
-
-def train_test_r2(train, test) -> float:
-    """Squared Pearson correlation between paired cohort statistics.
-
-    A constant train column leaves the correlation undefined; a
-    constant test column is reported as 0 with a warning.
-    """
-    x = np.asarray(train, dtype=np.float64)
-    y = np.asarray(test, dtype=np.float64)
-    if x.shape != y.shape:
-        raise ShapeMismatchError("train and test must pair up")
-    if len(x) < 3:
-        raise ArityError("correlation needs at least three pairs")
-    vx = x.var()
-    vy = y.var()
-    if vx == 0.0:
-        raise UndefinedMetricError("train column is constant")
-    if vy == 0.0:
-        warnings.warn("test column is constant; reporting R^2 = 0",
-                      EvaluationWarning, stacklevel=2)
-        return 0.0
-    r = float(np.mean((x - x.mean()) * (y - y.mean())) / math.sqrt(vx * vy))
-    return r * r

@@ -25,8 +25,8 @@ from .fusion import StapleParams, staple_fuse
 from .metrics import (EvalConfig, evaluate_pair, prepare_reference,
                       wmh_in_lesion_box)
 from .nifti import read_nifti, write_nifti, write_nifti_real
-from .ranking import (BootstrapConfig, SubjectResult, final_rank,
-                      interscanner_rank, rank_with_ci)
+from .ranking import (BootstrapConfig, SubjectResult, interscanner_rank,
+                      rank_with_ci)
 from .reportio import (MANIFEST_COLUMNS, dump_json, metric_report,
                        rank_report, read_manifest, read_result_csv,
                        write_rank_csv, write_result_csv, _envelope)
@@ -153,13 +153,10 @@ def cmd_evaluate_batch(args) -> int:
 
 def cmd_rank(args) -> int:
     table = read_result_csv(args.results)
-    if args.bootstrap > 0:
-        rank = rank_with_ci(table, args.volume_metric,
-                            BootstrapConfig(replicates=args.bootstrap,
-                                            seed=args.seed,
-                                            confidence=args.confidence))
-    else:
-        rank = final_rank(table, args.volume_metric)
+    rank = rank_with_ci(table, args.volume_metric,
+                        BootstrapConfig(replicates=args.bootstrap,
+                                        seed=args.seed,
+                                        confidence=args.confidence))
     inter = None
     if args.interscanner:
         inter = interscanner_rank(table, args.volume_metric,

@@ -37,7 +37,6 @@ __all__ = ["read_nifti", "write_nifti", "write_nifti_real"]
 
 HEADER_SIZE = 348
 _MAGIC_SINGLE = b"n+1\x00"
-_MAGIC_PAIR = b"ni1\x00"
 
 _DTYPE_BY_CODE = {2: np.uint8, 4: np.int16, 16: np.float32}
 _BITPIX_BY_CODE = {2: 8, 4: 16, 16: 32}
@@ -85,7 +84,11 @@ def read_nifti(path: str | Path) -> LabelVolume:
         raise FormatError(f"{path}: file shorter than a NIfTI-1 header")
 
     magic = raw[344:348]
-    if magic not in (_MAGIC_SINGLE, _MAGIC_PAIR):
+    if magic == b"ni1\x00":
+        raise FormatError(f"{path}: magic 'ni1' marks the header of a "
+                          ".hdr/.img pair; header/image pairs are not "
+                          "supported")
+    if magic != _MAGIC_SINGLE:
         raise FormatError(f"{path}: bad magic {magic!r}")
 
     ndim_le, = struct.unpack_from("<h", raw, 40)

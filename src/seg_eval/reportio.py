@@ -273,7 +273,7 @@ def write_rank_csv(rank: RankTable, path: str | Path) -> None:
               "final_ci_high"]
     for name in metrics:
         header += [f"mean_{name}", f"rank_{name}"]
-    with open(path, "w", newline="") as fh:
+    with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(header)
         for i, m in enumerate(rank.methods):

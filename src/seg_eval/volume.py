@@ -15,7 +15,7 @@ Conventions used throughout the package:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy import ndimage
@@ -27,7 +27,6 @@ __all__ = [
     "BinaryMask",
     "ComponentLabeling",
     "binarize_challenge",
-    "merge_labels",
     "surface_voxels",
     "directed_surface_distances",
     "connected_components",
@@ -86,15 +85,6 @@ class LabelVolume:
     def dims(self) -> tuple[int, int, int]:
         return self.data.shape
 
-    @property
-    def voxel_volume_mm3(self) -> float:
-        sx, sy, sz = self.spacing
-        return sx * sy * sz
-
-    def mask(self, label: int) -> "BinaryMask":
-        """Binary mask of voxels equal to ``label``."""
-        return BinaryMask(self.data == label, self.spacing)
-
 
 @dataclass(frozen=True, eq=False)
 class BinaryMask:
@@ -123,17 +113,13 @@ class BinaryMask:
     def dims(self) -> tuple[int, int, int]:
         return self.data.shape
 
-    @property
-    def voxel_volume_mm3(self) -> float:
-        sx, sy, sz = self.spacing
-        return sx * sy * sz
-
     def count(self) -> int:
         return int(self.data.sum())
 
     def volume_ml(self) -> float:
         """Foreground volume in millilitres."""
-        return self.count() * self.voxel_volume_mm3 / 1000.0
+        sx, sy, sz = self.spacing
+        return self.count() * (sx * sy * sz) / 1000.0
 
 
 def _frozen(arr: np.ndarray, dtype) -> np.ndarray:
@@ -176,7 +162,6 @@ class ComponentLabeling:
     count: int
     sizes: np.ndarray  # sizes[k] is the voxel count of component k+1
     connectivity: int
-    spacing: tuple[float, float, float]
 
 
 def binarize_challenge(volume: LabelVolume) -> tuple[BinaryMask, BinaryMask]:
@@ -193,16 +178,6 @@ def binarize_challenge(volume: LabelVolume) -> tuple[BinaryMask, BinaryMask]:
             value=float(data[at]), coordinate=at)
     return (BinaryMask(data == 1, volume.spacing),
             BinaryMask(data == 2, volume.spacing))
-
-
-def merge_labels(wmh: BinaryMask, other: BinaryMask) -> LabelVolume:
-    """Compose a challenge label volume from WMH and other-pathology
-    masks. Where both are set, WMH (label 1) wins."""
-    same_grid(wmh, other, "masks")
-    data = np.zeros_like(wmh.data, dtype=np.int32)
-    data[other.data] = 2
-    data[wmh.data] = 1
-    return LabelVolume(data, wmh.spacing)
 
 
 def _shift_into(op, out: np.ndarray, src: np.ndarray,
@@ -277,4 +252,4 @@ def connected_components(mask: BinaryMask, connectivity: int = 26
     labels.setflags(write=False)
     sizes.setflags(write=False)
     return ComponentLabeling(labels=labels, count=int(n), sizes=sizes,
-                             connectivity=connectivity, spacing=mask.spacing)
+                             connectivity=connectivity)

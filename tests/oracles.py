@@ -233,55 +233,6 @@ def evaluate_pair_oracle(ref_labels, pred_labels, spacing,
     }
 
 
-# -------------------------------------------------------------- statistics
-
-def welch_p_quadrature(a, b) -> float:
-    """Welch two-sided p by numerically integrating the t density."""
-    from scipy.integrate import quad
-
-    a = np.asarray(a, dtype=np.float64)
-    b = np.asarray(b, dtype=np.float64)
-    na, nb = len(a), len(b)
-    va, vb = a.var(ddof=1), b.var(ddof=1)
-    se2 = va / na + vb / nb
-    t = (a.mean() - b.mean()) / math.sqrt(se2)
-    df = se2 ** 2 / ((va / na) ** 2 / (na - 1) + (vb / nb) ** 2 / (nb - 1))
-
-    def pdf(x):
-        return math.exp(math.lgamma((df + 1) / 2) - math.lgamma(df / 2)
-                        - 0.5 * math.log(df * math.pi)
-                        - (df + 1) / 2 * math.log1p(x * x / df))
-
-    tail, _ = quad(pdf, abs(t), np.inf)
-    return 2.0 * tail
-
-
-def fisher_exact_fraction(table) -> float:
-    """Two-sided Fisher p by exact rational enumeration."""
-    (a, b), (c, d) = table
-    r1, r2, c1 = a + b, c + d, a + c
-    n = r1 + r2
-    denom = math.comb(n, c1)
-
-    def pmf(x):
-        return Fraction(math.comb(r1, x) * math.comb(r2, c1 - x), denom)
-
-    observed = pmf(a)
-    lo = max(0, c1 - r2)
-    hi = min(r1, c1)
-    total = sum((p for x in range(lo, hi + 1)
-                 if (p := pmf(x)) <= observed), Fraction(0))
-    return float(min(total, Fraction(1)))
-
-
-def r2_direct(x, y) -> float:
-    x = np.asarray(x, dtype=np.float64)
-    y = np.asarray(y, dtype=np.float64)
-    sx = x - x.mean()
-    sy = y - y.mean()
-    return float((sx * sy).sum() ** 2 / ((sx ** 2).sum() * (sy ** 2).sum()))
-
-
 # ----------------------------------------------------------------- ranking
 
 def bootstrap_oracle(vals, higher_better, replicates: int, seed: int):

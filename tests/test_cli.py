@@ -29,7 +29,8 @@ from seg_eval.metrics import EvalConfig, evaluate_pair
 from seg_eval.nifti import read_nifti, write_nifti
 from seg_eval.ranking import (BootstrapConfig, final_rank, interscanner_rank,
                               rank_with_ci)
-from seg_eval.reportio import read_result_csv, write_result_csv
+from seg_eval.reportio import (dump_json, rank_report, read_result_csv,
+                               write_rank_csv, write_result_csv)
 from seg_eval.volume import BinaryMask, LabelVolume, binarize_challenge
 
 
@@ -53,6 +54,20 @@ def write_manifest(path, rows) -> Path:
     lines += [",".join(r) for r in rows]
     Path(path).write_text("\n".join(lines) + "\n")
     return Path(path)
+
+
+def run_child(code: str, *args: str, cwd,
+              **env: str) -> subprocess.CompletedProcess:
+    """Run ``python -c code args`` in a fresh interpreter, with ``env``
+    added to this process's environment."""
+    # Put the directory holding the imported seg_eval first, so the
+    # child runs the same code as this process.
+    src = str(Path(seg_eval.__file__).parent.parent)
+    env = {**os.environ, **env, "PYTHONPATH": os.pathsep.join(
+        filter(None, (src, os.environ.get("PYTHONPATH"))))}
+    return subprocess.run([sys.executable, "-c", code, *args],
+                          capture_output=True, text=True, timeout=60,
+                          cwd=cwd, env=env)
 
 
 def read_pyproject() -> dict:
@@ -449,6 +464,38 @@ class TestRank:
             assert cells[0] == entry["method_id"]
             assert float(cells[2]) == entry["final_rank"]
 
+    def test_no_bootstrap_writes_the_final_rank_bytes(self, results_csv,
+                                                      tmp_path):
+        rc = main(["rank", str(results_csv), "--bootstrap", "0",
+                   "-o", str(tmp_path / "cli.json"),
+                   "--csv", str(tmp_path / "cli.csv")])
+        assert rc == 0
+        rank = final_rank(read_result_csv(results_csv), "lavd")
+        config = {"volume_metric": "lavd", "bootstrap": 0, "seed": 0,
+                  "confidence": 0.95, "interscanner": False,
+                  "interscanner_normalization": "minmax"}
+        dump_json(rank_report(rank, config), tmp_path / "lib.json")
+        write_rank_csv(rank, tmp_path / "lib.csv")
+        for ext in ("json", "csv"):
+            assert (tmp_path / f"cli.{ext}").read_bytes() \
+                == (tmp_path / f"lib.{ext}").read_bytes()
+
+    def test_rank_csv_is_utf8_under_an_ascii_locale(self, tmp_path):
+        table = table_from_columns({"méthode": {"dsc": [0.9, 0.8, 0.7]},
+                                    "m_b": {"dsc": [0.6, 0.5, 0.4]}})
+        write_result_csv(list(table.records), tmp_path / "res.csv")
+        code = "import sys; from seg_eval.cli import main; sys.exit(main())"
+        out = {}
+        for name, env in (("ascii", {"PYTHONUTF8": "0", "LC_ALL": "C",
+                                     "PYTHONCOERCECLOCALE": "0"}),
+                          ("utf8", {"PYTHONUTF8": "1"})):
+            proc = run_child(code, "rank", "res.csv", "--bootstrap", "0",
+                             "--csv", f"{name}.csv", cwd=tmp_path, **env)
+            assert proc.returncode == 0, proc.stderr
+            out[name] = (tmp_path / f"{name}.csv").read_bytes()
+        assert "méthode" in out["ascii"].decode("utf-8")
+        assert out["ascii"] == out["utf8"]
+
     def test_interscanner_block(self, results_csv, capsys):
         rc = main(["rank", str(results_csv), "--bootstrap", "0",
                    "--interscanner"])
@@ -842,24 +889,13 @@ class TestTopLevel:
         assert rc == 1
         assert "usage error:" in capsys.readouterr().err
 
-    @staticmethod
-    def _child(code: str, *args: str, cwd) -> subprocess.CompletedProcess:
-        # Put the directory holding the imported seg_eval first, so the
-        # child runs the same code as this process.
-        src = str(Path(seg_eval.__file__).parent.parent)
-        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
-            filter(None, (src, os.environ.get("PYTHONPATH"))))}
-        return subprocess.run([sys.executable, "-c", code, *args],
-                              capture_output=True, text=True, timeout=60,
-                              cwd=cwd, env=env)
-
     def test_console_script_help(self, tmp_path):
         # Launch the declared [project.scripts] target the way the
         # pip-generated wrapper does, so no install is needed.
         scripts = read_pyproject()["project"]["scripts"]
         assert scripts.get("seg-eval") == "seg_eval.cli:main"
         module, attr = scripts["seg-eval"].split(":")
-        proc = self._child(
+        proc = run_child(
             f"import sys; from {module} import {attr}; sys.exit({attr}())",
             "--help", cwd=tmp_path)
         assert proc.returncode == 0, proc.stderr
@@ -874,7 +910,7 @@ class TestTopLevel:
     def test_import_leaves_scipy_stats_and_spatial_unloaded(self, tmp_path):
         # scipy.stats alone nearly doubles the RSS of importing the CLI,
         # so it and scipy.spatial load only inside the functions using them
-        proc = self._child(
+        proc = run_child(
             "import sys, seg_eval.cli; print(sorted(m for m in sys.modules "
             "if m.startswith(('scipy.stats', 'scipy.spatial'))))",
             cwd=tmp_path)

@@ -60,9 +60,12 @@ class TestHandBuiltFixtures:
         assert vol.data[0, 1, 0] == 1
         assert vol.data[1, 1, 0] == 0
 
-    def test_pair_magic_accepted(self, on_disk):
-        blob = build_file(magic=b"ni1\x00", payload=bytes(4))
-        assert read_nifti(on_disk(blob)).dims == (2, 2, 1)
+    def test_pair_magic_rejected_naming_the_file(self, on_disk):
+        # "ni1" heads a .hdr/.img pair: the voxels are in another file
+        path = on_disk(build_file(magic=b"ni1\x00", payload=bytes(4)))
+        with pytest.raises(FormatError, match="pairs are not supported") as e:
+            read_nifti(path)
+        assert str(path) in str(e.value)
 
     def test_int16_payload(self, on_disk):
         payload = struct.pack("<4h", 0, 1, 2, 1)

@@ -2,12 +2,11 @@ import numpy as np
 import pytest
 from scipy import ndimage
 
-from seg_eval.errors import InvalidLabelError, ShapeMismatchError
+from seg_eval.errors import InvalidLabelError
 from seg_eval.synth import PerturbOps, perturb_mask
 from seg_eval.volume import (BinaryMask, LabelVolume, binarize_challenge,
                              connected_components,
-                             directed_surface_distances, merge_labels,
-                             surface_voxels)
+                             directed_surface_distances, surface_voxels)
 
 from helpers import labels_from, mask_from, random_mask
 from oracles import allpairs_directed, cc_oracle, surface_oracle
@@ -65,10 +64,6 @@ class TestLabelVolume:
         with pytest.raises(ValueError):
             LabelVolume(np.zeros((2, 2), dtype=np.int32), (1, 1, 1))
 
-    def test_voxel_volume(self):
-        v = LabelVolume(np.zeros((2, 2, 2), dtype=np.int32), (0.5, 1.0, 3.0))
-        assert v.voxel_volume_mm3 == pytest.approx(1.5)
-
 
 class TestBinaryMask:
     def test_accepts_integer_input(self):
@@ -98,29 +93,6 @@ class TestBinarize:
             binarize_challenge(LabelVolume(data, (1, 1, 1)))
         assert err.value.coordinate == (1, 2, 0)
         assert err.value.value == 3
-
-
-class TestMergeLabels:
-    def test_wmh_wins_overlap(self):
-        wmh = mask_from([(0, 0, 0), (1, 1, 1)], (3, 3, 3))
-        other = mask_from([(1, 1, 1), (2, 2, 2)], (3, 3, 3))
-        merged = merge_labels(wmh, other)
-        assert merged.data[0, 0, 0] == 1
-        assert merged.data[1, 1, 1] == 1
-        assert merged.data[2, 2, 2] == 2
-
-    def test_roundtrip_with_binarize(self):
-        rng = np.random.default_rng(4)
-        for _ in range(10):
-            v = LabelVolume(rng.integers(0, 3, (6, 5, 4)).astype(np.int32),
-                            (1, 1, 1))
-            wmh, other = binarize_challenge(v)
-            back = merge_labels(wmh, other)
-            assert np.array_equal(back.data, v.data)
-
-    def test_grid_mismatch(self):
-        with pytest.raises(ShapeMismatchError):
-            merge_labels(mask_from([], (2, 2, 2)), mask_from([], (3, 2, 2)))
 
 
 class TestDilateErode:
