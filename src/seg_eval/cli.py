@@ -31,7 +31,7 @@ from .reportio import (MANIFEST_COLUMNS, dump_json, metric_report,
                        rank_report, read_manifest, read_result_csv,
                        write_rank_csv, write_result_csv, _envelope)
 from .synth import PerturbOps, PhantomSpec, generate_phantom, perturb_mask
-from .volume import BinaryMask, LabelVolume, binarize_challenge, same_grid
+from .volume import BinaryMask, binarize_challenge, same_grid
 
 
 class CliUsageError(SegEvalError):
@@ -292,8 +292,7 @@ def cmd_synth(args) -> int:
             method = f"method_{mi:02d}"
             pred = perturb_mask(wmh, _method_ops(mi, args.seed + si))
             pred_name = f"{subject}_{method}.nii.gz"
-            write_nifti(LabelVolume(pred.data.astype(np.int32),
-                                    pred.spacing), out / pred_name)
+            write_nifti(pred, out / pred_name)
             manifest_rows.append((method, subject, scanner,
                                   ref_name, pred_name))
     manifest = out / "manifest.csv"

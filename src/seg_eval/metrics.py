@@ -116,10 +116,10 @@ def log_avd(ref_volume: float, pred_volume: float) -> float | None:
 
 
 def _hits(labels: np.ndarray, count: int) -> np.ndarray:
-    """Flags for component ids 1..count: which of them ``labels`` holds."""
+    """Flags for component ids 1..count: which of them ``labels`` holds.
+    Every entry of ``labels`` is a foreground id, so none is 0."""
     hit = np.zeros(count, dtype=bool)
-    ids = np.unique(labels)
-    hit[ids[ids > 0] - 1] = True
+    hit[labels - 1] = True
     return hit
 
 
@@ -280,8 +280,12 @@ def evaluate_pair(ref: LabelVolume | PreparedReference, pred: LabelVolume,
     n_pred_vox = pred_eval.count()
     comps_pred = connected_components(pred_eval, config.connectivity)
 
-    # lesions are hit where reference and prediction overlap
-    overlap = np.nonzero(ref.wmh.data[in_ref] & pred_data[in_pred])
+    # lesions are hit where reference and prediction overlap; one flat
+    # scan in the overlap's own layout is faster than a 3-D np.nonzero
+    both = ref.wmh.data[in_ref] & pred_data[in_pred]
+    order = "F" if both.flags.f_contiguous else "C"
+    overlap = np.unravel_index(np.flatnonzero(both.ravel(order)),
+                               both.shape, order=order)
     ref_hit = _hits(ref.components.labels[in_ref][overlap],
                     ref.components.count)
     pred_hit = _hits(comps_pred.labels[in_pred][overlap], comps_pred.count)

@@ -1,18 +1,22 @@
 """Minimal single-file NIfTI-1 reader/writer.
 
 Only what the evaluation pipeline needs: 3-D volumes, datatypes uint8,
-int16 and float32, optional gzip container selected by a ``.gz``
-suffix. The payload is stored x-fastest, which is how NIfTI defines
-its on-disk order. A read volume keeps that order: its data is the
-F-ordered ``reshape(order="F")`` of the payload, converted to int32
-without a transpose, and ``tobytes(order="F")`` writes it back as a
-plain copy. Arrays in C order are written correctly too, through a
+int8, int16, uint16, int32, float32 and float64 (codes 2, 256, 4, 512,
+8, 16, 64), optional gzip container selected by a ``.gz`` suffix. The
+payload is stored x-fastest, which is how NIfTI defines its on-disk
+order. A read volume keeps that order: its data is the F-ordered
+``reshape(order="F")`` of the payload, without a transpose, and
+``tobytes(order="F")`` writes it back as a plain copy. An integer
+payload in native byte order is handed over as decoded, in its own
+dtype; a byte-swapped one becomes int32, and a float one is rounded to
+int32. Arrays in C order are written correctly too, through a
 transposing copy.
 
 Every voxel value is a label as stored: the scaling fields
 ``scl_slope``/``scl_inter`` must say so (slope 0 or 1, intercept 0),
-and a label that is negative or beyond int32 is rejected. Every error
-names the file.
+and a label that is negative or beyond int32 is rejected. A negative
+voxel spacing, which some writers use to mark a flipped axis, is
+rejected too. Every error names the file.
 
 Written files are deterministic: unused header fields are zeroed and
 gzip members carry mtime 0, so identical volumes produce identical
@@ -38,8 +42,9 @@ __all__ = ["read_nifti", "write_nifti", "write_nifti_real"]
 HEADER_SIZE = 348
 _MAGIC_SINGLE = b"n+1\x00"
 
-_DTYPE_BY_CODE = {2: np.uint8, 4: np.int16, 16: np.float32}
-_BITPIX_BY_CODE = {2: 8, 4: 16, 16: 32}
+_DTYPE_BY_CODE = {2: np.uint8, 4: np.int16, 8: np.int32, 16: np.float32,
+                  64: np.float64, 256: np.int8, 512: np.uint16}
+_BITPIX_BY_CODE = {2: 8, 4: 16, 8: 32, 16: 32, 64: 64, 256: 8, 512: 16}
 
 
 def _read_container(path: Path) -> bytes:
@@ -75,8 +80,10 @@ def read_nifti(path: str | Path) -> LabelVolume:
     Big-endian headers are detected through the dim[0] range check and
     byte-swapped. Float payloads are rounded to the nearest integer,
     ties away from zero. Non-finite values and labels outside
-    [0, 2**31 - 1] are rejected with the file, value and voxel. The
-    returned data keeps the file's x-fastest order (F-contiguous).
+    [0, 2**31 - 1] are rejected with the file, value and voxel, and a
+    negative spacing with the file and axis. The returned data keeps
+    the file's x-fastest order (F-contiguous) and, for a native integer
+    payload, its dtype.
     """
     path = Path(path)
     raw = _read_container(path)
@@ -120,7 +127,12 @@ def read_nifti(path: str | Path) -> LabelVolume:
     if min(nx, ny, nz) < 1:
         raise FormatError(f"{path}: non-positive spatial dims {(nx, ny, nz)}")
 
-    spacing = tuple(abs(float(p)) for p in pixdim[1:4])
+    for i, p in enumerate(pixdim[1:4], start=1):
+        if p < 0:
+            raise FormatError(
+                f"{path}: negative voxel spacing pixdim[{i}] = {p} on the "
+                f"{'xyz'[i - 1]} axis; flipped axes are not supported")
+    spacing = tuple(float(p) for p in pixdim[1:4])
     if not all(np.isfinite(s) and s > 0 for s in spacing):
         raise FormatError(f"{path}: invalid voxel spacing {spacing}")
 
@@ -143,7 +155,8 @@ def read_nifti(path: str | Path) -> LabelVolume:
     flat = np.frombuffer(raw, dtype=dt, count=nvox, offset=offset)
     data = flat.reshape((nx, ny, nz), order="F")
 
-    if datatype == 16:
+    real = dt.kind == "f"
+    if real:
         finite = np.isfinite(data)
         if not finite.all():
             at = _first_where(~finite)
@@ -151,12 +164,13 @@ def read_nifti(path: str | Path) -> LabelVolume:
                 f"{path}: non-finite voxel value {data[at]} at voxel {at}",
                 value=float(data[at]), coordinate=at)
         data = _round_half_away(data.astype(np.float64))
-    if datatype != 2 and (data.min() < 0 or data.max() > _LABEL_MAX):
+    # uint8 and uint16 labels always lie in range
+    if dt.kind != "u" and (data.min() < 0 or data.max() > _LABEL_MAX):
         at = _first_where((data < 0) | (data > _LABEL_MAX))
         raise InvalidLabelError(
             f"{path}: label {data[at]:g} at voxel {at} is outside "
             f"[0, {_LABEL_MAX}]", value=float(data[at]), coordinate=at)
-    if datatype == 16:
+    if real:
         data = data.astype(np.int32, order="K")
     return LabelVolume(data, spacing)
 
@@ -194,7 +208,7 @@ def write_nifti(volume: LabelVolume | BinaryMask, path: str | Path) -> None:
         if data.size and int(data.max()) > 255:
             raise InvalidLabelError(
                 f"label {int(data.max())} does not fit the uint8 payload")
-        data = data.astype(np.uint8)
+        data = data.astype(np.uint8, copy=False)
     blob = _assemble(volume.dims, volume.spacing, 2, data.tobytes(order="F"))
     _write_container(path, blob)
 

@@ -139,7 +139,7 @@ def generate_phantom(spec: PhantomSpec) -> LabelVolume:
     occupied = np.zeros(spec.dims, dtype=bool)
     wmh = _place_blobs(occupied, spec.dims, spec.size_range, spec.seed,
                        key_base=0, n_blobs=spec.n_lesions, target_voxels=None)
-    data = wmh.astype(np.int32)
+    data = wmh.astype(np.uint8)
     if spec.ignore_fraction > 0.0:
         target = int(round(spec.ignore_fraction * wmh.sum()))
         if target > 0:

@@ -51,11 +51,14 @@ def _check_grid(data: np.ndarray, spacing) -> tuple[float, float, float]:
 class LabelVolume:
     """An integer-labelled 3-D grid with voxel spacing in mm.
 
-    ``data`` is normalised to a read-only int32 array of shape
-    ``(nx, ny, nz)`` in the layout it arrives in; an int32 array that
-    is C- or F-contiguous is kept without a copy and frozen in place,
-    so the caller's array becomes read-only too: a prepared reference
-    relies on this to never go stale. Labels must lie in [0, 2**31 - 1].
+    ``data`` is a read-only integer array of shape ``(nx, ny, nz)`` in
+    the layout it arrives in. A native payload of at most 32 bits
+    (uint8, int8, int16, uint16, int32, uint32) keeps its dtype; wider
+    dtypes and non-native byte orders become int32. A C- or
+    F-contiguous array that keeps its dtype is kept without a copy and
+    frozen in place, so the caller's array becomes read-only too: a
+    prepared reference relies on this to never go stale. Labels must
+    lie in [0, 2**31 - 1].
     """
 
     data: np.ndarray
@@ -78,7 +81,10 @@ class LabelVolume:
             raise InvalidLabelError(
                 f"label {int(arr[bad])} at voxel {bad} does not fit int32",
                 value=float(arr[bad]), coordinate=bad)
-        object.__setattr__(self, "data", _frozen(arr, np.int32))
+        dtype = arr.dtype
+        if dtype.itemsize > 4 or not dtype.isnative:
+            dtype = np.dtype(np.int32)
+        object.__setattr__(self, "data", _frozen(arr, dtype))
         object.__setattr__(self, "spacing", spacing)
 
     @property
@@ -114,7 +120,7 @@ class BinaryMask:
         return self.data.shape
 
     def count(self) -> int:
-        return int(self.data.sum())
+        return int(np.count_nonzero(self.data))
 
     def volume_ml(self) -> float:
         """Foreground volume in millilitres."""
@@ -209,7 +215,10 @@ def surface_voxels(mask: BinaryMask) -> np.ndarray:
         _shift_into(np.logical_or, neighbour, m, off)
         interior &= neighbour
     surf = m & ~interior
-    return np.argwhere(surf)
+    # np.argwhere's C-ordered rows from one flat scan, which is faster
+    # than a scan of the 3-D array
+    return np.stack(np.unravel_index(np.flatnonzero(surf.ravel("C")),
+                                     surf.shape), axis=1)
 
 
 def directed_surface_distances(from_coords: np.ndarray,

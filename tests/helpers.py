@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import struct
+
 import numpy as np
 
 from seg_eval.metrics import EvalConfig, MetricVector, evaluate_pair
@@ -9,6 +11,44 @@ from seg_eval.ranking import ResultTable, SubjectResult
 from seg_eval.synth import PerturbOps, PhantomSpec, generate_phantom, \
     perturb_mask
 from seg_eval.volume import BinaryMask, LabelVolume, binarize_challenge
+
+
+# bits per voxel of each NIfTI datatype code the reader accepts
+BITPIX = {2: 8, 4: 16, 8: 32, 16: 32, 64: 64, 256: 8, 512: 16}
+DTYPE_BY_CODE = {2: "u1", 4: "i2", 8: "i4", 16: "f4", 64: "f8", 256: "i1",
+                 512: "u2"}
+
+
+def build_file(dims=(2, 2, 1), pixdim=(1.0, 1.0, 3.0), datatype=2,
+               bitpix=None, vox_offset=348.0, magic=b"n+1\x00",
+               payload=None, byteorder="<", ndim=3, scaling=(0.0, 0.0)):
+    """Hand-assembled NIfTI-1 bytes, independent of the writer."""
+    if bitpix is None:
+        bitpix = BITPIX.get(datatype, 8)
+    hdr = bytearray(348)
+    struct.pack_into(byteorder + "i", hdr, 0, 348)
+    struct.pack_into(byteorder + "8h", hdr, 40,
+                     ndim, dims[0], dims[1], dims[2], 1, 1, 1, 1)
+    struct.pack_into(byteorder + "2h", hdr, 70, datatype, bitpix)
+    struct.pack_into(byteorder + "8f", hdr, 76,
+                     1.0, pixdim[0], pixdim[1], pixdim[2], 0, 0, 0, 0)
+    struct.pack_into(byteorder + "3f", hdr, 108, vox_offset, *scaling)
+    hdr[344:348] = magic
+    if payload is None:
+        n = dims[0] * dims[1] * dims[2]
+        payload = bytes(n * bitpix // 8)
+    pad = b"\x00" * max(0, int(vox_offset) - 348)
+    return bytes(hdr) + pad + payload
+
+
+def encode_as(data: np.ndarray, spacing, datatype: int,
+              byteorder: str = "<") -> bytes:
+    """``data`` as a hand-built file with the given datatype code and
+    byte order, payload x-fastest."""
+    dt = np.dtype(DTYPE_BY_CODE[datatype]).newbyteorder(byteorder)
+    return build_file(dims=data.shape, pixdim=spacing, datatype=datatype,
+                      byteorder=byteorder,
+                      payload=data.astype(dt).tobytes(order="F"))
 
 
 def mask_from(coords, dims, spacing=(1.0, 1.0, 1.0)) -> BinaryMask:

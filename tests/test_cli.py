@@ -21,7 +21,7 @@ import numpy as np
 import pytest
 
 import seg_eval
-from helpers import labels_from, table_from_columns
+from helpers import encode_as, labels_from, table_from_columns
 from seg_eval.analysis import fn_fp_maps, summarize_cohort
 from seg_eval.cli import main
 from seg_eval.fusion import StapleParams, staple_fuse
@@ -840,6 +840,69 @@ class TestSynth:
         assert body["methods"][0]["method_id"] == "method_00"
         assert body["methods"][0]["final_rank"] == 0.0
         assert body["methods"][0]["position"] == 1
+
+
+# one corpus's files in each NIfTI datatype the reader converts or keeps:
+# (datatype code, byte order) for references and for predictions
+ENCODINGS = {"int16": ((4, "<"), (4, "<")),
+             "int16-big-endian": ((4, ">"), (4, ">")),
+             "float32": ((16, "<"), (16, "<")),
+             "mixed": ((4, ">"), (16, "<"))}
+
+
+def run_every_output(corpus: Path, out: Path) -> dict[str, bytes]:
+    """Each file and stdout of ``evaluate-batch`` (jobs 1 and 2),
+    ``cohort``, ``maps`` and ``staple`` over a synth corpus, by name."""
+    out.mkdir()
+    manifest = str(corpus / "manifest.csv")
+    staple_inputs = sorted(str(p) for p in corpus.glob("sub-000_*.nii.gz"))
+    for argv in (
+            ["evaluate-batch", manifest, "-o", str(out / "j1.csv"),
+             "--jobs", "1"],
+            ["evaluate-batch", manifest, "-o", str(out / "j2.csv"),
+             "--jobs", "2"],
+            ["cohort", manifest, "-o", str(out / "cohort.json")],
+            ["maps", manifest, "--fn-out", str(out / "fn.nii.gz"),
+             "--fp-out", str(out / "fp.nii.gz"),
+             "--lesion-count-out", str(out / "count.nii.gz")],
+            ["staple", *staple_inputs, "-o", str(out / "consensus.nii.gz"),
+             "--weights-out", str(out / "weights.nii.gz")]):
+        assert main(argv) in (0, 2), argv
+    return {p.name: p.read_bytes() for p in sorted(out.iterdir())}
+
+
+class TestPayloadDtype:
+    """The payload dtype never changes a result: a corpus re-encoded
+    from uint8 into int16 (either byte order) or float32 gives the same
+    output bytes from every command that reads labels."""
+
+    @pytest.mark.parametrize("encoding", sorted(ENCODINGS))
+    def test_every_output_is_byte_identical(self, tmp_path, capsys,
+                                            encoding):
+        base = tmp_path / "uint8"
+        assert main(["synth", "--out-dir", str(base), *SYNTH_ARGS,
+                     "--ignore-fraction", "0.1"]) == 0
+        wide = tmp_path / encoding
+        wide.mkdir()
+        (wide / "manifest.csv").write_bytes(
+            (base / "manifest.csv").read_bytes())
+        for path in base.glob("*.nii.gz"):
+            vol = read_nifti(path)
+            assert vol.data.dtype == np.uint8
+            code, order = ENCODINGS[encoding][
+                not path.name.endswith("_ref.nii.gz")]
+            (wide / path.name).write_bytes(gzip.compress(
+                encode_as(vol.data, vol.spacing, code, order), mtime=0))
+        assert (read_nifti(wide / "sub-000_ref.nii.gz").data == 2).any()
+        capsys.readouterr()
+        want = run_every_output(base, tmp_path / "out-uint8")
+        want_out = capsys.readouterr().out.replace(str(base), "CORPUS")
+        got = run_every_output(wide, tmp_path / "out-wide")
+        got_out = capsys.readouterr().out.replace(str(wide), "CORPUS")
+        assert sorted(got) == sorted(want) and len(want) == 8
+        for name in want:
+            assert got[name] == want[name], name
+        assert got_out == want_out
 
 
 BAD_OPTION_VALUES = [

@@ -56,8 +56,12 @@ class TestContainers:
         data = np.asfortranarray(np.arange(60, dtype=np.uint8)
                                  .reshape(3, 4, 5))
         vol = LabelVolume(data, (1, 1, 1))
-        assert vol.data.dtype == np.int32 and vol.data.flags.f_contiguous
+        assert vol.data.dtype == np.uint8 and vol.data.flags.f_contiguous
         assert np.array_equal(vol.data, data)
+        swapped = LabelVolume(data.astype(">i2"), (1, 1, 1))
+        assert swapped.data.dtype == np.int32
+        assert swapped.data.flags.f_contiguous
+        assert np.array_equal(swapped.data, data)
 
 
 class TestKernels:
@@ -73,6 +77,18 @@ class TestKernels:
                    for a, b in ORDER_PAIRS]
         assert all(r == results[0] for r in results[1:])
         assert results[0].n_ref_lesions > 0
+
+    def test_evaluate_pair_in_a_permuted_layout(self):
+        # neither C- nor F-contiguous: axes stored in the order y, x, z
+        ref, pred = phantom_pair(2, dims=(20, 18, 12), ignore_fraction=0.3)
+
+        def permuted(vol):
+            data = np.ascontiguousarray(vol.data.transpose(1, 0, 2))
+            return LabelVolume(data.transpose(1, 0, 2), vol.spacing)
+
+        want = evaluate_pair(ref, pred)
+        assert evaluate_pair(permuted(ref), permuted(pred)) == want
+        assert evaluate_pair(ref, permuted(pred)) == want
 
     @pytest.mark.parametrize("connectivity", [6, 26])
     def test_connected_components(self, connectivity):

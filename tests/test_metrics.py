@@ -600,6 +600,10 @@ class TestPreparedReference:
             evaluate_pair(prepared, ref)
 
 
+# label payloads as read from uint8, int16 and int32 files
+LABEL_DTYPES = (np.uint8, np.int16, np.int32)
+
+
 @st.composite
 def boxed_volumes(draw):
     """Two sparse 0/1/2 volumes on one anisotropic grid of up to 12**3,
@@ -629,7 +633,9 @@ def boxed_volumes(draw):
             data[tuple(sl.start for sl in region)] = 1
             data[tuple(sl.stop - 1 for sl in region)] = draw(
                 st.sampled_from((1, 2)))
-        vols.append(LabelVolume(data, spacing))
+        vols.append(data)
+    dtype = draw(st.sampled_from(LABEL_DTYPES))
+    vols = [LabelVolume(data.astype(dtype), spacing) for data in vols]
     return vols if draw(st.booleans()) else vols[::-1]
 
 
@@ -664,10 +670,16 @@ BOX_DRAWS = settings(max_examples=100, derandomize=True, deadline=None,
 def test_raw_and_prepared_match_the_oracle_for_any_two_boxes(vols):
     ref, pred = vols
     event(box_relation(ref, pred))
+    event(f"labels {ref.data.dtype}")
+    copies = [tuple(LabelVolume(v.data.astype(dtype), v.spacing)
+                    for v in vols) for dtype in LABEL_DTYPES]
     for config in ALL_CONFIGS:
         assert_same_as_uncropped(ref, pred, config)
-        assert (evaluate_pair(prepare_reference(ref, config), pred, config)
-                == evaluate_pair(ref, pred, config))
+        want = evaluate_pair(ref, pred, config)
+        assert evaluate_pair(prepare_reference(ref, config), pred,
+                             config) == want
+        # the label dtype never changes a result
+        assert all(evaluate_pair(*c, config) == want for c in copies)
 
 
 def test_the_box_draws_cover_every_relation():

@@ -13,29 +13,7 @@ from seg_eval.errors import (FormatError, InvalidLabelError, SegEvalError,
 from seg_eval.nifti import read_nifti, write_nifti, write_nifti_real
 from seg_eval.volume import BinaryMask, LabelVolume
 
-from helpers import labels_from
-
-
-def build_file(dims=(2, 2, 1), pixdim=(1.0, 1.0, 3.0), datatype=2,
-               bitpix=None, vox_offset=348.0, magic=b"n+1\x00",
-               payload=None, byteorder="<", ndim=3, scaling=(0.0, 0.0)):
-    """Hand-assembled NIfTI-1 bytes, independent of the writer."""
-    if bitpix is None:
-        bitpix = {2: 8, 4: 16, 16: 32}.get(datatype, 8)
-    hdr = bytearray(348)
-    struct.pack_into(byteorder + "i", hdr, 0, 348)
-    struct.pack_into(byteorder + "8h", hdr, 40,
-                     ndim, dims[0], dims[1], dims[2], 1, 1, 1, 1)
-    struct.pack_into(byteorder + "2h", hdr, 70, datatype, bitpix)
-    struct.pack_into(byteorder + "8f", hdr, 76,
-                     1.0, pixdim[0], pixdim[1], pixdim[2], 0, 0, 0, 0)
-    struct.pack_into(byteorder + "3f", hdr, 108, vox_offset, *scaling)
-    hdr[344:348] = magic
-    if payload is None:
-        n = dims[0] * dims[1] * dims[2]
-        payload = bytes(n * bitpix // 8)
-    pad = b"\x00" * max(0, int(vox_offset) - 348)
-    return bytes(hdr) + pad + payload
+from helpers import DTYPE_BY_CODE, build_file, encode_as, labels_from
 
 
 @pytest.fixture
@@ -104,9 +82,9 @@ class TestErrors:
         with pytest.raises(FormatError, match="magic"):
             read_nifti(on_disk(build_file(magic=b"nope")))
 
-    def test_unsupported_datatype_float64(self, on_disk):
-        blob = build_file(datatype=64, bitpix=64, payload=bytes(4 * 8))
-        with pytest.raises(UnsupportedDataTypeError, match="64"):
+    def test_unsupported_datatype_complex64(self, on_disk):
+        blob = build_file(datatype=32, bitpix=64, payload=bytes(4 * 8))
+        with pytest.raises(UnsupportedDataTypeError, match="32"):
             read_nifti(on_disk(blob))
 
     def test_bitpix_mismatch(self, on_disk):
@@ -390,10 +368,88 @@ class TestLayout:
         vol = read_nifti(on_disk(build_file(dims=(3, 5, 7),
                                             datatype=datatype,
                                             payload=payload)))
-        assert vol.data.dtype == np.int32
+        # integer payloads keep their dtype, float ones become int32
+        assert vol.data.dtype == {2: np.uint8, 4: np.int16,
+                                  16: np.int32}[datatype]
         assert vol.data.flags.f_contiguous
         assert not vol.data.flags.writeable
         assert np.array_equal(vol.data, DISTINCT)
+
+
+class TestDatatypes:
+    """Every accepted datatype code reads back the labels it stores. An
+    integer payload in native byte order keeps its dtype; a swapped one
+    and a real one become int32."""
+
+    @pytest.mark.parametrize("byteorder", ["<", ">"])
+    @pytest.mark.parametrize("datatype", [2, 256, 4, 512, 8, 16, 64])
+    def test_round_trip_by_code(self, on_disk, tmp_path, datatype,
+                                byteorder):
+        path = on_disk(encode_as(DISTINCT, (0.5, 1.0, 2.0), datatype,
+                                 byteorder))
+        vol = read_nifti(path)
+        dt = np.dtype(DTYPE_BY_CODE[datatype]).newbyteorder(byteorder)
+        assert vol.data.dtype == (dt if dt.kind != "f" and dt.isnative
+                                  else np.int32)
+        assert vol.spacing == (0.5, 1.0, 2.0)
+        assert vol.data.flags.f_contiguous
+        assert np.array_equal(vol.data, DISTINCT)
+        write_nifti(vol, tmp_path / "back.nii")
+        assert np.array_equal(read_nifti(tmp_path / "back.nii").data,
+                              DISTINCT)
+
+    @pytest.mark.parametrize("datatype, top", [(512, 2**16 - 1),
+                                               (8, 2**31 - 1)])
+    def test_widest_label_of_the_code_is_kept(self, on_disk, datatype, top):
+        data = np.zeros((2, 2, 1), np.int64)
+        data[1, 0, 0] = top
+        vol = read_nifti(on_disk(encode_as(data, (1, 1, 3), datatype)))
+        assert vol.data[1, 0, 0] == top
+
+    @pytest.mark.parametrize("datatype", [256, 4, 8, 16, 64])
+    def test_negative_label_names_file_value_and_voxel(self, on_disk,
+                                                       datatype):
+        data = np.zeros((2, 2, 1), np.int64)
+        data[0, 1, 0] = -3
+        path = on_disk(encode_as(data, (1, 1, 3), datatype, ">"))
+        with pytest.raises(InvalidLabelError, match="-3") as err:
+            read_nifti(path)
+        assert str(path) in str(err.value)
+        assert err.value.coordinate == (0, 1, 0)
+
+    def test_float64_rounds_ties_away_from_zero(self, on_disk):
+        vals = [0.0, 0.49999999999, 0.5, 1.5, 2.5, 1.0]
+        blob = build_file(dims=(6, 1, 1), datatype=64,
+                          payload=struct.pack("<6d", *vals))
+        vol = read_nifti(on_disk(blob))
+        assert vol.data.dtype == np.int32
+        assert list(vol.data[:, 0, 0]) == [0, 0, 1, 2, 3, 1]
+
+    def test_float64_beyond_int32_is_rejected(self, on_disk):
+        blob = build_file(dims=(2, 1, 1), datatype=64,
+                          payload=struct.pack("<2d", 1.0, 2.0**31))
+        with pytest.raises(InvalidLabelError, match="outside") as err:
+            read_nifti(on_disk(blob))
+        assert err.value.value == 2.0**31
+        assert err.value.coordinate == (1, 0, 0)
+
+    @pytest.mark.parametrize("axis", [0, 1, 2])
+    @pytest.mark.parametrize("byteorder", ["<", ">"])
+    def test_negative_spacing_names_the_file_and_axis(self, on_disk, axis,
+                                                      byteorder):
+        pixdim = [0.96, 0.95, 3.0]
+        pixdim[axis] = -pixdim[axis]
+        path = on_disk(build_file(pixdim=tuple(pixdim), payload=bytes(4),
+                                  byteorder=byteorder))
+        with pytest.raises(FormatError, match=(
+                rf"negative voxel spacing pixdim\[{axis + 1}\] = "
+                rf"-\S+ on the {'xyz'[axis]} axis")) as err:
+            read_nifti(path)
+        assert str(path) in str(err.value)
+
+
+# the dtypes a read volume may hold: the integer payloads, native
+LABEL_DTYPES = (np.uint8, np.int8, np.int16, np.uint16, np.int32)
 
 
 def _valid_blobs() -> list[bytes]:
@@ -403,7 +459,11 @@ def _valid_blobs() -> list[bytes]:
             build_file(dims=(3, 2, 2), datatype=4, byteorder=">",
                        payload=struct.pack(">12h", *flat)),
             build_file(dims=(3, 2, 2), datatype=16, scaling=(1.0, 0.0),
-                       payload=struct.pack("<12f", *flat))]
+                       payload=struct.pack("<12f", *flat)),
+            encode_as(labels, (1.0, 1.0, 3.0), 256),
+            encode_as(labels, (1.0, 1.0, 3.0), 512, ">"),
+            encode_as(labels, (1.0, 1.0, 3.0), 8),
+            encode_as(labels, (1.0, 1.0, 3.0), 64, ">")]
 
 
 @st.composite
@@ -441,7 +501,8 @@ class TestArbitraryBytes:
                 except SegEvalError as exc:
                     assert str(path) in str(exc)
                 else:
-                    assert vol.data.dtype == np.int32
+                    assert vol.data.dtype in LABEL_DTYPES
+                    assert vol.data.dtype.isnative
                     assert vol.data.min(initial=0) >= 0
 
         check()

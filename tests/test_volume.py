@@ -15,8 +15,12 @@ from oracles import allpairs_directed, cc_oracle, surface_oracle
 class TestLabelVolume:
     def test_normalises_to_readonly_int32(self):
         v = LabelVolume(np.ones((2, 3, 4), dtype=np.uint8), (1, 1, 1))
-        assert v.data.dtype == np.int32
+        assert v.data.dtype == np.uint8   # a native payload of <= 32 bits
         assert not v.data.flags.writeable
+        for wide in (np.int64, np.dtype(">i2")):
+            w = LabelVolume(np.ones((2, 3, 4), dtype=wide), (1, 1, 1))
+            assert w.data.dtype == np.int32
+            assert not w.data.flags.writeable
         with pytest.raises(ValueError):
             v.data[0, 0, 0] = 5
 
@@ -69,6 +73,13 @@ class TestBinaryMask:
     def test_accepts_integer_input(self):
         m = BinaryMask(np.array([[[0, 1], [2, 0]]], dtype=np.int32), (1, 1, 1))
         assert m.count() == 2
+
+    def test_count_equals_the_sum(self):
+        rng = np.random.default_rng(17)
+        for density in (0.0, 0.05, 0.5, 1.0):
+            for order in ("C", "F"):
+                data = np.array(rng.random((9, 7, 5)) < density, order=order)
+                assert BinaryMask(data, (1, 1, 1)).count() == int(data.sum())
 
     def test_volume_ml(self):
         data = np.zeros((10, 10, 10), dtype=bool)
@@ -186,6 +197,18 @@ class TestSurface:
             got = {tuple(v) for v in surface_voxels(m)}
             want = {tuple(v) for v in np.argwhere(surface_oracle(m.data))}
             assert got == want
+
+    @pytest.mark.parametrize("order", ["C", "F"])
+    def test_rows_are_argwhere_of_the_oracle(self, order):
+        rng = np.random.default_rng(14)
+        for density in (0.0, 0.1, 0.4, 1.0):
+            m = BinaryMask(np.array(rng.random((10, 9, 8)) < density,
+                                    order=order), (1, 1, 1))
+            got = surface_voxels(m)
+            want = np.argwhere(surface_oracle(m.data))
+            assert got.dtype == want.dtype == np.int64
+            assert got.shape == want.shape
+            assert np.array_equal(got, want)   # same rows, same order
 
 
 class TestDistances:
