@@ -67,11 +67,10 @@ def fn_fp_maps(subjects: Iterable[tuple[BinaryMask, Iterable[BinaryMask]]],
     for ref, preds in subjects:
         if ref0 is None:
             ref0 = ref
-            # the masks' layout, through np.zeros rather than zeros_like:
-            # a calloc'd page of a rate map that stays 0 is never touched
-            order = "F" if ref.data.flags.f_contiguous else "C"
+            # np.zeros rather than zeros_like: a calloc'd page of a rate
+            # map that stays 0 is never touched
             fn_num, fn_den, fp_num, lesion_count = (
-                np.zeros(ref.dims, np.int64, order=order) for _ in range(4))
+                np.zeros(ref.dims, np.int64, order="F") for _ in range(4))
         same_grid(ref0, ref, "map inputs")
         lesion_count += ref.data
         background = ~ref.data
@@ -90,7 +89,7 @@ def fn_fp_maps(subjects: Iterable[tuple[BinaryMask, Iterable[BinaryMask]]],
         fp_den = np.full_like(fn_den, n)
 
     def _rate(num, den):
-        out = np.zeros(num.shape, np.float64, order=order)
+        out = np.zeros(num.shape, np.float64, order="F")
         np.divide(num, den, out=out, where=den > 0)
         return out
 

@@ -91,28 +91,35 @@ def _config_echo(args, keys) -> dict:
     return {k: getattr(args, k) for k in keys}
 
 
+@contextmanager
+def _naming(where):
+    """Re-raise an input error naming the file or row it comes from."""
+    try:
+        yield
+    except (SegEvalError, OSError) as exc:
+        raise SegEvalError(f"{where}: {exc}") from None
+
+
+def _naming_row(manifest, subject, row):
+    """Name a manifest row and its files in an input error."""
+    return _naming(f"{manifest}: row {row.line} ({subject.reference_path}, "
+                   f"{row.prediction_path})")
+
+
 def cmd_evaluate(args) -> int:
     config = _eval_config(args)
     ref = read_nifti(args.reference)
     pred = read_nifti(args.prediction)
     same_grid(ref, pred, f"reference {args.reference} and prediction "
               f"{args.prediction}")
-    vec = evaluate_pair(ref, pred, config)
+    with _naming(args.reference):
+        ref = prepare_reference(ref, config)
+    with _naming(args.prediction):
+        vec = evaluate_pair(ref, pred, config)
     body = metric_report(vec, _config_echo(
         args, ("connectivity", "h95_mode", "ignore_mode")))
     dump_json(body, args.output)
     return 2 if vec.has_missing else 0
-
-
-@contextmanager
-def _naming_row(manifest, subject, row):
-    """Re-raise an input error naming the manifest row and its files."""
-    try:
-        yield
-    except (SegEvalError, OSError) as exc:
-        raise SegEvalError(
-            f"{manifest}: row {row.line} ({subject.reference_path}, "
-            f"{row.prediction_path}): {exc}") from None
 
 
 def _score_subject(subject, config: EvalConfig, manifest) -> list:

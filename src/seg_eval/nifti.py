@@ -4,13 +4,11 @@ Only what the evaluation pipeline needs: 3-D volumes, datatypes uint8,
 int8, int16, uint16, int32, float32 and float64 (codes 2, 256, 4, 512,
 8, 16, 64), optional gzip container selected by a ``.gz`` suffix. The
 payload is stored x-fastest, which is how NIfTI defines its on-disk
-order. A read volume keeps that order: its data is the F-ordered
-``reshape(order="F")`` of the payload, without a transpose, and
-``tobytes(order="F")`` writes it back as a plain copy. An integer
-payload in native byte order is handed over as decoded, in its own
-dtype; a byte-swapped one becomes int32, and a float one is rounded to
-int32. Arrays in C order are written correctly too, through a
-transposing copy.
+order and how every volume and mask holds its data, so a read is an
+F-ordered ``reshape`` of the payload and a write a plain copy. An
+integer payload in native byte order is handed over as decoded, in its
+own dtype; a byte-swapped one becomes int32, and a float one is
+rounded to int32.
 
 Every voxel value is a label as stored: the scaling fields
 ``scl_slope``/``scl_inter`` must say so (slope 0 or 1, intercept 0),
@@ -155,8 +153,7 @@ def read_nifti(path: str | Path) -> LabelVolume:
     flat = np.frombuffer(raw, dtype=dt, count=nvox, offset=offset)
     data = flat.reshape((nx, ny, nz), order="F")
 
-    real = dt.kind == "f"
-    if real:
+    if dt.kind == "f":
         finite = np.isfinite(data)
         if not finite.all():
             at = _first_where(~finite)
@@ -164,15 +161,17 @@ def read_nifti(path: str | Path) -> LabelVolume:
                 f"{path}: non-finite voxel value {data[at]} at voxel {at}",
                 value=float(data[at]), coordinate=at)
         data = _round_half_away(data.astype(np.float64))
-    # uint8 and uint16 labels always lie in range
-    if dt.kind != "u" and (data.min() < 0 or data.max() > _LABEL_MAX):
-        at = _first_where((data < 0) | (data > _LABEL_MAX))
-        raise InvalidLabelError(
-            f"{path}: label {data[at]:g} at voxel {at} is outside "
-            f"[0, {_LABEL_MAX}]", value=float(data[at]), coordinate=at)
-    if real:
-        data = data.astype(np.int32, order="K")
-    return LabelVolume(data, spacing)
+        if data.min() < 0 or data.max() > _LABEL_MAX:
+            at = _first_where((data < 0) | (data > _LABEL_MAX))
+            raise InvalidLabelError(
+                f"{path}: label {data[at]:g} at voxel {at} is outside "
+                f"[0, {_LABEL_MAX}]", value=float(data[at]), coordinate=at)
+        data = data.astype(np.int32, order="F")
+    try:   # LabelVolume checks the sign; no payload here exceeds int32
+        return LabelVolume(data, spacing)
+    except InvalidLabelError as exc:
+        raise InvalidLabelError(f"{path}: {exc}", exc.value,
+                                exc.coordinate) from None
 
 
 def _pack_header(dims: tuple[int, int, int],
@@ -205,7 +204,8 @@ def write_nifti(volume: LabelVolume | BinaryMask, path: str | Path) -> None:
     if data.dtype == np.bool_:
         data = data.astype(np.uint8)
     else:
-        if data.size and int(data.max()) > 255:
+        # labels are never negative, so a 1-byte payload fits uint8
+        if data.dtype.itemsize > 1 and data.size and int(data.max()) > 255:
             raise InvalidLabelError(
                 f"label {int(data.max())} does not fit the uint8 payload")
         data = data.astype(np.uint8, copy=False)

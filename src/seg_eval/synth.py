@@ -96,7 +96,7 @@ def _place_blobs(occupied: np.ndarray, dims, size_range, seed: int,
                  target_voxels: int | None) -> np.ndarray:
     """Place blobs until either ``n_blobs`` are down or the cumulative
     voxel count reaches ``target_voxels``. Returns the new mask."""
-    out = np.zeros(dims, dtype=bool)
+    out = np.zeros(dims, dtype=bool, order="F")
     lo, hi = size_range
     placed = 0
     total = 0
@@ -136,7 +136,7 @@ def generate_phantom(spec: PhantomSpec) -> LabelVolume:
     added (disjoint from everything) until their voxel count reaches
     that fraction of the label-1 voxel count.
     """
-    occupied = np.zeros(spec.dims, dtype=bool)
+    occupied = np.zeros(spec.dims, dtype=bool, order="F")
     wmh = _place_blobs(occupied, spec.dims, spec.size_range, spec.seed,
                        key_base=0, n_blobs=spec.n_lesions, target_voxels=None)
     data = wmh.astype(np.uint8)
@@ -195,7 +195,7 @@ def perturb_mask(mask: BinaryMask, ops: PerturbOps) -> BinaryMask:
         out = BinaryMask(out.data | added, out.spacing)
 
     if any(ops.translate):
-        shifted = np.zeros(out.dims, dtype=bool)
+        shifted = np.zeros(out.dims, dtype=bool, order="F")
         off = tuple(-int(t) for t in ops.translate)
         _shift_into(np.logical_or, shifted, out.data, off)
         out = BinaryMask(shifted, out.spacing)

@@ -2,11 +2,10 @@
 
 Conventions used throughout the package:
 
-* Arrays are indexed ``(x, y, z)`` and the linear scan order is
-  x-fastest, matching the on-disk NIfTI layout. Volumes keep the memory
-  layout they are given: a volume read from disk is F-ordered, a
-  built one usually C-ordered, and every operation here gives the same
-  result for either, with allocations following the input's layout.
+* Arrays are indexed ``(x, y, z)`` and stored x-fastest (F-contiguous),
+  the on-disk NIfTI layout: a volume or mask holds its data in that
+  layout whatever it is built from, so no other module needs to know
+  the layout of its input.
 * ``spacing`` is the voxel edge length in millimetres along each axis.
 * Challenge label volumes use 0 = background, 1 = WMH, 2 = other
   pathology. Label 2 marks voxels that are excised from both masks
@@ -51,14 +50,14 @@ def _check_grid(data: np.ndarray, spacing) -> tuple[float, float, float]:
 class LabelVolume:
     """An integer-labelled 3-D grid with voxel spacing in mm.
 
-    ``data`` is a read-only integer array of shape ``(nx, ny, nz)`` in
-    the layout it arrives in. A native payload of at most 32 bits
-    (uint8, int8, int16, uint16, int32, uint32) keeps its dtype; wider
-    dtypes and non-native byte orders become int32. A C- or
-    F-contiguous array that keeps its dtype is kept without a copy and
-    frozen in place, so the caller's array becomes read-only too: a
-    prepared reference relies on this to never go stale. Labels must
-    lie in [0, 2**31 - 1].
+    ``data`` is a read-only, F-contiguous integer array of shape
+    ``(nx, ny, nz)``. A native payload of at most 32 bits (uint8, int8,
+    int16, uint16, int32, uint32) keeps its dtype; wider dtypes and
+    non-native byte orders become int32. An F-contiguous array that
+    keeps its dtype is frozen in place, so the caller's array becomes
+    read-only too; anything else is copied once. Either way the volume
+    owns read-only data, so a prepared reference never goes stale.
+    Labels must lie in [0, 2**31 - 1].
     """
 
     data: np.ndarray
@@ -96,9 +95,9 @@ class LabelVolume:
 class BinaryMask:
     """A boolean 3-D grid with voxel spacing in mm.
 
-    ``data`` is a read-only bool array; contiguous bool input (C or F)
-    is kept and frozen in place as in :class:`LabelVolume`, a strided
-    view such as a crop is copied once in its own layout.
+    ``data`` is a read-only, F-contiguous bool array; F-contiguous bool
+    input is frozen in place as in :class:`LabelVolume`, anything else
+    (C order, a crop, another dtype) is copied once.
     """
 
     data: np.ndarray
@@ -129,11 +128,8 @@ class BinaryMask:
 
 
 def _frozen(arr: np.ndarray, dtype) -> np.ndarray:
-    """``arr`` as a read-only contiguous ``dtype`` array, copied (in its
-    own layout) only when the dtype differs or it is strided."""
-    if arr.dtype != dtype or not (arr.flags.c_contiguous
-                                  or arr.flags.f_contiguous):
-        arr = arr.astype(dtype, order="K")
+    """``arr`` as a read-only F-contiguous ``dtype`` array, copied if not."""
+    arr = np.asarray(arr, dtype, order="F")
     arr.setflags(write=False)
     return arr
 
@@ -246,8 +242,8 @@ def connected_components(mask: BinaryMask, connectivity: int = 26
     scipy labels in the order its C-order scan first meets each
     component. Run on the transposed view, that scan is our x-fastest
     scan, so component k is the k-th one met by it with no renumbering.
-    For an F-ordered mask, as read from disk, the transposed view is
-    C-contiguous and scipy scans it in place.
+    The mask is F-ordered, so the transposed view is C-contiguous and
+    scipy scans it in place.
     Supported connectivities: 6, 18, 26 (default 26).
     """
     if connectivity not in _CONNECTIVITY_RANK:

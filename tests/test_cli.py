@@ -144,6 +144,20 @@ class TestEvaluate:
         assert narrow["metrics"]["n_ref_lesions"] == 2
         assert narrow["config"]["connectivity"] == 6
 
+    @pytest.mark.parametrize("side", ["reference", "prediction"])
+    def test_a_bad_label_names_its_file(self, pair_on_disk, tmp_path,
+                                        capsys, side):
+        _, _, ref_p, pred_p = pair_on_disk
+        bad = np.zeros((8, 8, 4), dtype=np.int32)
+        bad[2, 2, 2] = 3
+        bad_p = tmp_path / "bad.nii.gz"
+        write_nifti(LabelVolume(bad, (1.0, 1.0, 1.0)), bad_p)
+        pair = (bad_p, pred_p) if side == "reference" else (ref_p, bad_p)
+        assert main(["evaluate", *map(str, pair)]) == 1
+        assert capsys.readouterr().err == (
+            f"error: {bad_p}: label 3 at voxel (2, 2, 2) is outside "
+            f"{{0, 1, 2}}\n")
+
     def test_missing_input_is_an_error(self, tmp_path, capsys):
         rc = main(["evaluate", str(tmp_path / "nope.nii"),
                    str(tmp_path / "nope.nii")])
@@ -840,6 +854,65 @@ class TestSynth:
         assert body["methods"][0]["method_id"] == "method_00"
         assert body["methods"][0]["final_rank"] == 0.0
         assert body["methods"][0]["position"] == 1
+
+
+class TestEvalConfigFlags:
+    """``--ignore-mode`` and ``--h95-mode`` reach the metrics of both
+    ``evaluate`` and ``evaluate-batch``."""
+
+    CONFIGS = {"default": ([], EvalConfig()),
+               "background": (["--ignore-mode", "background"],
+                              EvalConfig(ignore_mode="background")),
+               "pooled": (["--h95-mode", "pooled"],
+                          EvalConfig(h95_mode="pooled"))}
+
+    def test_each_mode_matches_the_library_and_changes_the_output(
+            self, tmp_path, capsys):
+        corpus = tmp_path / "corpus"
+        assert main(["synth", "--out-dir", str(corpus), *SYNTH_ARGS,
+                     "--ignore-fraction", "0.1"]) == 0
+        # the synth predictions here never reach reference label 2, so
+        # the ignore modes agree on them; add a method that takes other
+        # pathology (label 2) for WMH
+        manifest = corpus / "manifest.csv"
+        lines = manifest.read_text().splitlines()
+        for line in lines[1:]:
+            method, subject, scanner, ref_name, _ = line.split(",")
+            if method != "method_00":
+                continue
+            ref = read_nifti(corpus / ref_name)
+            assert (ref.data == 2).any()
+            write_nifti(BinaryMask(ref.data != 0, ref.spacing),
+                        corpus / f"{subject}_lumper.nii.gz")
+            lines.append(f"lumper,{subject},{scanner},{ref_name},"
+                         f"{subject}_lumper.nii.gz")
+        manifest.write_text("\n".join(lines) + "\n")
+        pairs = [line.split(",")[3:] for line in lines[1:]]
+        capsys.readouterr()
+
+        outputs = {}
+        for name, (flags, config) in self.CONFIGS.items():
+            want = [evaluate_pair(read_nifti(corpus / r),
+                                  read_nifti(corpus / p), config).as_dict()
+                    for r, p in pairs]
+            single = []
+            for r, p in pairs:
+                assert main(["evaluate", str(corpus / r), str(corpus / p),
+                             *flags]) in (0, 2)
+                single.append(json.loads(capsys.readouterr().out)["metrics"])
+            assert single == want, name
+            for jobs in ("1", "2"):
+                out = tmp_path / f"{name}-j{jobs}.csv"
+                assert main(["evaluate-batch", str(manifest), "-o", str(out),
+                             "--jobs", jobs, *flags]) in (0, 2)
+                got = [r.metrics.as_dict()
+                       for r in read_result_csv(out).records]
+                # the CSV schema carries every field except n_pred_lesions
+                assert got == [{**w, "n_pred_lesions": None} for w in want]
+            outputs[name] = out.read_bytes()
+        capsys.readouterr()
+        assert outputs["background"] != outputs["default"]
+        assert outputs["pooled"] != outputs["default"]
 
 
 # one corpus's files in each NIfTI datatype the reader converts or keeps:

@@ -1,8 +1,10 @@
-"""Every voxel-grid kernel gives the same result in either memory layout.
+"""One voxel layout: volumes and masks store their data x-fastest.
 
-Volumes read from disk are F-ordered (NIfTI is x-fastest); volumes built
-in memory are usually C-ordered. Each kernel is run on C-ordered,
-F-ordered and mixed inputs and must return identical values.
+NIfTI stores voxels x-fastest, and so does every ``LabelVolume`` and
+``BinaryMask``: an F-contiguous array is frozen in place, anything else
+is copied once. The kernels are run on volumes built from C-ordered,
+F-ordered and mixed arrays and must return identical values, and the
+grids they build come back F-contiguous.
 """
 
 from __future__ import annotations
@@ -16,30 +18,53 @@ from helpers import phantom_pair, random_mask
 from seg_eval.analysis import fn_fp_maps
 from seg_eval.fusion import staple_fuse
 from seg_eval.metrics import EvalConfig, evaluate_pair
-from seg_eval.volume import (BinaryMask, LabelVolume, connected_components,
-                             surface_voxels)
+from seg_eval.synth import (PerturbOps, PhantomSpec, generate_phantom,
+                            perturb_mask)
+from seg_eval.volume import (BinaryMask, LabelVolume, binarize_challenge,
+                             connected_components, surface_voxels)
 
 
 def in_order(vol, order):
-    """The same volume or mask with its data in C or F layout."""
+    """The same volume or mask, built from an array in C or F layout."""
     return type(vol)(np.array(vol.data, order=order), vol.spacing)
 
 
 ORDER_PAIRS = list(itertools.product("CF", repeat=2))
 
 
+def assert_copied_once(stored, given):
+    """``stored`` is an F-contiguous, read-only copy of ``given``, equal
+    in value, and the caller's ``given`` stays writable."""
+    assert stored.flags.f_contiguous and not stored.flags.writeable
+    assert not np.shares_memory(stored, given)
+    assert np.array_equal(stored, given)
+    assert given.flags.writeable
+
+
 class TestContainers:
+    """An F-contiguous array of the stored dtype is kept and frozen in
+    place; a C-ordered array or a crop is copied once into F order."""
+
     @pytest.mark.parametrize("order", ["C", "F"])
     def test_contiguous_int32_labels_are_kept(self, order):
         data = np.zeros((3, 4, 5), dtype=np.int32, order=order)
+        data[1, 2, 3] = 1   # so a mis-strided copy would not compare equal
         vol = LabelVolume(data, (1, 1, 1))
+        if order == "C":
+            assert_copied_once(vol.data, data)
+            return
         assert vol.data is data
         assert not vol.data.flags.writeable
 
     @pytest.mark.parametrize("order", ["C", "F"])
     def test_contiguous_mask_is_kept(self, order):
         data = np.zeros((3, 4, 5), dtype=bool, order=order)
-        assert BinaryMask(data, (1, 1, 1)).data is data
+        data[1, 2, 3] = True
+        stored = BinaryMask(data, (1, 1, 1)).data
+        if order == "C":
+            assert_copied_once(stored, data)
+            return
+        assert stored is data
 
     @pytest.mark.parametrize("order", ["C", "F"])
     def test_a_crop_is_copied_once_in_its_own_layout(self, order):
@@ -47,6 +72,10 @@ class TestContainers:
         whole = np.array(rng.random((8, 9, 10)) < 0.3, order=order)
         crop = whole[1:6, 2:7, 3:9]
         m = BinaryMask(crop, (1, 1, 1))
+        if order == "C":   # copied into the x-fastest layout
+            assert_copied_once(m.data, crop)
+            assert whole.flags.writeable
+            return
         assert not np.shares_memory(m.data, whole)
         assert m.data.flags[f"{order}_CONTIGUOUS"]
         assert np.array_equal(m.data, crop)
@@ -143,3 +172,31 @@ class TestKernels:
                     assert np.array_equal(getattr(got, field),
                                           getattr(want, field))
         assert maps("F", "F")[0].rate.flags.f_contiguous
+
+
+class TestOutputs:
+    def test_built_grids_are_x_fastest(self):
+        spec = PhantomSpec(dims=(20, 18, 12), n_lesions=4, size_range=(3, 20),
+                           seed=5, ignore_fraction=0.3)
+        ref = generate_phantom(spec)
+        wmh = binarize_challenge(ref)[0]
+        grids = {"generate_phantom": ref.data}
+        for op in (PerturbOps(), PerturbOps(dilate=1), PerturbOps(erode=1),
+                   PerturbOps(drop_components=(1,)),
+                   PerturbOps(add_blobs=2, blob_size=5, seed=6),
+                   PerturbOps(translate=(1, -1, 0))):
+            grids[f"perturb_mask {op}"] = perturb_mask(wmh, op).data
+        raters = [wmh] + [perturb_mask(wmh, PerturbOps(add_blobs=1,
+                                                       blob_size=5, seed=s))
+                          for s in (7, 8)]
+        fused = staple_fuse(raters)
+        grids["staple weights"] = fused.weights
+        grids["staple consensus"] = fused.consensus.data
+        for name, rate_map in zip(("fn", "fp"), fn_fp_maps([(wmh, raters)])):
+            for field in ("numerator", "denominator", "rate",
+                          "lesion_count"):
+                grids[f"{name} {field}"] = getattr(rate_map, field)
+        # a grid that is C- and F-contiguous at once would pass trivially
+        assert not ref.data.flags.c_contiguous
+        for name, grid in grids.items():
+            assert grid.flags.f_contiguous, name
