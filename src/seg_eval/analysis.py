@@ -16,7 +16,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ArityError
-from .volume import BinaryMask, connected_components, same_grid
+from .volume import (BinaryMask, bounding_box, connected_components,
+                     same_grid)
 
 __all__ = [
     "RateMap",
@@ -58,7 +59,12 @@ def fn_fp_maps(subjects: Iterable[tuple[BinaryMask, Iterable[BinaryMask]]],
 
     ``subjects`` and each subject's predictions may be any iterables,
     generators included; each is consumed once, so memory does not grow
-    with the number of masks.
+    with the number of masks. Each prediction costs one whole-grid pass,
+    adding it to its subject's vote count; the counts are then taken
+    only inside the box of the subject's reference or votes, and each
+    rate inside its numerator's box. So work and touched memory scale
+    with the lesion boxes plus that one pass per prediction, and every
+    integer equals what a per-pair whole-grid loop would count.
     """
     if fp_denominator not in ("ref_negative", "pairs"):
         raise ValueError(f"bad fp_denominator {fp_denominator!r}")
@@ -67,19 +73,27 @@ def fn_fp_maps(subjects: Iterable[tuple[BinaryMask, Iterable[BinaryMask]]],
     for ref, preds in subjects:
         if ref0 is None:
             ref0 = ref
-            # np.zeros rather than zeros_like: a calloc'd page of a rate
-            # map that stays 0 is never touched
+            # np.zeros rather than zeros_like: a calloc'd page of a map
+            # that stays 0 is never written
             fn_num, fn_den, fp_num, lesion_count = (
                 np.zeros(ref.dims, np.int64, order="F") for _ in range(4))
+            votes = np.zeros(ref.dims, np.int32, order="F")
         same_grid(ref0, ref, "map inputs")
-        lesion_count += ref.data
-        background = ~ref.data
+        k = 0
         for pred in preds:
             same_grid(ref, pred, "reference and prediction")
-            fn_num += ref.data & ~pred.data
-            fn_den += ref.data
-            fp_num += pred.data & background
-            n += 1
+            votes += pred.data
+            k += 1
+        # each term is 0 outside the box of the reference or the votes
+        box = bounding_box(ref.data)
+        r = ref.data[box]
+        lesion_count[box] += r
+        fn_den[box] += k * r
+        fn_num[box] += r * (k - votes[box])
+        box = bounding_box(votes)
+        fp_num[box] += ~ref.data[box] * votes[box]
+        votes[box] = 0
+        n += k
     if n == 0:
         raise ArityError("fn_fp_maps needs at least one pair")
 
@@ -89,8 +103,10 @@ def fn_fp_maps(subjects: Iterable[tuple[BinaryMask, Iterable[BinaryMask]]],
         fp_den = np.full_like(fn_den, n)
 
     def _rate(num, den):
+        # outside the numerator's box the rate is the +0.0 already there
         out = np.zeros(num.shape, np.float64, order="F")
-        np.divide(num, den, out=out, where=den > 0)
+        box = bounding_box(num)
+        np.divide(num[box], den[box], out=out[box], where=den[box] > 0)
         return out
 
     spacing = ref0.spacing

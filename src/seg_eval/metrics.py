@@ -21,8 +21,8 @@ import numpy as np
 
 from .errors import UndefinedMetricError
 from .volume import (BinaryMask, ComponentLabeling, LabelVolume,
-                     binarize_challenge, connected_components, same_grid,
-                     surface_voxels, directed_surface_distances)
+                     binarize_challenge, bounding_box, connected_components,
+                     same_grid, surface_voxels, directed_surface_distances)
 
 __all__ = [
     "EvalConfig",
@@ -168,20 +168,11 @@ def relative_difference(value: float, baseline: float) -> float:
 
 def _lesion_box(vol: LabelVolume) -> tuple[slice, ...]:
     """Bounding box of a volume's non-zero labels, empty when every
-    label is 0. Two plane-sized reductions give the largest label in
-    each x, y and z plane; a label above 2 raises, naming its voxel."""
-    plane = vol.data.max(axis=2, initial=0)
-    profiles = (plane.max(axis=1, initial=0), plane.max(axis=0, initial=0),
-                vol.data.max(axis=(0, 1), initial=0))
-    if profiles[2].max(initial=0) > 2:
+    label is 0; a label above 2 raises, naming its voxel."""
+    box = bounding_box(vol.data)
+    if vol.data[box].max(initial=0) > 2:
         binarize_challenge(vol)
-    box = []
-    for profile in profiles:
-        idx = np.flatnonzero(profile)
-        if idx.size == 0:
-            return (slice(0, 0),) * 3
-        box.append(slice(int(idx[0]), int(idx[-1]) + 1))
-    return tuple(box)
+    return box
 
 
 def wmh_in_lesion_box(vol: LabelVolume) -> BinaryMask:

@@ -5,7 +5,8 @@ int8, int16, uint16, int32, float32 and float64 (codes 2, 256, 4, 512,
 8, 16, 64), optional gzip container selected by a ``.gz`` suffix. The
 payload is stored x-fastest, which is how NIfTI defines its on-disk
 order and how every volume and mask holds its data, so a read is an
-F-ordered ``reshape`` of the payload and a write a plain copy. An
+F-ordered ``reshape`` of the payload and a write hands the array's own
+buffer to the file, copying only to change the dtype. An
 integer payload in native byte order is handed over as decoded, in its
 own dtype; a byte-swapped one becomes int32, and a float one is
 rounded to int32.
@@ -56,16 +57,6 @@ def _read_container(path: Path) -> bytes:
         except (gzip.BadGzipFile, zlib.error) as exc:
             raise FormatError(f"{path}: corrupt gzip stream: {exc}") from exc
     return path.read_bytes()
-
-
-def _write_container(path: Path, payload: bytes) -> None:
-    if path.suffix == ".gz":
-        with open(path, "wb") as fh:
-            with gzip.GzipFile(filename="", mode="wb", fileobj=fh,
-                               mtime=0) as gz:
-                gz.write(payload)
-    else:
-        path.write_bytes(payload)
 
 
 def _round_half_away(values: np.ndarray) -> np.ndarray:
@@ -191,35 +182,45 @@ def _pack_header(dims: tuple[int, int, int],
     return bytes(hdr)
 
 
-def _assemble(dims, spacing, datatype, payload: bytes) -> bytes:
+def _write(path: Path, data: np.ndarray,
+           spacing: tuple[float, float, float], datatype: int) -> None:
+    """Write the header, then the x-fastest buffer of the F-contiguous
+    ``data`` itself, gzipped iff the path ends in .gz. Deflate output
+    does not depend on how its input is split, so the bytes equal those
+    of one joined blob."""
     # four zero bytes after the header: no extensions
-    return _pack_header(dims, spacing, datatype) + b"\x00" * 4 + payload
+    header = _pack_header(data.shape, spacing, datatype) + b"\x00" * 4
+    payload = data.ravel("F")   # a view, not a copy
+    with open(path, "wb") as fh:
+        if path.suffix == ".gz":
+            with gzip.GzipFile(filename="", mode="wb", fileobj=fh,
+                               mtime=0) as gz:
+                gz.write(header)
+                gz.write(payload)
+        else:
+            fh.write(header)
+            fh.write(payload)
 
 
 def write_nifti(volume: LabelVolume | BinaryMask, path: str | Path) -> None:
     """Write labels (or a mask as 0/1) as uint8, gzipped iff the path
     ends in .gz."""
-    path = Path(path)
     data = volume.data
     if data.dtype == np.bool_:
-        data = data.astype(np.uint8)
+        data = data.view(np.uint8)
     else:
         # labels are never negative, so a 1-byte payload fits uint8
         if data.dtype.itemsize > 1 and data.size and int(data.max()) > 255:
             raise InvalidLabelError(
                 f"label {int(data.max())} does not fit the uint8 payload")
-        data = data.astype(np.uint8, copy=False)
-    blob = _assemble(volume.dims, volume.spacing, 2, data.tobytes(order="F"))
-    _write_container(path, blob)
+        data = data.astype(np.uint8, order="F", copy=False)
+    _write(Path(path), data, volume.spacing, 2)
 
 
 def write_nifti_real(data: np.ndarray, spacing: tuple[float, float, float],
                      path: str | Path) -> None:
     """Write a real-valued 3-D map (rates, weights) as float32."""
-    path = Path(path)
-    arr = np.asarray(data, dtype=np.float32)
+    arr = np.asarray(data, dtype=np.float32, order="F")
     if arr.ndim != 3:
         raise ValueError(f"expected a 3-D array, got shape {arr.shape}")
-    spacing = tuple(float(s) for s in spacing)
-    blob = _assemble(arr.shape, spacing, 16, arr.tobytes(order="F"))
-    _write_container(path, blob)
+    _write(Path(path), arr, tuple(float(s) for s in spacing), 16)

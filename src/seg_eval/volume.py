@@ -26,6 +26,7 @@ __all__ = [
     "BinaryMask",
     "ComponentLabeling",
     "binarize_challenge",
+    "bounding_box",
     "surface_voxels",
     "directed_surface_distances",
     "connected_components",
@@ -182,6 +183,22 @@ def binarize_challenge(volume: LabelVolume) -> tuple[BinaryMask, BinaryMask]:
             BinaryMask(data == 2, volume.spacing))
 
 
+def bounding_box(data: np.ndarray) -> tuple[slice, slice, slice]:
+    """Smallest box holding every non-zero voxel of a 3-D array, three
+    empty ``0:0`` slices when there is none. Two plane-sized reductions
+    give the largest value in each x, y and z plane."""
+    plane = data.max(axis=2, initial=0)
+    box = []
+    for profile in (plane.max(axis=1, initial=0),
+                    plane.max(axis=0, initial=0),
+                    data.max(axis=(0, 1), initial=0)):
+        idx = np.flatnonzero(profile)
+        if idx.size == 0:
+            return (slice(0, 0),) * 3
+        box.append(slice(int(idx[0]), int(idx[-1]) + 1))
+    return tuple(box)
+
+
 def _shift_into(op, out: np.ndarray, src: np.ndarray,
                 offset: tuple[int, int, int]) -> None:
     """Apply ``out[v] = op(out[v], src[v + offset])`` over the valid range."""
@@ -211,10 +228,10 @@ def surface_voxels(mask: BinaryMask) -> np.ndarray:
         _shift_into(np.logical_or, neighbour, m, off)
         interior &= neighbour
     surf = m & ~interior
-    # np.argwhere's C-ordered rows from one flat scan, which is faster
-    # than a scan of the 3-D array
-    return np.stack(np.unravel_index(np.flatnonzero(surf.ravel("C")),
-                                     surf.shape), axis=1)
+    # rows in x-fastest scan order from one flat scan of the F-ordered
+    # mask, which is faster than a scan of the 3-D array
+    return np.stack(np.unravel_index(np.flatnonzero(surf.ravel("F")),
+                                     surf.shape, order="F"), axis=1)
 
 
 def directed_surface_distances(from_coords: np.ndarray,

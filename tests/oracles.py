@@ -233,6 +233,44 @@ def evaluate_pair_oracle(ref_labels, pred_labels, spacing,
     }
 
 
+# ------------------------------------------------------------------- maps
+
+def maps_oracle(subjects, fp_denominator="ref_negative"):
+    """FN/FP rate maps by the plain loop: every (reference, prediction)
+    pair adds its FN, reference-positive and FP voxels on the whole
+    grid, in int64. ``subjects`` is a list of (reference, predictions)
+    bool arrays. Returns (fn, fp), each a dict of numerator,
+    denominator, rate and lesion_count, or None when there is no pair.
+    """
+    ref0 = np.asarray(subjects[0][0], dtype=bool) if subjects else None
+    if ref0 is None:
+        return None
+    fn_num, fn_den, fp_num, lesion_count = (
+        np.zeros(ref0.shape, np.int64) for _ in range(4))
+    n = 0
+    for ref, preds in subjects:
+        ref = np.asarray(ref, dtype=bool)
+        lesion_count += ref
+        for pred in preds:
+            pred = np.asarray(pred, dtype=bool)
+            fn_num += ref & ~pred
+            fn_den += ref
+            fp_num += pred & ~ref
+            n += 1
+    if n == 0:
+        return None
+    fp_den = (n - fn_den if fp_denominator == "ref_negative"
+              else np.full(ref0.shape, n, np.int64))
+
+    def rate(num, den):
+        return np.where(den > 0, num / np.maximum(den, 1), 0.0)
+
+    return ({"numerator": fn_num, "denominator": fn_den,
+             "rate": rate(fn_num, fn_den), "lesion_count": lesion_count},
+            {"numerator": fp_num, "denominator": fp_den,
+             "rate": rate(fp_num, fp_den), "lesion_count": lesion_count})
+
+
 # ----------------------------------------------------------------- ranking
 
 def bootstrap_oracle(vals, higher_better, replicates: int, seed: int):

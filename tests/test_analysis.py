@@ -2,13 +2,16 @@ import statistics
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, event, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from seg_eval.analysis import fn_fp_maps, summarize_cohort
 from seg_eval.errors import ArityError, ShapeMismatchError
 from seg_eval.volume import BinaryMask
 
 from helpers import mask_from, random_mask
-from oracles import quantile_linear
+from oracles import maps_oracle, quantile_linear
 
 class TestRateMaps:
     def test_total_miss(self):
@@ -135,6 +138,68 @@ class TestRateMaps:
             fn_fp_maps((a, iter([])) for _ in range(2))
         with pytest.raises(ShapeMismatchError):
             fn_fp_maps(iter([(a, (m for m in [a, mask_from([], (3, 3, 4))]))]))
+
+
+@st.composite
+def map_cohorts(draw):
+    """A cohort of 0-3 subjects with 0-3 predictions each on one grid of
+    up to 7**3. Each mask is empty, filled inside a drawn region whose
+    corners are set (its tight box), or filled inside the whole grid
+    with two opposite grid corners set, so it has voxels on the grid
+    faces."""
+    dims = tuple(draw(st.integers(1, 7)) for _ in range(3))
+
+    def mask():
+        data = np.zeros(dims, dtype=bool)
+        kind = draw(st.sampled_from(("empty", "region", "region", "faces")))
+        if kind != "empty":
+            region = [slice(0, n) for n in dims]
+            if kind == "region":
+                region = []
+                for n in dims:
+                    lo = draw(st.integers(0, n - 1))
+                    region.append(slice(lo, draw(st.integers(lo + 1, n))))
+            data[tuple(region)] = draw(hnp.arrays(
+                np.bool_, tuple(sl.stop - sl.start for sl in region)))
+            data[tuple(sl.start for sl in region)] = True
+            data[tuple(sl.stop - 1 for sl in region)] = True
+        event(f"{kind} mask")
+        return BinaryMask(data, (0.96, 0.95, 3.0))
+
+    counts = st.sampled_from((0, 1, 2, 3, 3))
+    return [(mask(), [mask() for _ in range(draw(counts))])
+            for _ in range(draw(counts))]
+
+
+MAP_DRAWS = settings(max_examples=200, derandomize=True, deadline=None,
+                     suppress_health_check=[HealthCheck.too_slow,
+                                            HealthCheck.data_too_large])
+
+
+@MAP_DRAWS
+@given(map_cohorts(), st.booleans())
+def test_maps_match_the_whole_grid_oracle(subjects, as_generator):
+    """Every RateMap field equals the per-pair whole-grid loop exactly,
+    under both denominators, for lists and for generators."""
+    oracle_input = [(ref.data, [p.data for p in preds])
+                    for ref, preds in subjects]
+    for mode in ("ref_negative", "pairs"):
+        feed = subjects
+        if as_generator:
+            feed = ((ref, (p for p in preds)) for ref, preds in subjects)
+        want = maps_oracle(oracle_input, mode)
+        if want is None:
+            event("no pairs")
+            with pytest.raises(ArityError):
+                fn_fp_maps(feed, mode)
+            continue
+        for got, expected in zip(fn_fp_maps(feed, mode), want):
+            for field, value in expected.items():
+                array = getattr(got, field)
+                assert array.dtype == value.dtype, field
+                assert array.flags.f_contiguous, field
+                assert np.array_equal(array, value), field
+            assert not np.signbit(got.rate).any()   # +0.0 where undefined
 
 
 class TestCohortSummary:

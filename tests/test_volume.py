@@ -199,13 +199,14 @@ class TestSurface:
             assert got == want
 
     @pytest.mark.parametrize("order", ["C", "F"])
-    def test_rows_are_argwhere_of_the_oracle(self, order):
+    def test_rows_are_the_oracle_in_x_fastest_order(self, order):
         rng = np.random.default_rng(14)
         for density in (0.0, 0.1, 0.4, 1.0):
             m = BinaryMask(np.array(rng.random((10, 9, 8)) < density,
                                     order=order), (1, 1, 1))
             got = surface_voxels(m)
-            want = np.argwhere(surface_oracle(m.data))
+            # argwhere of the (z, y, x) view scans x fastest
+            want = np.argwhere(surface_oracle(m.data).T)[:, ::-1]
             assert got.dtype == want.dtype == np.int64
             assert got.shape == want.shape
             assert np.array_equal(got, want)   # same rows, same order
