@@ -20,7 +20,7 @@ from .volume import (BinaryMask, bounding_box, connected_components,
                      same_grid)
 
 __all__ = [
-    "RateMap",
+    "ErrorMaps",
     "fn_fp_maps",
     "Summary",
     "CohortSummary",
@@ -29,24 +29,22 @@ __all__ = [
 
 
 @dataclass(frozen=True, eq=False)
-class RateMap:
-    """A voxelwise error-rate grid plus its building blocks.
+class ErrorMaps:
+    """Voxelwise false-negative and false-positive rates over a cohort.
 
-    ``rate`` is numerator/denominator where the denominator is
-    positive and 0 elsewhere. ``lesion_count`` holds, per voxel, the
-    number of subjects whose reference contains that voxel.
+    Each rate is its count over its denominator where the denominator
+    is positive and +0.0 elsewhere. ``lesion_count`` holds, per voxel,
+    the number of subjects whose reference contains that voxel.
     """
 
-    numerator: np.ndarray
-    denominator: np.ndarray
-    rate: np.ndarray
+    fn_rate: np.ndarray
+    fp_rate: np.ndarray
     lesion_count: np.ndarray
     spacing: tuple[float, float, float]
 
 
 def fn_fp_maps(subjects: Iterable[tuple[BinaryMask, Iterable[BinaryMask]]],
-               fp_denominator: str = "ref_negative"
-               ) -> tuple[RateMap, RateMap]:
+               fp_denominator: str = "ref_negative") -> ErrorMaps:
     """Aggregate false-negative and false-positive rates over subjects.
 
     Each subject is (reference, predictions): one reference mask and
@@ -62,9 +60,10 @@ def fn_fp_maps(subjects: Iterable[tuple[BinaryMask, Iterable[BinaryMask]]],
     with the number of masks. Each prediction costs one whole-grid pass,
     adding it to its subject's vote count; the counts are then taken
     only inside the box of the subject's reference or votes, and each
-    rate inside its numerator's box. So work and touched memory scale
-    with the lesion boxes plus that one pass per prediction, and every
-    integer equals what a per-pair whole-grid loop would count.
+    rate, with its denominator, only inside its numerator's box. So
+    work and touched memory scale with the lesion boxes plus that one
+    pass per prediction, and every rate equals what a per-pair
+    whole-grid loop would give.
     """
     if fp_denominator not in ("ref_negative", "pairs"):
         raise ValueError(f"bad fp_denominator {fp_denominator!r}")
@@ -97,22 +96,16 @@ def fn_fp_maps(subjects: Iterable[tuple[BinaryMask, Iterable[BinaryMask]]],
     if n == 0:
         raise ArityError("fn_fp_maps needs at least one pair")
 
-    if fp_denominator == "ref_negative":
-        fp_den = n - fn_den
-    else:
-        fp_den = np.full_like(fn_den, n)
-
-    def _rate(num, den):
+    def _rate(num, den, box):
         # outside the numerator's box the rate is the +0.0 already there
         out = np.zeros(num.shape, np.float64, order="F")
-        box = bounding_box(num)
-        np.divide(num[box], den[box], out=out[box], where=den[box] > 0)
+        np.divide(num[box], den, out=out[box], where=den > 0)
         return out
 
-    spacing = ref0.spacing
-    fn = RateMap(fn_num, fn_den, _rate(fn_num, fn_den), lesion_count, spacing)
-    fp = RateMap(fp_num, fp_den, _rate(fp_num, fp_den), lesion_count, spacing)
-    return fn, fp
+    fn_box, fp_box = bounding_box(fn_num), bounding_box(fp_num)
+    fp_den = n - fn_den[fp_box] if fp_denominator == "ref_negative" else n
+    return ErrorMaps(_rate(fn_num, fn_den[fn_box], fn_box),
+                     _rate(fp_num, fp_den, fp_box), lesion_count, ref0.spacing)
 
 
 @dataclass(frozen=True)

@@ -17,8 +17,6 @@ from contextlib import contextmanager
 from functools import partial
 from pathlib import Path
 
-import numpy as np
-
 from .analysis import fn_fp_maps, summarize_cohort
 from .errors import SegEvalError
 from .fusion import StapleParams, staple_fuse
@@ -31,7 +29,7 @@ from .reportio import (MANIFEST_COLUMNS, dump_json, metric_report,
                        rank_report, read_manifest, read_result_csv,
                        write_rank_csv, write_result_csv, _envelope)
 from .synth import PerturbOps, PhantomSpec, generate_phantom, perturb_mask
-from .volume import BinaryMask, binarize_challenge, same_grid
+from .volume import binarize_challenge, same_grid
 
 
 class CliUsageError(SegEvalError):
@@ -183,7 +181,8 @@ def cmd_staple(args) -> int:
     masks = []
     for path in args.inputs:
         vol = read_nifti(path)
-        masks.append(BinaryMask(vol.data != 0, vol.spacing))
+        with _naming(path):
+            masks.append(binarize_challenge(vol))
         same_grid(masks[0], masks[-1],
                   f"raters {args.inputs[0]} and {path}")
     result = staple_fuse(masks, params)
@@ -203,7 +202,7 @@ def _row_wmh(manifest, subject, row, path, grid, what):
     """The WMH mask of one of a manifest row's files, checked to lie on
     ``grid``'s grid when one is given."""
     with _naming_row(manifest, subject, row):
-        wmh = binarize_challenge(read_nifti(path))[0]
+        wmh = binarize_challenge(read_nifti(path))
         if grid is not None:
             same_grid(grid, wmh, what)
     return wmh
@@ -224,11 +223,11 @@ def cmd_maps(args) -> int:
                 first = ref
             yield ref, predictions(s, ref)
 
-    fn, fp = fn_fp_maps(subjects(), args.fp_denominator)
-    write_nifti_real(fn.rate, fn.spacing, args.fn_out)
-    write_nifti_real(fp.rate, fp.spacing, args.fp_out)
+    maps = fn_fp_maps(subjects(), args.fp_denominator)
+    write_nifti_real(maps.fn_rate, maps.spacing, args.fn_out)
+    write_nifti_real(maps.fp_rate, maps.spacing, args.fp_out)
     if args.lesion_count_out:
-        write_nifti_real(fn.lesion_count.astype(np.float64), fn.spacing,
+        write_nifti_real(maps.lesion_count, maps.spacing,
                          args.lesion_count_out)
     return 0
 
@@ -294,7 +293,7 @@ def cmd_synth(args) -> int:
         scanner = f"scanner_{si % args.scanners}"
         ref_name = f"{subject}_ref.nii.gz"
         write_nifti(ref, out / ref_name)
-        wmh, _ = binarize_challenge(ref)
+        wmh = binarize_challenge(ref)
         for mi in range(args.methods):
             method = f"method_{mi:02d}"
             pred = perturb_mask(wmh, _method_ops(mi, args.seed + si))

@@ -167,8 +167,9 @@ class ComponentLabeling:
     connectivity: int
 
 
-def binarize_challenge(volume: LabelVolume) -> tuple[BinaryMask, BinaryMask]:
-    """Split a challenge label volume into (wmh, ignore) masks.
+def binarize_challenge(volume: LabelVolume) -> BinaryMask:
+    """The WMH (label-1) mask of a challenge label volume; label 2 is
+    background here.
 
     Labels outside {0, 1, 2} are rejected with the offending value and
     coordinate rather than being clamped.
@@ -179,8 +180,7 @@ def binarize_challenge(volume: LabelVolume) -> tuple[BinaryMask, BinaryMask]:
         raise InvalidLabelError(
             f"label {int(data[at])} at voxel {at} is outside {{0, 1, 2}}",
             value=float(data[at]), coordinate=at)
-    return (BinaryMask(data == 1, volume.spacing),
-            BinaryMask(data == 2, volume.spacing))
+    return BinaryMask(data == 1, volume.spacing)
 
 
 def bounding_box(data: np.ndarray) -> tuple[slice, slice, slice]:

@@ -88,7 +88,7 @@ def phantom_pair(seed: int, dims=(24, 24, 16), spacing=(1.0, 1.0, 1.0),
                        size_range=size_range, seed=seed,
                        ignore_fraction=ignore_fraction)
     ref = generate_phantom(spec)
-    wmh, _ = binarize_challenge(ref)
+    wmh = binarize_challenge(ref)
     if ops is None:
         ops = PerturbOps(translate=(1, 0, 0), add_blobs=1, blob_size=5,
                          seed=seed + 1)

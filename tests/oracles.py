@@ -239,8 +239,8 @@ def maps_oracle(subjects, fp_denominator="ref_negative"):
     """FN/FP rate maps by the plain loop: every (reference, prediction)
     pair adds its FN, reference-positive and FP voxels on the whole
     grid, in int64. ``subjects`` is a list of (reference, predictions)
-    bool arrays. Returns (fn, fp), each a dict of numerator,
-    denominator, rate and lesion_count, or None when there is no pair.
+    bool arrays. Returns a dict of fn_rate, fp_rate and lesion_count,
+    or None when there is no pair.
     """
     ref0 = np.asarray(subjects[0][0], dtype=bool) if subjects else None
     if ref0 is None:
@@ -265,10 +265,8 @@ def maps_oracle(subjects, fp_denominator="ref_negative"):
     def rate(num, den):
         return np.where(den > 0, num / np.maximum(den, 1), 0.0)
 
-    return ({"numerator": fn_num, "denominator": fn_den,
-             "rate": rate(fn_num, fn_den), "lesion_count": lesion_count},
-            {"numerator": fp_num, "denominator": fp_den,
-             "rate": rate(fp_num, fp_den), "lesion_count": lesion_count})
+    return {"fn_rate": rate(fn_num, fn_den), "fp_rate": rate(fp_num, fp_den),
+            "lesion_count": lesion_count}
 
 
 # ----------------------------------------------------------------- ranking

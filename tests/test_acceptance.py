@@ -520,7 +520,7 @@ class TestFilesAndRuntime:
         spec = PhantomSpec(dims=(256, 256, 48), spacing=(0.96, 0.95, 3.0),
                            n_lesions=25, size_range=(5, 400), seed=77)
         ref = generate_phantom(spec)
-        wmh, _ = binarize_challenge(ref)
+        wmh = binarize_challenge(ref)
         noisy = perturb_mask(wmh, PerturbOps(translate=(1, 1, 0),
                                              add_blobs=3, blob_size=30,
                                              seed=78))

@@ -17,11 +17,11 @@ class TestRateMaps:
     def test_total_miss(self):
         ref = mask_from([(1, 1, 1), (2, 1, 1)], (4, 4, 4))
         pred = mask_from([], (4, 4, 4))
-        fn, fp = fn_fp_maps([(ref, [pred])])
-        assert fn.rate[1, 1, 1] == 1.0
-        assert fn.rate[2, 1, 1] == 1.0
-        assert fn.rate.sum() == 2.0
-        assert fp.rate.sum() == 0.0
+        maps = fn_fp_maps([(ref, [pred])])
+        assert maps.fn_rate[1, 1, 1] == 1.0
+        assert maps.fn_rate[2, 1, 1] == 1.0
+        assert maps.fn_rate.sum() == 2.0
+        assert maps.fp_rate.sum() == 0.0
 
     def test_perfect_predictions(self):
         rng = np.random.default_rng(101)
@@ -29,18 +29,18 @@ class TestRateMaps:
         for _ in range(3):
             m = random_mask(rng, (5, 5, 5), density=0.3)
             subjects.append((m, [m, m]))
-        fn, fp = fn_fp_maps(subjects)
-        assert fn.rate.sum() == 0.0
-        assert fp.rate.sum() == 0.0
+        maps = fn_fp_maps(subjects)
+        assert maps.fn_rate.sum() == 0.0
+        assert maps.fp_rate.sum() == 0.0
 
     def test_half_missed_voxel(self):
         ref = mask_from([(2, 2, 2)], (5, 5, 5))
         hit = mask_from([(2, 2, 2)], (5, 5, 5))
         miss = mask_from([], (5, 5, 5))
-        fn, _ = fn_fp_maps([(ref, [hit, miss])])
-        assert fn.rate[2, 2, 2] == 0.5
-        assert fn.numerator[2, 2, 2] == 1
-        assert fn.denominator[2, 2, 2] == 2
+        maps = fn_fp_maps([(ref, [hit, miss])])
+        assert maps.fn_rate[2, 2, 2] == 0.5
+        assert maps.fn_rate.sum() == 0.5
+        assert maps.lesion_count[2, 2, 2] == 1
 
     def test_counts_additive_over_concatenation(self):
         rng = np.random.default_rng(102)
@@ -49,55 +49,61 @@ class TestRateMaps:
                          for _ in range(k)])
         group1 = [mk(k) for k in (1, 3, 2)]
         group2 = [mk(k) for k in (2, 1, 1, 3)]
-        fn_a, fp_a = fn_fp_maps(group1)
-        fn_b, fp_b = fn_fp_maps(group2)
-        fn_all, fp_all = fn_fp_maps(group1 + group2)
-        assert np.array_equal(fn_all.numerator, fn_a.numerator + fn_b.numerator)
-        assert np.array_equal(fn_all.denominator,
-                              fn_a.denominator + fn_b.denominator)
-        assert np.array_equal(fp_all.numerator, fp_a.numerator + fp_b.numerator)
-        assert np.array_equal(fn_all.lesion_count,
-                              fn_a.lesion_count + fn_b.lesion_count)
+
+        def counts(group):
+            # each rate times its denominator gives back its error count
+            maps = fn_fp_maps(group)
+            fn_den = sum(len(preds) * ref.data.astype(np.int64)
+                         for ref, preds in group)
+            n = sum(len(preds) for _, preds in group)
+            return (np.rint(maps.fn_rate * fn_den),
+                    np.rint(maps.fp_rate * (n - fn_den)), maps.lesion_count)
+
+        for a, b, both in zip(counts(group1), counts(group2),
+                              counts(group1 + group2)):
+            assert np.array_equal(both, a + b)
 
     def test_empty_reference_pairs_leave_fn_rate_alone(self):
         ref = mask_from([(1, 1, 1)], (4, 4, 4))
         pred = mask_from([], (4, 4, 4))
-        fn_before, _ = fn_fp_maps([(ref, [pred])])
+        before = fn_fp_maps([(ref, [pred])])
         empty = mask_from([], (4, 4, 4))
-        fn_after, _ = fn_fp_maps([(ref, [pred]), (empty, [empty])])
-        assert np.array_equal(fn_before.rate, fn_after.rate)
+        after = fn_fp_maps([(ref, [pred]), (empty, [empty])])
+        assert np.array_equal(before.fn_rate, after.fn_rate)
 
     def test_subject_dedup_in_lesion_count(self):
         ref = mask_from([(0, 0, 0)], (3, 3, 3))
         pred = mask_from([], (3, 3, 3))
-        shared, _ = fn_fp_maps([(ref, [pred, pred])])
-        distinct, _ = fn_fp_maps([(ref, [pred]), (ref, [pred])])
+        shared = fn_fp_maps([(ref, [pred, pred])])
+        distinct = fn_fp_maps([(ref, [pred]), (ref, [pred])])
         assert shared.lesion_count[0, 0, 0] == 1
         assert distinct.lesion_count[0, 0, 0] == 2
-        assert np.array_equal(shared.denominator, distinct.denominator)
+        assert np.array_equal(shared.fn_rate, distinct.fn_rate)
+        assert np.array_equal(shared.fp_rate, distinct.fp_rate)
 
     def test_fp_denominator_modes(self):
-        ref = mask_from([(0, 0, 0)], (3, 3, 3))
-        pred = mask_from([(1, 1, 1)], (3, 3, 3))
-        _, by_negative = fn_fp_maps([(ref, [pred, ref])])
-        _, by_pairs = fn_fp_maps([(ref, [pred, ref])],
-                                 fp_denominator="pairs")
-        assert by_negative.denominator[1, 1, 1] == 2
-        assert by_negative.denominator[0, 0, 0] == 0   # ref-positive voxel
-        assert (by_pairs.denominator == 2).all()
-        assert by_pairs.rate[1, 1, 1] == 0.5
+        a = mask_from([(0, 0, 0)], (3, 3, 3))
+        b = mask_from([(1, 1, 1)], (3, 3, 3))
+        # each voxel is reference background in one of the two pairs,
+        # and predicted there
+        subjects = [(a, [b]), (b, [a])]
+        by_negative = fn_fp_maps(subjects)
+        by_pairs = fn_fp_maps(subjects, fp_denominator="pairs")
+        for voxel in ((0, 0, 0), (1, 1, 1)):
+            assert by_negative.fp_rate[voxel] == 1.0
+            assert by_pairs.fp_rate[voxel] == 0.5
 
-    def test_rates_bounded_and_denominator_dominates(self):
+    def test_rates_bounded(self):
         rng = np.random.default_rng(103)
         subjects = [(random_mask(rng, (6, 6, 6), density=0.3),
                      [random_mask(rng, (6, 6, 6), density=0.3)
                       for _ in range(k)])
                     for k in (1, 2, 2)]
         for mode in ("ref_negative", "pairs"):
-            fn, fp = fn_fp_maps(subjects, fp_denominator=mode)
-            for m in (fn, fp):
-                assert m.rate.min() >= 0.0 and m.rate.max() <= 1.0
-                assert (m.denominator >= m.numerator).all()
+            maps = fn_fp_maps(subjects, fp_denominator=mode)
+            for rate in (maps.fn_rate, maps.fp_rate):
+                assert rate.min() >= 0.0 and rate.max() <= 1.0
+            assert maps.fn_rate.max() > 0 and maps.fp_rate.max() > 0
 
     def test_validation(self):
         with pytest.raises(ArityError):
@@ -120,15 +126,13 @@ class TestRateMaps:
                     for k in (3, 2, 1)]
         for mode in ("ref_negative", "pairs"):
             want = fn_fp_maps(subjects, mode)
-            assert np.array_equal(want[0].lesion_count,
+            assert np.array_equal(want.lesion_count,
                                   sum(ref.data for ref, _ in subjects))
             got = fn_fp_maps(((ref, (p for p in preds))
                               for ref, preds in subjects), mode)
-            for w, g in zip(want, got):
-                for field in ("numerator", "denominator", "rate",
-                              "lesion_count"):
-                    assert np.array_equal(getattr(w, field),
-                                          getattr(g, field)), field
+            for field in ("fn_rate", "fp_rate", "lesion_count"):
+                assert np.array_equal(getattr(want, field),
+                                      getattr(got, field)), field
 
     def test_validation_on_a_generator(self):
         a = mask_from([(1, 1, 1)], (3, 3, 3))
@@ -179,8 +183,9 @@ MAP_DRAWS = settings(max_examples=200, derandomize=True, deadline=None,
 @MAP_DRAWS
 @given(map_cohorts(), st.booleans())
 def test_maps_match_the_whole_grid_oracle(subjects, as_generator):
-    """Every RateMap field equals the per-pair whole-grid loop exactly,
-    under both denominators, for lists and for generators."""
+    """Every ErrorMaps array equals the per-pair whole-grid loop exactly,
+    in value and dtype, and is stored x-fastest, under both
+    denominators, for lists and for generators."""
     oracle_input = [(ref.data, [p.data for p in preds])
                     for ref, preds in subjects]
     for mode in ("ref_negative", "pairs"):
@@ -193,13 +198,15 @@ def test_maps_match_the_whole_grid_oracle(subjects, as_generator):
             with pytest.raises(ArityError):
                 fn_fp_maps(feed, mode)
             continue
-        for got, expected in zip(fn_fp_maps(feed, mode), want):
-            for field, value in expected.items():
-                array = getattr(got, field)
-                assert array.dtype == value.dtype, field
-                assert array.flags.f_contiguous, field
-                assert np.array_equal(array, value), field
-            assert not np.signbit(got.rate).any()   # +0.0 where undefined
+        got = fn_fp_maps(feed, mode)
+        for field, value in want.items():
+            array = getattr(got, field)
+            assert array.dtype == value.dtype, field
+            assert array.flags.f_contiguous, field
+            assert np.array_equal(array, value), field
+        for rate in (got.fn_rate, got.fp_rate):
+            assert not np.signbit(rate).any()   # +0.0 where undefined
+        assert got.spacing == subjects[0][0].spacing
 
 
 class TestCohortSummary:

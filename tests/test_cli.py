@@ -655,6 +655,39 @@ class TestStaple:
         assert rc == 1
         assert "error:" in capsys.readouterr().err
 
+    def test_a_label_above_2_names_the_rater(self, raters_on_disk, tmp_path,
+                                             capsys):
+        masks, paths = raters_on_disk
+        data = masks[1].data.astype(np.uint8)
+        data[4, 4, 2] = 7
+        bad = tmp_path / "rb.nii"
+        write_nifti(LabelVolume(data, (1.0, 1.0, 1.0)), bad)
+        out = tmp_path / "c.nii"
+        assert main(["staple", paths[0], str(bad), "-o", str(out)]) == 1
+        assert capsys.readouterr().err.splitlines() == [
+            f"error: {bad}: label 7 at voxel (4, 4, 2) is outside {{0, 1, 2}}"]
+        assert not out.exists()
+
+    def test_label_2_is_no_vote(self, raters_on_disk, tmp_path, capsys):
+        masks, paths = raters_on_disk
+        other = [(7, 3, 2), (4, 4, 3), (0, 0, 0)]   # WMH and background
+        for label in (2, 0):
+            data = masks[1].data.astype(np.uint8)
+            for at in other:
+                data[at] = label
+            write_nifti(LabelVolume(data, (1.0, 1.0, 1.0)),
+                        tmp_path / f"l{label}.nii")
+        runs = []
+        for name in ("l2", "l0"):
+            out = tmp_path / f"{name}_c.nii"
+            weights = tmp_path / f"{name}_w.nii"
+            assert main(["staple", paths[0], str(tmp_path / f"{name}.nii"),
+                         paths[2], "-o", str(out),
+                         "--weights-out", str(weights)]) == 0
+            printed = capsys.readouterr().out.replace(f"{name}.nii", "")
+            runs.append((out.read_bytes(), weights.read_bytes(), printed))
+        assert runs[0] == runs[1]
+
 
 @pytest.fixture
 def maps_corpus(tmp_path):
@@ -677,8 +710,8 @@ def maps_corpus(tmp_path):
     rows += [("n", sid, "sc", f"{sid}_ref.nii", "empty.nii")
              for sid in pairs]
     manifest = write_manifest(tmp_path / "m.csv", rows)
-    subjects = [(binarize_challenge(ref)[0],
-                 [binarize_challenge(pred)[0], binarize_challenge(empty)[0]])
+    subjects = [(binarize_challenge(ref),
+                 [binarize_challenge(pred), binarize_challenge(empty)])
                 for ref, pred in pairs.values()]
     return manifest, subjects
 
@@ -693,11 +726,13 @@ class TestMaps:
                    "--fp-out", str(fp_p),
                    "--lesion-count-out", str(count_p)])
         assert rc == 0
-        fn, fp = fn_fp_maps(subjects)
-        assert np.array_equal(read_real(fn_p), fn.rate.astype(np.float32))
-        assert np.array_equal(read_real(fp_p), fp.rate.astype(np.float32))
+        maps = fn_fp_maps(subjects)
+        assert np.array_equal(read_real(fn_p),
+                              maps.fn_rate.astype(np.float32))
+        assert np.array_equal(read_real(fp_p),
+                              maps.fp_rate.astype(np.float32))
         assert np.array_equal(read_real(count_p),
-                              fn.lesion_count.astype(np.float32))
+                              maps.lesion_count.astype(np.float32))
         # both methods miss s1's (3, 3, 2) lesion voxel
         assert read_real(fn_p)[3, 3, 2] == 1.0
         # (1, 1, 1) is in both references, each listed twice
@@ -711,8 +746,9 @@ class TestMaps:
                    str(tmp_path / "fn.nii.gz"), "--fp-out", str(fp_p),
                    "--fp-denominator", "pairs"])
         assert rc == 0
-        _, fp = fn_fp_maps(subjects, "pairs")
-        assert np.array_equal(read_real(fp_p), fp.rate.astype(np.float32))
+        maps = fn_fp_maps(subjects, "pairs")
+        assert np.array_equal(read_real(fp_p),
+                              maps.fp_rate.astype(np.float32))
 
     def test_a_bad_label_names_its_row_and_file(self, maps_corpus, tmp_path,
                                                 capsys):
@@ -769,7 +805,7 @@ class TestCohort:
         rc = main(["cohort", str(manifest)])
         assert rc == 0
         body = json.loads(capsys.readouterr().out)
-        expected = summarize_cohort([binarize_challenge(ref)[0]
+        expected = summarize_cohort([binarize_challenge(ref)
                                      for ref in (ref1, ref2, ref3)])
         assert body["n"] == 3
         assert body["volume_ml"]["values"] \
@@ -825,7 +861,7 @@ class TestSynth:
         capsys.readouterr()
         ref = read_nifti(out / "sub-001_ref.nii.gz")
         pred = read_nifti(out / "sub-001_method_00.nii.gz")
-        wmh, _ = binarize_challenge(ref)
+        wmh = binarize_challenge(ref)
         assert np.array_equal(pred.data.astype(bool), wmh.data)
 
     def test_deterministic(self, tmp_path, capsys):

@@ -163,15 +163,13 @@ class TestKernels:
                  [in_order(p, pred_order) for p in ps])
                 for ref, ps in zip(refs, preds))
 
-        base_fn, base_fp = maps("C", "C")
+        base = maps("C", "C")
         for a, b in ORDER_PAIRS[1:]:
-            fn, fp = maps(a, b)
-            for got, want in ((fn, base_fn), (fp, base_fp)):
-                for field in ("numerator", "denominator", "rate",
-                              "lesion_count"):
-                    assert np.array_equal(getattr(got, field),
-                                          getattr(want, field))
-        assert maps("F", "F")[0].rate.flags.f_contiguous
+            got = maps(a, b)
+            for field in ("fn_rate", "fp_rate", "lesion_count"):
+                assert np.array_equal(getattr(got, field),
+                                      getattr(base, field))
+        assert maps("F", "F").fn_rate.flags.f_contiguous
 
 
 class TestOutputs:
@@ -179,7 +177,7 @@ class TestOutputs:
         spec = PhantomSpec(dims=(20, 18, 12), n_lesions=4, size_range=(3, 20),
                            seed=5, ignore_fraction=0.3)
         ref = generate_phantom(spec)
-        wmh = binarize_challenge(ref)[0]
+        wmh = binarize_challenge(ref)
         grids = {"generate_phantom": ref.data}
         for op in (PerturbOps(), PerturbOps(dilate=1), PerturbOps(erode=1),
                    PerturbOps(drop_components=(1,)),
@@ -192,10 +190,9 @@ class TestOutputs:
         fused = staple_fuse(raters)
         grids["staple weights"] = fused.weights
         grids["staple consensus"] = fused.consensus.data
-        for name, rate_map in zip(("fn", "fp"), fn_fp_maps([(wmh, raters)])):
-            for field in ("numerator", "denominator", "rate",
-                          "lesion_count"):
-                grids[f"{name} {field}"] = getattr(rate_map, field)
+        maps = fn_fp_maps([(wmh, raters)])
+        for field in ("fn_rate", "fp_rate", "lesion_count"):
+            grids[f"maps {field}"] = getattr(maps, field)
         # a grid that is C- and F-contiguous at once would pass trivially
         assert not ref.data.flags.c_contiguous
         for name, grid in grids.items():

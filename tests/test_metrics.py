@@ -405,9 +405,10 @@ def assert_same_as_uncropped(ref, pred, config=EvalConfig()):
             assert got[key] == expected, key
         else:
             assert got[key] == pytest.approx(expected, abs=1e-9), key
-    ref_wmh, ignore = binarize_challenge(ref)
-    pred_wmh, _ = binarize_challenge(pred)
-    keep = ~ignore.data if config.ignore_mode == "exclude" else True
+    ref_wmh = binarize_challenge(ref)
+    pred_wmh = binarize_challenge(pred)
+    ignore = ref.data == 2
+    keep = ~ignore if config.ignore_mode == "exclude" else True
     assert got["h95_mm"] == whole_grid_h95(ref_wmh.data & keep,
                                            pred_wmh.data & keep,
                                            ref.spacing, config.h95_mode)

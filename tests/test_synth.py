@@ -30,12 +30,12 @@ class TestGeneratePhantom:
     def test_component_count_is_exact(self):
         for n in (1, 4, 7):
             vol = generate_phantom(PhantomSpec(n_lesions=n, seed=5))
-            wmh, _ = binarize_challenge(vol)
+            wmh = binarize_challenge(vol)
             assert connected_components(wmh, 26).count == n
 
     def test_lesion_sizes_within_range(self):
         spec = PhantomSpec(n_lesions=6, size_range=(5, 11), seed=9)
-        wmh, _ = binarize_challenge(generate_phantom(spec))
+        wmh = binarize_challenge(generate_phantom(spec))
         comps = connected_components(wmh, 26)
         assert comps.sizes.min() >= 5
         assert comps.sizes.max() <= 11
@@ -80,9 +80,7 @@ class TestGeneratePhantom:
 
 class TestPerturbMask:
     def _phantom_mask(self, **kw):
-        vol = generate_phantom(PhantomSpec(**kw))
-        wmh, _ = binarize_challenge(vol)
-        return wmh
+        return binarize_challenge(generate_phantom(PhantomSpec(**kw)))
 
     def test_empty_ops_identity(self):
         m = self._phantom_mask(seed=21)
