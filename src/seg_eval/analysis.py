@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ArityError
+from .errors import ArityError, SegEvalError
 from .volume import (BinaryMask, bounding_box, connected_components,
                      same_grid)
 
@@ -32,15 +32,44 @@ __all__ = [
 class ErrorMaps:
     """Voxelwise false-negative and false-positive rates over a cohort.
 
-    Each rate is its count over its denominator where the denominator
-    is positive and +0.0 elsewhere. ``lesion_count`` holds, per voxel,
-    the number of subjects whose reference contains that voxel.
+    Each rate (float64) is its count over its denominator where the
+    denominator is positive and +0.0 elsewhere. ``lesion_count`` (int32)
+    holds, per voxel, the number of subjects whose reference contains
+    that voxel.
     """
 
     fn_rate: np.ndarray
     fp_rate: np.ndarray
     lesion_count: np.ndarray
     spacing: tuple[float, float, float]
+
+
+# the int32 counts hold any count of pairs or subjects up to this one
+_COUNT_MAX = int(np.iinfo(np.int32).max)
+
+
+def _check_count(count: int, what: str) -> None:
+    if count > _COUNT_MAX:
+        raise SegEvalError(f"fn_fp_maps counts {what} in int32; more than "
+                           f"{_COUNT_MAX} would overflow them")
+
+
+def _union(a: tuple[slice, ...], b: tuple[slice, ...]) -> tuple[slice, ...]:
+    """The smallest box holding boxes ``a`` and ``b``; an empty box (as
+    ``bounding_box`` gives, ``0:0`` on every axis) adds nothing."""
+    if a[0].start == a[0].stop:
+        return b
+    if b[0].start == b[0].stop:
+        return a
+    return tuple(slice(min(p.start, q.start), max(p.stop, q.stop))
+                 for p, q in zip(a, b))
+
+
+def _within(box: tuple[slice, ...],
+            frame: tuple[slice, ...]) -> tuple[slice, ...]:
+    """``box`` in the coordinates of ``frame``, which holds it."""
+    return tuple(slice(b.start - f.start, b.stop - f.start)
+                 for b, f in zip(box, frame))
 
 
 def fn_fp_maps(subjects: Iterable[tuple[BinaryMask, Iterable[BinaryMask]]],
@@ -52,60 +81,80 @@ def fn_fp_maps(subjects: Iterable[tuple[BinaryMask, Iterable[BinaryMask]]],
     Every (reference, prediction) pair counts once. The FN rate divides
     by how often a voxel was reference foreground; the FP rate divides
     by how often it was reference background, or by the total number of
-    pairs with ``fp_denominator="pairs"``. The lesion-count grid adds
-    each subject's reference once.
+    pairs with ``fp_denominator="pairs"``. The lesion-count grid (int32)
+    adds each subject's reference once.
 
     ``subjects`` and each subject's predictions may be any iterables,
     generators included; each is consumed once, so memory does not grow
     with the number of masks. Each prediction costs one whole-grid pass,
-    adding it to its subject's vote count; the counts are then taken
-    only inside the box of the subject's reference or votes, and each
-    rate, with its denominator, only inside its numerator's box. So
-    work and touched memory scale with the lesion boxes plus that one
-    pass per prediction, and every rate equals what a per-pair
-    whole-grid loop would give.
+    adding it to its subject's int32 vote count. The other counts are
+    int32 arrays over one frame, the union of every subject's reference
+    and vote boxes, which grows (with a copy) when a box falls outside
+    it; each subject adds to them only inside its two boxes, and the
+    rates are taken only inside the frame. So work and touched memory
+    scale with the lesion boxes plus that one pass per prediction, and
+    every output equals what a per-pair whole-grid loop would give.
+    More than ``2**31 - 1`` pairs or subjects would overflow the counts
+    and raise ``SegEvalError``.
     """
     if fp_denominator not in ("ref_negative", "pairs"):
         raise ValueError(f"bad fp_denominator {fp_denominator!r}")
     ref0 = None
-    n = 0
+    n = n_subjects = 0
+    frame = (slice(0, 0),) * 3
+    counts = np.zeros((0, 0, 0, 4), np.int32, order="F")
+    lesion, fn_den, fn_num, fp_num = np.moveaxis(counts, 3, 0)
     for ref, preds in subjects:
         if ref0 is None:
             ref0 = ref
-            # np.zeros rather than zeros_like: a calloc'd page of a map
-            # that stays 0 is never written
-            fn_num, fn_den, fp_num, lesion_count = (
-                np.zeros(ref.dims, np.int64, order="F") for _ in range(4))
             votes = np.zeros(ref.dims, np.int32, order="F")
         same_grid(ref0, ref, "map inputs")
+        n_subjects += 1
+        _check_count(n_subjects, "subjects")
         k = 0
         for pred in preds:
             same_grid(ref, pred, "reference and prediction")
-            votes += pred.data
             k += 1
+            _check_count(n + k, "pairs")
+            votes += pred.data
         # each term is 0 outside the box of the reference or the votes
-        box = bounding_box(ref.data)
-        r = ref.data[box]
-        lesion_count[box] += r
-        fn_den[box] += k * r
-        fn_num[box] += r * (k - votes[box])
-        box = bounding_box(votes)
-        fp_num[box] += ~ref.data[box] * votes[box]
-        votes[box] = 0
+        ref_box, vote_box = bounding_box(ref.data), bounding_box(votes)
+        wider = _union(_union(frame, ref_box), vote_box)
+        if wider != frame:
+            grown = np.zeros(tuple(s.stop - s.start for s in wider) + (4,),
+                             np.int32, order="F")
+            grown[_within(frame, wider)] = counts
+            frame, counts = wider, grown
+            lesion, fn_den, fn_num, fp_num = np.moveaxis(counts, 3, 0)
+        r = ref.data[ref_box]
+        at = _within(ref_box, frame)
+        lesion[at] += r
+        fn_den[at] += r * np.int32(k)
+        fn_num[at] += r * (k - votes[ref_box])
+        fp_num[_within(vote_box, frame)] += (~ref.data[vote_box]
+                                             * votes[vote_box])
+        votes[vote_box] = 0
         n += k
     if n == 0:
         raise ArityError("fn_fp_maps needs at least one pair")
+    del votes   # whole-grid and resident: free it before the outputs
 
-    def _rate(num, den, box):
-        # outside the numerator's box the rate is the +0.0 already there
-        out = np.zeros(num.shape, np.float64, order="F")
-        np.divide(num[box], den, out=out[box], where=den > 0)
+    def _whole(dtype):
+        # np.zeros rather than zeros_like: a calloc'd page that stays 0
+        # outside the frame is never written
+        return np.zeros(ref0.dims, dtype, order="F")
+
+    def _rate(num, den):
+        # outside the frame every count is 0 and the rate the +0.0 there
+        out = _whole(np.float64)
+        np.divide(num, den, out=out[frame], where=den > 0)
         return out
 
-    fn_box, fp_box = bounding_box(fn_num), bounding_box(fp_num)
-    fp_den = n - fn_den[fp_box] if fp_denominator == "ref_negative" else n
-    return ErrorMaps(_rate(fn_num, fn_den[fn_box], fn_box),
-                     _rate(fp_num, fp_den, fp_box), lesion_count, ref0.spacing)
+    lesion_count = _whole(np.int32)
+    lesion_count[frame] = lesion
+    fp_den = n - fn_den if fp_denominator == "ref_negative" else n
+    return ErrorMaps(_rate(fn_num, fn_den), _rate(fp_num, fp_den),
+                     lesion_count, ref0.spacing)
 
 
 @dataclass(frozen=True)

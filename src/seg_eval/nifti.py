@@ -6,7 +6,8 @@ int8, int16, uint16, int32, float32 and float64 (codes 2, 256, 4, 512,
 payload is stored x-fastest, which is how NIfTI defines its on-disk
 order and how every volume and mask holds its data, so a read is an
 F-ordered ``reshape`` of the payload and a write hands the array's own
-buffer to the file, copying only to change the dtype. An
+buffer to the file one z plane at a time, copying a plane only to
+change its dtype. An
 integer payload in native byte order is handed over as decoded, in its
 own dtype; a byte-swapped one becomes int32, and a float one is
 rounded to int32.
@@ -15,7 +16,9 @@ Every voxel value is a label as stored: the scaling fields
 ``scl_slope``/``scl_inter`` must say so (slope 0 or 1, intercept 0),
 and a label that is negative or beyond int32 is rejected. A negative
 voxel spacing, which some writers use to mark a flipped axis, is
-rejected too. Every error names the file.
+rejected too, as are spatial units other than mm (or unknown, read as
+mm) and a ``vox_offset`` that starts the payload inside the four
+extension bytes. Every error names the file.
 
 Written files are deterministic: unused header fields are zeroed and
 gzip members carry mtime 0, so identical volumes produce identical
@@ -24,6 +27,7 @@ bytes.
 
 from __future__ import annotations
 
+import contextlib
 import gzip
 import math
 import struct
@@ -39,6 +43,8 @@ from .volume import _LABEL_MAX, BinaryMask, LabelVolume, _first_where
 __all__ = ["read_nifti", "write_nifti", "write_nifti_real"]
 
 HEADER_SIZE = 348
+_PAYLOAD_OFFSET = 352   # the header and four extension bytes
+_UNIT_NAMES = {1: "metre", 3: "micron"}
 _MAGIC_SINGLE = b"n+1\x00"
 
 _DTYPE_BY_CODE = {2: np.uint8, 4: np.int16, 8: np.int32, 16: np.float32,
@@ -125,14 +131,27 @@ def read_nifti(path: str | Path) -> LabelVolume:
     if not all(np.isfinite(s) and s > 0 for s in spacing):
         raise FormatError(f"{path}: invalid voxel spacing {spacing}")
 
+    units = raw[123] & 0x07   # the spatial part of xyzt_units
+    if units not in (0, 2):
+        name = _UNIT_NAMES.get(units, "not a NIfTI-1 unit")
+        raise FormatError(
+            f"{path}: spatial units code {units} ({name}); voxel spacing "
+            f"must be in mm (code 2) or unknown (code 0)")
+
     if not math.isfinite(vox_offset):
         raise FormatError(f"{path}: vox_offset {vox_offset} is not finite")
+    if HEADER_SIZE <= vox_offset < _PAYLOAD_OFFSET:
+        raise FormatError(
+            f"{path}: vox_offset {vox_offset:g} starts the payload inside "
+            f"the extension bytes; a single-file NIfTI-1 needs at least "
+            f"{_PAYLOAD_OFFSET}")
     if slope not in (0.0, 1.0) or inter != 0.0:   # NaN fails both
         raise FormatError(
             f"{path}: scl_slope {slope} and scl_inter {inter} rescale "
             f"voxel values; labels must be stored unscaled (slope 0 or 1, "
             f"intercept 0)")
-    offset = int(vox_offset) if vox_offset >= HEADER_SIZE else 352
+    # an offset inside the header, 0 among them, falls back to 352
+    offset = max(int(vox_offset), _PAYLOAD_OFFSET)
     dt = np.dtype(_DTYPE_BY_CODE[datatype]).newbyteorder(bo)
     nvox = nx * ny * nz
     nbytes = nvox * dt.itemsize
@@ -175,7 +194,7 @@ def _pack_header(dims: tuple[int, int, int],
     struct.pack_into("<2h", hdr, 70, datatype, _BITPIX_BY_CODE[datatype])
     struct.pack_into("<8f", hdr, 76, 1.0, spacing[0], spacing[1], spacing[2],
                      0.0, 0.0, 0.0, 0.0)
-    struct.pack_into("<f", hdr, 108, 352.0)
+    struct.pack_into("<f", hdr, 108, float(_PAYLOAD_OFFSET))
     struct.pack_into("<2f", hdr, 112, 1.0, 0.0)   # scl_slope / scl_inter
     struct.pack_into("<B", hdr, 123, 2)           # spatial units: mm
     hdr[344:348] = _MAGIC_SINGLE
@@ -184,43 +203,38 @@ def _pack_header(dims: tuple[int, int, int],
 
 def _write(path: Path, data: np.ndarray,
            spacing: tuple[float, float, float], datatype: int) -> None:
-    """Write the header, then the x-fastest buffer of the F-contiguous
-    ``data`` itself, gzipped iff the path ends in .gz. Deflate output
-    does not depend on how its input is split, so the bytes equal those
-    of one joined blob."""
+    """Write the header, then ``data`` one z plane at a time, each plane
+    cast to the payload dtype and scanned x-fastest, gzipped iff the
+    path ends in .gz. A plane of F-contiguous data already of that dtype
+    is a view, so no write copies the grid. Deflate output does not
+    depend on how its input is split, so the bytes equal those of one
+    joined blob."""
     # four zero bytes after the header: no extensions
     header = _pack_header(data.shape, spacing, datatype) + b"\x00" * 4
-    payload = data.ravel("F")   # a view, not a copy
-    with open(path, "wb") as fh:
-        if path.suffix == ".gz":
-            with gzip.GzipFile(filename="", mode="wb", fileobj=fh,
-                               mtime=0) as gz:
-                gz.write(header)
-                gz.write(payload)
-        else:
-            fh.write(header)
-            fh.write(payload)
+    dtype = np.dtype(_DTYPE_BY_CODE[datatype]).newbyteorder("<")
+    with open(path, "wb") as fh, (
+            gzip.GzipFile(filename="", mode="wb", fileobj=fh, mtime=0)
+            if path.suffix == ".gz" else contextlib.nullcontext(fh)) as out:
+        out.write(header)
+        for z in range(data.shape[2]):
+            out.write(np.asarray(data[:, :, z], dtype).ravel("F"))
 
 
 def write_nifti(volume: LabelVolume | BinaryMask, path: str | Path) -> None:
     """Write labels (or a mask as 0/1) as uint8, gzipped iff the path
     ends in .gz."""
     data = volume.data
-    if data.dtype == np.bool_:
-        data = data.view(np.uint8)
-    else:
-        # labels are never negative, so a 1-byte payload fits uint8
-        if data.dtype.itemsize > 1 and data.size and int(data.max()) > 255:
-            raise InvalidLabelError(
-                f"label {int(data.max())} does not fit the uint8 payload")
-        data = data.astype(np.uint8, order="F", copy=False)
+    # labels are never negative, so a 1-byte payload fits uint8
+    if data.dtype.itemsize > 1 and data.size and int(data.max()) > 255:
+        raise InvalidLabelError(
+            f"label {int(data.max())} does not fit the uint8 payload")
     _write(Path(path), data, volume.spacing, 2)
 
 
 def write_nifti_real(data: np.ndarray, spacing: tuple[float, float, float],
                      path: str | Path) -> None:
     """Write a real-valued 3-D map (rates, weights) as float32."""
-    arr = np.asarray(data, dtype=np.float32, order="F")
+    arr = np.asarray(data)
     if arr.ndim != 3:
         raise ValueError(f"expected a 3-D array, got shape {arr.shape}")
     _write(Path(path), arr, tuple(float(s) for s in spacing), 16)

@@ -20,7 +20,7 @@ DTYPE_BY_CODE = {2: "u1", 4: "i2", 8: "i4", 16: "f4", 64: "f8", 256: "i1",
 
 
 def build_file(dims=(2, 2, 1), pixdim=(1.0, 1.0, 3.0), datatype=2,
-               bitpix=None, vox_offset=348.0, magic=b"n+1\x00",
+               bitpix=None, vox_offset=352.0, magic=b"n+1\x00",
                payload=None, byteorder="<", ndim=3, scaling=(0.0, 0.0)):
     """Hand-assembled NIfTI-1 bytes, independent of the writer."""
     if bitpix is None:

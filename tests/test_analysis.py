@@ -6,8 +6,9 @@ from hypothesis import HealthCheck, event, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
+from seg_eval import analysis
 from seg_eval.analysis import fn_fp_maps, summarize_cohort
-from seg_eval.errors import ArityError, ShapeMismatchError
+from seg_eval.errors import ArityError, SegEvalError, ShapeMismatchError
 from seg_eval.volume import BinaryMask
 
 from helpers import mask_from, random_mask
@@ -198,15 +199,75 @@ def test_maps_match_the_whole_grid_oracle(subjects, as_generator):
             with pytest.raises(ArityError):
                 fn_fp_maps(feed, mode)
             continue
-        got = fn_fp_maps(feed, mode)
-        for field, value in want.items():
-            array = getattr(got, field)
-            assert array.dtype == value.dtype, field
-            assert array.flags.f_contiguous, field
-            assert np.array_equal(array, value), field
-        for rate in (got.fn_rate, got.fp_rate):
-            assert not np.signbit(rate).any()   # +0.0 where undefined
-        assert got.spacing == subjects[0][0].spacing
+        assert_matches_oracle(fn_fp_maps(feed, mode), want,
+                              subjects[0][0].spacing)
+
+
+def assert_matches_oracle(got, want, spacing):
+    """Every ErrorMaps array equals the oracle's exactly and is stored
+    x-fastest; the rates are float64 with +0.0 where undefined, and the
+    lesion count is int32 holding the oracle's int64 counts."""
+    for field, value in want.items():
+        array = getattr(got, field)
+        dtype = np.int32 if field == "lesion_count" else value.dtype
+        assert array.dtype == dtype, field
+        assert array.flags.f_contiguous, field
+        assert np.array_equal(array, value), field
+    for rate in (got.fn_rate, got.fp_rate):
+        assert not np.signbit(rate).any()
+    assert got.spacing == spacing
+
+
+class TestFrame:
+    """The counts live in a frame, the union of the lesion boxes seen so
+    far, that grows as later subjects reach outside it."""
+
+    DIMS = (9, 8, 7)
+
+    def cohort(self):
+        def at(*coords):
+            return mask_from(coords, self.DIMS)
+
+        empty = at()
+        return [
+            # the first frame: a box in the middle of the grid
+            (at((4, 4, 3), (5, 4, 3)), [at((4, 4, 3)), at((5, 5, 3))]),
+            # an empty reference, its votes outside the frame on the low
+            # side of every axis
+            (empty, [at((0, 0, 0)), at((1, 0, 0))]),
+            # a subject with no predictions
+            (at((2, 6, 5)), []),
+            # a reference outside the frame on the high side of every
+            # axis, and an all-empty prediction beside a hit
+            (at((8, 7, 6), (7, 7, 6)), [empty, at((8, 7, 6))]),
+        ]
+
+    @pytest.mark.parametrize("as_generator", [False, True])
+    @pytest.mark.parametrize("mode", ["ref_negative", "pairs"])
+    def test_growing_frame_matches_the_oracle(self, mode, as_generator):
+        subjects = self.cohort()
+        want = maps_oracle([(ref.data, [p.data for p in preds])
+                            for ref, preds in subjects], mode)
+        feed = subjects
+        if as_generator:
+            feed = ((ref, (p for p in preds)) for ref, preds in subjects)
+        maps = fn_fp_maps(feed, mode)
+        assert_matches_oracle(maps, want, subjects[0][0].spacing)
+        # each corner the later subjects reached is counted
+        assert maps.fp_rate[0, 0, 0] > 0 and maps.fn_rate[8, 7, 6] == 0.5
+        assert maps.lesion_count[2, 6, 5] == 1
+
+    def test_count_limit_raises_instead_of_wrapping(self, monkeypatch):
+        subjects = self.cohort()   # 6 pairs over 4 subjects
+        monkeypatch.setattr(analysis, "_COUNT_MAX", 6)
+        fn_fp_maps(subjects)
+        monkeypatch.setattr(analysis, "_COUNT_MAX", 5)
+        with pytest.raises(SegEvalError, match="pairs.*more than 5"):
+            fn_fp_maps(subjects)
+        monkeypatch.setattr(analysis, "_COUNT_MAX", 3)
+        empty = mask_from([], self.DIMS)
+        with pytest.raises(SegEvalError, match="subjects"):
+            fn_fp_maps([(empty, [empty])] + [(empty, [])] * 3)
 
 
 class TestCohortSummary:

@@ -1,4 +1,5 @@
 import gzip
+import io
 import struct
 import warnings
 
@@ -6,11 +7,13 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from seg_eval.cli import main
 from seg_eval.errors import (FormatError, InvalidLabelError, SegEvalError,
                              TruncatedFileError, UnsupportedDataTypeError)
-from seg_eval.nifti import read_nifti, write_nifti, write_nifti_real
+from seg_eval.nifti import (_pack_header, read_nifti, write_nifti,
+                            write_nifti_real)
 from seg_eval.volume import BinaryMask, LabelVolume
 
 from helpers import DTYPE_BY_CODE, build_file, encode_as, labels_from
@@ -446,6 +449,127 @@ class TestDatatypes:
                 rf"-\S+ on the {'xyz'[axis]} axis")) as err:
             read_nifti(path)
         assert str(path) in str(err.value)
+
+
+class TestHeaderMeaning:
+    """Header fields that change what the voxels mean are honoured or
+    rejected, naming the file."""
+
+    @pytest.mark.parametrize("byteorder", ["<", ">"])
+    @pytest.mark.parametrize("offset", [348.0, 349.0, 350.0, 351.0, 351.5])
+    def test_vox_offset_inside_the_extension_bytes(self, on_disk, offset,
+                                                   byteorder):
+        blob = bytearray(build_file(payload=bytes([0, 1, 1, 0]),
+                                    byteorder=byteorder))
+        struct.pack_into(byteorder + "f", blob, 108, offset)
+        path = on_disk(bytes(blob))
+        with pytest.raises(FormatError, match=(
+                rf"vox_offset {offset:g} starts the payload inside the "
+                rf"extension bytes")) as err:
+            read_nifti(path)
+        assert str(path) in str(err.value)
+
+    @pytest.mark.parametrize("offset", [0.0, 352.0, 356.0])
+    def test_vox_offset_zero_means_352(self, on_disk, offset):
+        # the payload sits at 352, or at 356 after four more bytes
+        blob = bytearray(build_file(payload=bytes([0, 1, 1, 0]),
+                                    vox_offset=max(offset, 352.0)))
+        struct.pack_into("<f", blob, 108, offset)
+        vol = read_nifti(on_disk(bytes(blob)))
+        assert vol.data.ravel(order="F").tolist() == [0, 1, 1, 0]
+
+    # byte 123: spatial code in bits 0-2, temporal code in bits 3-5
+    @pytest.mark.parametrize("byteorder", ["<", ">"])
+    @pytest.mark.parametrize("units", [0, 2, 2 | 8, 2 | 16, 0 | 24])
+    def test_mm_or_unknown_units_read_as_mm(self, on_disk, units, byteorder):
+        blob = bytearray(build_file(pixdim=(0.96, 0.95, 3.0),
+                                    payload=bytes([0, 1, 1, 0]),
+                                    byteorder=byteorder))
+        blob[123] = units
+        vol = read_nifti(on_disk(bytes(blob)))
+        assert vol.spacing == pytest.approx((0.96, 0.95, 3.0), abs=1e-6)
+        assert vol.data.sum() == 2
+
+    @pytest.mark.parametrize("units, name", [
+        (1, "metre"), (3, "micron"), (1 | 8, "metre"), (3 | 16, "micron"),
+        (4, "not a NIfTI-1 unit"), (5, "not a NIfTI-1 unit"),
+        (6, "not a NIfTI-1 unit"), (7, "not a NIfTI-1 unit")])
+    def test_other_spatial_units_are_rejected(self, on_disk, units, name):
+        # a metre file with pixdim 0.001 would read a 4-voxel lesion as
+        # 1.2e-11 ml if its units were taken for mm
+        blob = bytearray(build_file(pixdim=(0.001, 0.001, 0.003),
+                                    payload=bytes([1, 1, 1, 1])))
+        blob[123] = units
+        path = on_disk(bytes(blob))
+        with pytest.raises(FormatError, match=(
+                rf"spatial units code {units & 7} \({name}\)")) as err:
+            read_nifti(path)
+        assert str(path) in str(err.value)
+
+    def test_writer_says_mm(self, tmp_path):
+        write_nifti(labels_from([], (2, 2, 1)), tmp_path / "mm.nii")
+        assert (tmp_path / "mm.nii").read_bytes()[123] == 2
+
+
+def _gzip(blob: bytes) -> bytes:
+    """``blob`` as one gzip member: level 9, mtime 0, no file name."""
+    buf = io.BytesIO()
+    with gzip.GzipFile(filename="", mode="wb", fileobj=buf, mtime=0,
+                       compresslevel=9) as gz:
+        gz.write(blob)
+    return buf.getvalue()
+
+
+# every dtype a volume, a mask or a real-valued map may hand the writers
+_WRITER_INPUTS = {
+    "write_nifti": ("bool", "u1", "i1", "i2", "u2", "i4"),
+    "write_nifti_real": ("f8", "f4", "i4", "bool"),
+}
+
+
+@st.composite
+def _writer_inputs(draw):
+    writer = draw(st.sampled_from(sorted(_WRITER_INPUTS)))
+    dtype = np.dtype(draw(st.sampled_from(_WRITER_INPUTS[writer])))
+    shape = tuple(draw(st.integers(1, 6)) for _ in range(3))
+    if dtype.kind == "f":
+        elements = st.floats(-1e6, 1e6, width=32)
+    elif dtype.kind == "b":
+        elements = st.booleans()
+    else:
+        elements = st.integers(0, min(255, np.iinfo(dtype).max))
+    data = draw(hnp.arrays(dtype, shape, elements=elements))
+    order = draw(st.sampled_from("CF"))
+    data = np.asfortranarray(data) if order == "F" else \
+        np.ascontiguousarray(data)
+    return writer, data
+
+
+class TestWriterBytes:
+    """A write equals the header plus the whole x-fastest payload in one
+    blob, gzipped in one piece for .nii.gz, whatever the input's dtype
+    and order."""
+
+    @settings(max_examples=150, derandomize=True, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(_writer_inputs(), st.sampled_from([".nii", ".nii.gz"]))
+    def test_bytes_are_header_and_payload(self, tmp_path, drawn, suffix):
+        writer, data = drawn
+        spacing = (0.96, 0.95, 3.0)
+        path = tmp_path / f"out{suffix}"
+        if writer == "write_nifti":
+            volume = (BinaryMask(data, spacing) if data.dtype == bool
+                      else LabelVolume(data, spacing))
+            write_nifti(volume, path)
+            code, payload = 2, data.astype("<u1")
+        else:
+            write_nifti_real(data, spacing, path)
+            code, payload = 16, data.astype("<f4")
+        blob = (_pack_header(data.shape, spacing, code) + bytes(4)
+                + payload.tobytes("F"))
+        if suffix == ".nii.gz":
+            blob = _gzip(blob)
+        assert path.read_bytes() == blob
 
 
 # the dtypes a read volume may hold: the integer payloads, native
