@@ -17,7 +17,8 @@ Every voxel value is a label as stored: the scaling fields
 and a label that is negative or beyond int32 is rejected. A negative
 voxel spacing, which some writers use to mark a flipped axis, is
 rejected too, as are spatial units other than mm (or unknown, read as
-mm) and a ``vox_offset`` that starts the payload inside the four
+mm) and a ``vox_offset`` below 352 other than 0 (which reads as 352),
+since it would start the payload inside the header or the four
 extension bytes. Every error names the file.
 
 Written files are deterministic: unused header fields are zeroed and
@@ -140,18 +141,18 @@ def read_nifti(path: str | Path) -> LabelVolume:
 
     if not math.isfinite(vox_offset):
         raise FormatError(f"{path}: vox_offset {vox_offset} is not finite")
-    if HEADER_SIZE <= vox_offset < _PAYLOAD_OFFSET:
+    if vox_offset != 0 and vox_offset < _PAYLOAD_OFFSET:
         raise FormatError(
             f"{path}: vox_offset {vox_offset:g} starts the payload inside "
-            f"the extension bytes; a single-file NIfTI-1 needs at least "
+            f"the extension bytes or before them; a single-file NIfTI-1 "
+            f"needs 0 (read as {_PAYLOAD_OFFSET}) or at least "
             f"{_PAYLOAD_OFFSET}")
     if slope not in (0.0, 1.0) or inter != 0.0:   # NaN fails both
         raise FormatError(
             f"{path}: scl_slope {slope} and scl_inter {inter} rescale "
             f"voxel values; labels must be stored unscaled (slope 0 or 1, "
             f"intercept 0)")
-    # an offset inside the header, 0 among them, falls back to 352
-    offset = max(int(vox_offset), _PAYLOAD_OFFSET)
+    offset = int(vox_offset) or _PAYLOAD_OFFSET
     dt = np.dtype(_DTYPE_BY_CODE[datatype]).newbyteorder(bo)
     nvox = nx * ny * nz
     nbytes = nvox * dt.itemsize

@@ -37,7 +37,6 @@ __all__ = [
     "BootstrapConfig",
     "RankTable",
     "InterscannerResult",
-    "relative_rank",
     "metric_means",
     "final_rank",
     "rank_with_ci",
@@ -148,21 +147,6 @@ def _minmax_ranks(values: np.ndarray, higher_better) -> np.ndarray:
     with np.errstate(invalid="ignore", divide="ignore"):
         ranks = np.round((v - lo) / (hi - lo), _RANK_DECIMALS)
     return np.where(hi == lo, 0.0, ranks)
-
-
-def relative_rank(values: np.ndarray, higher_better: bool) -> np.ndarray:
-    """Min-max normalise so the best value maps to 0, the worst to 1.
-
-    All-equal input (a degenerate column) maps everyone to 0.
-    """
-    v = np.asarray(values, dtype=np.float64)
-    if v.ndim != 1:
-        raise ValueError("expected a 1-D array")
-    if v.size < 2:
-        raise ArityError("relative ranking needs at least two methods")
-    if np.isnan(v).any():
-        raise ValueError("relative_rank got NaN input")
-    return _minmax_ranks(v[:, None], higher_better)[:, 0]
 
 
 def metric_means(table: ResultTable, metrics: tuple[str, ...]
@@ -361,6 +345,9 @@ def interscanner_rank(table: ResultTable, volume_metric: str = "lavd",
     of those medians. Dispersions are normalised per metric (min-max
     by default, mean ordinal position with ``normalization="ordinal"``)
     and averaged over the five ranked metrics; smaller means sturdier.
+    A scanner with no defined value in a cell is left out of it with a
+    warning; once every such cell has warned, a cell left with fewer
+    than two scanners raises.
     """
     if normalization not in ("minmax", "ordinal"):
         raise ValueError(f"bad normalization {normalization!r}")
@@ -374,37 +361,42 @@ def interscanner_rank(table: ResultTable, volume_metric: str = "lavd",
     vals = table.values(metrics)         # (M, K, S)
     subj_scanner = np.array([scanners.index(table.scanner_of[s])
                              for s in table.subjects])
+    with warnings.catch_warnings():      # an all-missing cell stays NaN
+        warnings.simplefilter("ignore", RuntimeWarning)
+        medians = np.stack([np.nanmedian(vals[:, :, subj_scanner == g], 2)
+                            for g in range(len(scanners))], axis=2)
 
-    n_methods, n_metrics = len(table.methods), len(metrics)
-    disp = np.empty((n_methods, n_metrics))
-    for mi, method in enumerate(table.methods):
-        for ki, name in enumerate(metrics):
-            medians = []
-            for gi, scanner in enumerate(scanners):
-                col = vals[mi, ki, subj_scanner == gi]
-                col = col[~np.isnan(col)]
-                if col.size == 0:
-                    warnings.warn(
-                        f"scanner {scanner!r} has no defined {name} for "
-                        f"method {method!r}; excluded from its dispersion",
-                        EvaluationWarning, stacklevel=2)
-                    continue
-                medians.append(np.median(col))
-            if len(medians) < 2:
-                raise AllMissingError(
-                    f"method {method!r}, metric {name}: fewer than two "
-                    f"scanners have defined values")
-            disp[mi, ki] = np.std(medians)   # population std, ddof 0
+    defined = ~np.isnan(medians)         # (M, K, G)
+    for mi, ki, gi in np.argwhere(~defined):
+        warnings.warn(
+            f"scanner {scanners[gi]!r} has no defined {metrics[ki]} for "
+            f"method {table.methods[mi]!r}; excluded from its dispersion",
+            EvaluationWarning, stacklevel=2)
+    n_defined = defined.sum(axis=2)
+    short = np.argwhere(n_defined < 2)
+    if short.size:
+        mi, ki = short[0]
+        raise AllMissingError(
+            f"method {table.methods[mi]!r}, metric {metrics[ki]}: fewer "
+            f"than two scanners have defined values")
+
+    # population std of each cell's defined medians in scanner order;
+    # cells with as many values are reduced together, so every sum
+    # groups its terms as np.std of that cell alone would
+    disp = np.empty(n_defined.shape)
+    for n in np.unique(n_defined):
+        cells = n_defined == n
+        disp[cells] = np.std(medians[cells][defined[cells]].reshape(-1, n),
+                             axis=1)
 
     if normalization == "minmax":
         norm = _minmax_ranks(disp, False)
     else:
         from scipy.stats import rankdata
-        norm = (rankdata(disp, axis=0) - 1.0) / (n_methods - 1)
+        norm = (rankdata(disp, axis=0) - 1.0) / (len(table.methods) - 1)
 
     robustness = norm.mean(axis=1)
-    order = sorted(range(n_methods),
-                   key=lambda i: (robustness[i], table.methods[i]))
+    order, _ = _order_methods(table.methods, robustness)
     return InterscannerResult(
         methods=tuple(table.methods[i] for i in order),
         robustness=robustness[order],

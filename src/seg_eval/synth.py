@@ -15,8 +15,7 @@ import numpy as np
 from scipy import ndimage
 
 from .errors import CapacityError
-from .volume import (BinaryMask, LabelVolume, _shift_into,
-                     connected_components)
+from .volume import BinaryMask, LabelVolume, connected_components
 
 __all__ = ["PhantomSpec", "PerturbOps", "generate_phantom", "perturb_mask"]
 
@@ -195,8 +194,13 @@ def perturb_mask(mask: BinaryMask, ops: PerturbOps) -> BinaryMask:
         out = BinaryMask(out.data | added, out.spacing)
 
     if any(ops.translate):
+        # voxel v moves to v + t; whatever leaves the grid is dropped
+        dst, src = [], []
+        for t, n in zip(ops.translate, out.dims):
+            t = int(t)
+            dst.append(slice(max(t, 0), max(n + t, 0)))
+            src.append(slice(max(-t, 0), max(n - t, 0)))
         shifted = np.zeros(out.dims, dtype=bool, order="F")
-        off = tuple(-int(t) for t in ops.translate)
-        _shift_into(np.logical_or, shifted, out.data, off)
+        shifted[tuple(dst)] = out.data[tuple(src)]
         out = BinaryMask(shifted, out.spacing)
     return out

@@ -10,10 +10,13 @@ Slow but obviously correct on small inputs.
 from __future__ import annotations
 
 import math
+import warnings
 from fractions import Fraction
 
 import numpy as np
 from scipy import ndimage
+
+from seg_eval.errors import AllMissingError, EvaluationWarning
 
 
 # ---------------------------------------------------------------- geometry
@@ -303,6 +306,58 @@ def bootstrap_oracle(vals, higher_better, replicates: int, seed: int):
         rep_means[r] = means
         rep_final[r] = ranks.mean(axis=1)
     return rep_means, rep_final, redraws
+
+
+def interscanner_oracle(table, metrics, normalization="minmax"):
+    """Inter-scanner robustness one (method, metric, scanner) cell at a
+    time: the median of the cell's defined values, skipping (with a
+    warning) a scanner that has none, then the population std of the
+    medians, normalised per metric column and averaged.
+
+    Returns (methods most to least robust, robustness, dispersions per
+    metric), all in that order.
+    """
+    scanners = table.scanners
+    vals = table.values(metrics)         # (M, K, S)
+    subj_scanner = np.array([scanners.index(table.scanner_of[s])
+                             for s in table.subjects])
+
+    n_methods, n_metrics = len(table.methods), len(metrics)
+    disp = np.empty((n_methods, n_metrics))
+    for mi, method in enumerate(table.methods):
+        for ki, name in enumerate(metrics):
+            medians = []
+            for gi, scanner in enumerate(scanners):
+                col = vals[mi, ki, subj_scanner == gi]
+                col = col[~np.isnan(col)]
+                if col.size == 0:
+                    warnings.warn(
+                        f"scanner {scanner!r} has no defined {name} for "
+                        f"method {method!r}; excluded from its dispersion",
+                        EvaluationWarning, stacklevel=2)
+                    continue
+                medians.append(np.median(col))
+            if len(medians) < 2:
+                raise AllMissingError(
+                    f"method {method!r}, metric {name}: fewer than two "
+                    f"scanners have defined values")
+            disp[mi, ki] = np.std(medians)   # population std, ddof 0
+
+    if normalization == "minmax":
+        norm = np.empty_like(disp)
+        for k in range(n_metrics):
+            lo, hi = disp[:, k].min(), disp[:, k].max()
+            norm[:, k] = (0.0 if hi == lo
+                          else np.round((disp[:, k] - lo) / (hi - lo), 9))
+    else:
+        from scipy.stats import rankdata
+        norm = (rankdata(disp, axis=0) - 1.0) / (n_methods - 1)
+
+    robustness = norm.mean(axis=1)
+    order = sorted(range(n_methods),
+                   key=lambda i: (robustness[i], table.methods[i]))
+    return (tuple(table.methods[i] for i in order), robustness[order],
+            {name: disp[order, k] for k, name in enumerate(metrics)})
 
 
 # ------------------------------------------------------------------ fusion

@@ -456,7 +456,8 @@ class TestHeaderMeaning:
     rejected, naming the file."""
 
     @pytest.mark.parametrize("byteorder", ["<", ">"])
-    @pytest.mark.parametrize("offset", [348.0, 349.0, 350.0, 351.0, 351.5])
+    @pytest.mark.parametrize("offset", [348.0, 349.0, 350.0, 351.0, 351.5,
+                                        1.0, 100.0, 347.0, -16.0])
     def test_vox_offset_inside_the_extension_bytes(self, on_disk, offset,
                                                    byteorder):
         blob = bytearray(build_file(payload=bytes([0, 1, 1, 0]),

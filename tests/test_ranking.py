@@ -1,4 +1,5 @@
 import statistics
+import warnings
 
 import numpy as np
 import pytest
@@ -8,10 +9,10 @@ from seg_eval.metrics import MetricVector
 from seg_eval.ranking import (HIGHER_BETTER, BootstrapConfig, ResultTable,
                               SubjectResult, _minmax_ranks, final_rank,
                               interscanner_rank, metric_means, rank_with_ci,
-                              relative_rank, selected_metrics,
-                              significance_clusters)
+                              selected_metrics, significance_clusters)
 
 from helpers import table_from_columns
+from oracles import interscanner_oracle
 
 
 def vec(**overrides) -> MetricVector:
@@ -63,20 +64,26 @@ class TestResultTable:
         assert t.values(()).shape == (2, 0, 2)
 
 
+def rank_column(values, higher_better: bool) -> np.ndarray:
+    """One metric column ranked alone by the block ranker."""
+    column = np.asarray(values, dtype=np.float64)[:, None]
+    return _minmax_ranks(column, [higher_better])[:, 0]
+
+
 class TestRelativeRank:
     def test_lower_better_spread(self):
-        got = relative_rank([0.0, 5.0, 10.0], higher_better=False)
+        got = rank_column([0.0, 5.0, 10.0], higher_better=False)
         assert list(got) == [0.0, 0.5, 1.0]
 
     def test_published_dsc_normalisation(self):
         # best 0.80, worst 0.23; a mean of 0.77 lands at 0.0526...
-        got = relative_rank([0.80, 0.77, 0.23], higher_better=True)
+        got = rank_column([0.80, 0.77, 0.23], higher_better=True)
         assert got[0] == 0.0
         assert got[1] == pytest.approx(0.052631579, abs=1e-9)
         assert got[2] == 1.0
 
     def test_all_equal_degenerates_to_zero(self):
-        assert list(relative_rank([3.0, 3.0, 3.0], False)) == [0.0, 0.0, 0.0]
+        assert list(rank_column([3.0, 3.0, 3.0], False)) == [0.0, 0.0, 0.0]
 
     def test_endpoints_present(self):
         rng = np.random.default_rng(91)
@@ -84,7 +91,7 @@ class TestRelativeRank:
             v = rng.uniform(0, 10, size=rng.integers(2, 12))
             if np.unique(v).size < 2:
                 continue
-            r = relative_rank(v, bool(rng.integers(0, 2)))
+            r = rank_column(v, bool(rng.integers(0, 2)))
             assert r.min() == 0.0
             assert r.max() == 1.0
 
@@ -92,26 +99,27 @@ class TestRelativeRank:
         rng = np.random.default_rng(92)
         for _ in range(25):
             v = rng.uniform(0.1, 5, size=8)
-            base = relative_rank(v, False)
-            assert np.array_equal(base, relative_rank(v + 7.3, False))
-            assert np.array_equal(base, relative_rank(v * 12.5, False))
-            assert np.array_equal(base, relative_rank(v * 1e-4, False))
+            base = rank_column(v, False)
+            assert np.array_equal(base, rank_column(v + 7.3, False))
+            assert np.array_equal(base, rank_column(v * 12.5, False))
+            assert np.array_equal(base, rank_column(v * 1e-4, False))
 
     def test_orientation_flip(self):
         v = [1.0, 2.0, 4.0]
-        lo = relative_rank(v, higher_better=False)
-        hi = relative_rank(v, higher_better=True)
+        lo = rank_column(v, higher_better=False)
+        hi = rank_column(v, higher_better=True)
         assert lo[0] == 0.0 and hi[2] == 0.0
         assert lo[2] == 1.0 and hi[0] == 1.0
 
     def test_order_preserving(self):
         rng = np.random.default_rng(93)
         v = rng.uniform(0, 1, 10)
-        r = relative_rank(v, higher_better=False)
+        r = rank_column(v, higher_better=False)
         assert np.array_equal(np.argsort(v, kind="stable"),
                               np.argsort(r, kind="stable"))
 
     def test_matches_every_column_of_the_block_ranker(self):
+        # each column of a block ranks as that column ranked alone
         rng = np.random.default_rng(94)
         block = rng.integers(0, 4, (6, 5, 4)).astype(np.float64) * 0.3
         block[2, :, 1] = 0.7                    # flat columns
@@ -120,15 +128,10 @@ class TestRelativeRank:
         ranks = _minmax_ranks(block, higher_better)
         assert ranks.shape == block.shape
         for b in range(block.shape[0]):
-            for k, hb in enumerate(higher_better):
-                assert np.array_equal(relative_rank(block[b, :, k], hb),
-                                      ranks[b, :, k])
-
-    def test_input_validation(self):
-        with pytest.raises(ArityError):
-            relative_rank([1.0], False)
-        with pytest.raises(ValueError):
-            relative_rank([1.0, np.nan], False)
+            for k in range(block.shape[2]):
+                alone = _minmax_ranks(block[b, :, k:k + 1],
+                                      higher_better[k:k + 1])
+                assert np.array_equal(alone[:, 0], ranks[b, :, k])
 
 
 class TestMetricMeans:
@@ -331,6 +334,53 @@ class TestSignificanceClusters:
             significance_clusters(np.zeros((3, 3)))
 
 
+def _scanner_table(rng, n_scanners: int, blank_cells: int):
+    """Three methods on 1-3 subjects per scanner, values spread over six
+    decades with ties. With ``blank_cells`` > 0, scattered gaps and that
+    many random (method, metric, scanner) cells with no defined value;
+    a cell left with fewer than two defined scanners gets the first
+    subject of its last empty scanners back."""
+    scanner_of, members = {}, []
+    for g in range(n_scanners):
+        members.append([])
+        for _ in range(int(rng.integers(1, 4))):
+            members[g].append(len(scanner_of))
+            scanner_of[f"s{len(scanner_of):03d}"] = f"scan{g}"
+    n_subj = len(scanner_of)
+    cols = {}
+    for m in ("m0", "m1", "m2"):
+        cols[m] = {}
+        for k in ("dsc", "h95_mm", "avd_pct", "lavd", "recall", "f1"):
+            v = (rng.integers(1, 4, n_subj) / 3.0
+                 * 10.0 ** rng.integers(-3, 3, n_subj))
+            cols[m][k] = [None if blank_cells and rng.random() < 0.15
+                          else float(x) for x in v]
+    for _ in range(blank_cells):
+        m = f"m{rng.integers(0, 3)}"
+        k = ("dsc", "h95_mm", "lavd", "avd_pct")[rng.integers(0, 4)]
+        for i in members[rng.integers(0, n_scanners)]:
+            cols[m][k][i] = None
+    for col in (c for by_metric in cols.values() for c in by_metric.values()):
+        empty = [g for g in range(n_scanners)
+                 if all(col[i] is None for i in members[g])]
+        for g in empty[max(0, n_scanners - 2):]:
+            col[members[g][0]] = 0.5
+    return table_from_columns(cols, scanner_of=scanner_of)
+
+
+def _evaluation_warnings(call):
+    """Call ``call()``; return its result (or the AllMissingError it
+    raised) and the text of each EvaluationWarning, in order."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        try:
+            out = call()
+        except AllMissingError as exc:
+            out = exc
+    return out, [str(w.message) for w in caught
+                 if issubclass(w.category, EvaluationWarning)]
+
+
 class TestInterscanner:
     def _five_scanner_table(self, medians_by_method):
         """One subject per scanner; h95 planted, everything else 0.5."""
@@ -422,6 +472,59 @@ class TestInterscanner:
         with pytest.warns(EvaluationWarning):
             with pytest.raises(AllMissingError):
                 interscanner_rank(t)
+
+    @pytest.mark.parametrize("volume_metric", ["lavd", "avd"])
+    @pytest.mark.parametrize("normalization", ["minmax", "ordinal"])
+    def test_matches_the_cell_by_cell_oracle(self, volume_metric,
+                                             normalization):
+        # 9 and 12 scanners put eight or more medians in one np.std,
+        # where numpy's sum switches to blocks of eight
+        rng = np.random.default_rng(100)
+        metrics = selected_metrics(volume_metric)
+        warned = []
+        for n_scanners, blank_cells in ((2, 0), (3, 2), (5, 0), (5, 4),
+                                        (5, 9), (9, 6), (12, 12)):
+            t = _scanner_table(rng, n_scanners, blank_cells)
+            want, want_warned = _evaluation_warnings(
+                lambda: interscanner_oracle(t, metrics, normalization))
+            got, got_warned = _evaluation_warnings(
+                lambda: interscanner_rank(t, volume_metric, normalization))
+            assert got_warned == want_warned
+            if not blank_cells:
+                assert not got_warned
+            warned += got_warned
+            methods, robustness, dispersions = want
+            assert got.methods == methods
+            assert np.array_equal(got.robustness, robustness)
+            assert got.dispersions.keys() == dispersions.keys()
+            for name, disp in dispersions.items():
+                assert np.array_equal(got.dispersions[name], disp)
+        # empty cells on the first scanner too, where a NaN-as-zero sum
+        # would group the terms differently
+        assert any(w.startswith("scanner 'scan0'") for w in warned)
+
+    def test_warns_every_empty_cell_then_raises_on_the_oracles_cell(self):
+        # x's h95 has one scanner, y's dsc misses scanner b: the oracle
+        # stops at x's h95, the array code warns for y's dsc first
+        scanner_of = {"s000": "a", "s001": "b", "s002": "c"}
+        t = table_from_columns(
+            {"x": {"h95_mm": [None, None, 1.0], "dsc": [0.5, 0.6, 0.7]},
+             "y": {"h95_mm": [1.0, 1.5, 2.0], "dsc": [0.5, None, 0.7]}},
+            scanner_of=scanner_of)
+        want, want_warned = _evaluation_warnings(
+            lambda: interscanner_oracle(t, selected_metrics("lavd")))
+        got, got_warned = _evaluation_warnings(lambda: interscanner_rank(t))
+        assert isinstance(want, AllMissingError)
+        assert isinstance(got, AllMissingError)
+        assert str(got) == str(want)
+        assert got_warned[:len(want_warned)] == want_warned
+        assert got_warned == [
+            "scanner 'a' has no defined h95_mm for method 'x'; excluded "
+            "from its dispersion",
+            "scanner 'b' has no defined h95_mm for method 'x'; excluded "
+            "from its dispersion",
+            "scanner 'b' has no defined dsc for method 'y'; excluded "
+            "from its dispersion"]
 
     def test_needs_two_scanners(self):
         t = table_from_columns({"x": {"dsc": [0.5, 0.6]},

@@ -117,6 +117,26 @@ class TestPerturbMask:
         assert pred.count() == 1          # the corner voxel fell off
         assert pred.data[1, 1, 1]
 
+    @pytest.mark.parametrize("shift", [
+        (1, 0, 0), (0, -2, 0), (-1, 2, -2), (4, -3, 2), (-4, 3, -1),
+        (0, 0, 3), (-1, 2, -3), (5, 0, 0), (0, -4, 0), (-5, 1, 1),
+        (2, 4, -1), (6, 0, 0), (0, 5, 0), (0, 0, 4), (-9, -9, -9)])
+    def test_translation_matches_the_per_voxel_reference(self, shift):
+        # voxel v lands on v + shift when that is on the 5x4x3 grid; a
+        # shift of at least the grid size on one axis empties the mask
+        rng = np.random.default_rng(sum(shift) + 50)
+        data = rng.random((5, 4, 3)) < 0.5
+        want = np.zeros_like(data)
+        for x, y, z in np.argwhere(data):
+            to = (x + shift[0], y + shift[1], z + shift[2])
+            if all(0 <= c < n for c, n in zip(to, data.shape)):
+                want[to] = True
+        got = perturb_mask(BinaryMask(data, (1, 1, 1)),
+                           PerturbOps(translate=shift))
+        assert np.array_equal(got.data, want)
+        if any(abs(t) >= n for t, n in zip(shift, data.shape)):
+            assert got.count() == 0
+
     def test_dilation_never_decreases_recall(self):
         for seed in range(5):
             ref = self._phantom_mask(seed=30 + seed, n_lesions=4)

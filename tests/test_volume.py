@@ -201,15 +201,17 @@ class TestSurface:
     @pytest.mark.parametrize("order", ["C", "F"])
     def test_rows_are_the_oracle_in_x_fastest_order(self, order):
         rng = np.random.default_rng(14)
-        for density in (0.0, 0.1, 0.4, 1.0):
-            m = BinaryMask(np.array(rng.random((10, 9, 8)) < density,
-                                    order=order), (1, 1, 1))
-            got = surface_voxels(m)
-            # argwhere of the (z, y, x) view scans x fastest
-            want = np.argwhere(surface_oracle(m.data).T)[:, ::-1]
-            assert got.dtype == want.dtype == np.int64
-            assert got.shape == want.shape
-            assert np.array_equal(got, want)   # same rows, same order
+        # thin grids put every voxel against the grid edge on some axis
+        for shape in ((10, 9, 8), (1, 1, 1), (1, 7, 1), (2, 1, 3)):
+            for density in (0.0, 0.1, 0.4, 1.0):
+                m = BinaryMask(np.array(rng.random(shape) < density,
+                                        order=order), (1, 1, 1))
+                got = surface_voxels(m)
+                # argwhere of the (z, y, x) view scans x fastest
+                want = np.argwhere(surface_oracle(m.data).T)[:, ::-1]
+                assert got.dtype == want.dtype == np.int64
+                assert got.shape == want.shape
+                assert np.array_equal(got, want)   # same rows, same order
 
 
 class TestDistances:
