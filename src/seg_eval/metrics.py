@@ -183,16 +183,16 @@ def wmh_in_lesion_box(vol: LabelVolume) -> BinaryMask:
 
 @dataclass(frozen=True, eq=False)
 class PreparedReference:
-    """A reference's read-only share of :func:`evaluate_pair`: in its
-    lesion ``box``, its label-1 (``wmh``) and label-2 (``other``) voxels
-    and the components of ``wmh`` (the whole grid's ids and sizes), and
-    its ``surface`` in grid coordinates with a KD-tree over it in mm."""
+    """A reference's read-only share of :func:`evaluate_pair`: its
+    lesion ``box``, the label-1 voxel ``count`` and ``volume_ml``, the
+    components of the label-1 crop (the whole grid's ids and sizes), and
+    its ``surface`` in grid coordinates with a KD-tree over it in mm.
+    Labels are read from ``volume`` itself."""
 
     volume: LabelVolume
     box: tuple[slice, ...]
-    wmh: BinaryMask
-    other: np.ndarray
     count: int
+    volume_ml: float
     components: ComponentLabeling
     surface: np.ndarray
     tree: object
@@ -205,16 +205,13 @@ def prepare_reference(ref: LabelVolume, config: EvalConfig = EvalConfig()
     from scipy.spatial import cKDTree
 
     box = _lesion_box(ref)
-    labels = ref.data[box]
-    wmh = BinaryMask(labels == 1, ref.spacing)
-    other = labels == 2
+    wmh = BinaryMask(ref.data[box] == 1, ref.spacing)
     count = wmh.count()
     surface = surface_voxels(wmh) + [sl.start for sl in box]
-    other.setflags(write=False)
     surface.setflags(write=False)
     tree = cKDTree(surface * np.asarray(ref.spacing)) if count else None
     return PreparedReference(
-        ref, box, wmh, other, count,
+        ref, box, count, wmh.volume_ml(),
         connected_components(wmh, config.connectivity), surface, tree)
 
 
@@ -247,7 +244,9 @@ def evaluate_pair(ref: LabelVolume | PreparedReference, pred: LabelVolume,
     background, so a voxel on a face of the crop borders background in
     the whole grid too: surfaces, component ids and (shifted back) H95
     distances are the whole grid's, bit for bit. The label-2 exclusion
-    and the overlap are taken where the two boxes intersect.
+    and the overlap are read from the reference's own labels in the
+    prediction's box; the overlap voxels, shifted into the reference's
+    box, look up its component ids.
     """
     if not isinstance(ref, PreparedReference):
         ref = prepare_reference(ref, config)
@@ -258,26 +257,23 @@ def evaluate_pair(ref: LabelVolume | PreparedReference, pred: LabelVolume,
     same_grid(ref.volume, pred, "reference and prediction")
     box = _lesion_box(pred)
     pred_data = pred.data[box] == 1
-    # where the two boxes meet, as slices into each crop
-    lo = [max(r.start, p.start) for r, p in zip(ref.box, box)]
-    hi = [max(min(r.stop, p.stop), a) for r, p, a in zip(ref.box, box, lo)]
-    in_ref, in_pred = (tuple(slice(a - sl.start, b - sl.start)
-                             for sl, a, b in zip(crop, lo, hi))
-                       for crop in (ref.box, box))
+    ref_labels = ref.volume.data[box]
     if config.ignore_mode == "exclude":
-        pred_data[in_pred][ref.other[in_ref]] = False
+        pred_data &= ref_labels != 2
     pred_eval = BinaryMask(pred_data, ref.volume.spacing)
     n_pred_vox = pred_eval.count()
     comps_pred = connected_components(pred_eval, config.connectivity)
 
     # lesions are hit where reference and prediction overlap; one flat
     # x-fastest scan is faster than a 3-D np.nonzero
-    both = ref.wmh.data[in_ref] & pred_data[in_pred]
+    both = (ref_labels == 1) & pred_data
     overlap = np.unravel_index(np.flatnonzero(both.ravel("F")),
                                both.shape, order="F")
-    ref_hit = _hits(ref.components.labels[in_ref][overlap],
-                    ref.components.count)
-    pred_hit = _hits(comps_pred.labels[in_pred][overlap], comps_pred.count)
+    # every overlap voxel is a reference lesion voxel, so in its box
+    in_ref = tuple(i + (p.start - r.start)
+                   for i, p, r in zip(overlap, box, ref.box))
+    ref_hit = _hits(ref.components.labels[in_ref], ref.components.count)
+    pred_hit = _hits(comps_pred.labels[overlap], comps_pred.count)
     total = ref.count + n_pred_vox
     dsc = 1.0 if total == 0 else 2.0 * overlap[0].size / total
     h95 = avd = lavd = None
@@ -298,5 +294,5 @@ def evaluate_pair(ref: LabelVolume | PreparedReference, pred: LabelVolume,
         recall_small=recall_small, recall_large=recall_large,
         n_ref_lesions=ref.components.count,
         n_pred_lesions=comps_pred.count,
-        ref_volume_ml=ref.wmh.volume_ml(),
+        ref_volume_ml=ref.volume_ml,
         pred_volume_ml=pred_eval.volume_ml())

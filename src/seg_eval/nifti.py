@@ -17,9 +17,10 @@ Every voxel value is a label as stored: the scaling fields
 and a label that is negative or beyond int32 is rejected. A negative
 voxel spacing, which some writers use to mark a flipped axis, is
 rejected too, as are spatial units other than mm (or unknown, read as
-mm) and a ``vox_offset`` below 352 other than 0 (which reads as 352),
+mm), a ``vox_offset`` below 352 other than 0 (which reads as 352),
 since it would start the payload inside the header or the four
-extension bytes. Every error names the file.
+extension bytes, and a fractional ``vox_offset``. Every error names the
+file.
 
 Written files are deterministic: unused header fields are zeroed and
 gzip members carry mtime 0, so identical volumes produce identical
@@ -147,6 +148,9 @@ def read_nifti(path: str | Path) -> LabelVolume:
             f"the extension bytes or before them; a single-file NIfTI-1 "
             f"needs 0 (read as {_PAYLOAD_OFFSET}) or at least "
             f"{_PAYLOAD_OFFSET}")
+    if vox_offset != int(vox_offset):
+        raise FormatError(
+            f"{path}: vox_offset {vox_offset:g} is not a whole byte offset")
     if slope not in (0.0, 1.0) or inter != 0.0:   # NaN fails both
         raise FormatError(
             f"{path}: scl_slope {slope} and scl_inter {inter} rescale "

@@ -23,7 +23,7 @@ point ranking, with the same bits as one replicate at a time.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -306,12 +306,9 @@ def rank_with_ci(table: ResultTable, volume_metric: str = "lavd",
     mean_ci = {name: mean_ci_raw[:, :, k].T for k, name in enumerate(metrics)}
     boundaries = significance_clusters(final_ci)
 
-    return RankTable(
-        methods=base.methods, positions=base.positions, final=base.final,
-        metric_ranks=base.metric_ranks, means=base.means, counts=base.counts,
-        volume_metric=base.volume_metric, final_ci=final_ci,
-        mean_ci=mean_ci, cluster_boundaries=boundaries, bootstrap=config,
-        redraws=redraws)
+    return replace(
+        base, final_ci=final_ci, mean_ci=mean_ci,
+        cluster_boundaries=boundaries, bootstrap=config, redraws=redraws)
 
 
 def significance_clusters(rank_ci: np.ndarray) -> tuple[int, ...]:

@@ -193,18 +193,9 @@ def read_manifest(path: str | Path) -> list[ManifestSubject]:
 
 
 def _jsonable(value):
-    if value is None or isinstance(value, (str, int, bool)):
-        return value
-    if isinstance(value, float):
-        return value
-    if isinstance(value, (np.floating, np.integer)):
-        return value.item()
-    if isinstance(value, np.ndarray):
-        return [_jsonable(v) for v in value.tolist()]
-    if isinstance(value, (list, tuple)):
-        return [_jsonable(v) for v in value]
-    if isinstance(value, dict):
-        return {k: _jsonable(v) for k, v in value.items()}
+    """``json``'s fallback for the numpy values a report may hold."""
+    if isinstance(value, (np.generic, np.ndarray)):
+        return value.tolist()
     raise TypeError(f"cannot serialise {type(value)!r}")
 
 
@@ -212,13 +203,13 @@ def _envelope(config: dict) -> dict:
     return {
         "schema_version": SCHEMA_VERSION,
         "tool": {"name": "seg-eval", "version": __version__},
-        "config": _jsonable(config),
+        "config": config,
     }
 
 
 def metric_report(vector: MetricVector, config: dict) -> dict:
     body = _envelope(config)
-    body["metrics"] = _jsonable(vector.as_dict())
+    body["metrics"] = vector.as_dict()
     return body
 
 
@@ -233,7 +224,7 @@ def rank_report(rank: RankTable, config: dict,
             "final_rank": float(rank.final[i]),
             "metric_ranks": {k: float(v[i])
                              for k, v in rank.metric_ranks.items()},
-            "means": {k: _jsonable(v[i]) for k, v in rank.means.items()},
+            "means": {k: v[i] for k, v in rank.means.items()},
             "counts": {k: int(v[i]) for k, v in rank.counts.items()},
         }
         if rank.final_ci is not None:
@@ -291,7 +282,7 @@ def write_rank_csv(rank: RankTable, path: str | Path) -> None:
 
 def dump_json(body: dict, path: str | Path | None) -> None:
     """Write a JSON report to ``path``, or to stdout when it is None."""
-    text = json.dumps(body, indent=2, sort_keys=False)
+    text = json.dumps(body, indent=2, default=_jsonable)
     if path is None:
         print(text)
     else:

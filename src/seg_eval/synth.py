@@ -23,8 +23,10 @@ PLACEMENT_RETRIES = 200
 _WALK_STEP_CAP = 400          # per target voxel, before giving up on a walk
 _IGNORE_KEY_BASE = 1 << 32    # lesion-index namespace for label-2 blobs
 
-_STEPS = np.array([(1, 0, 0), (-1, 0, 0), (0, 1, 0),
-                   (0, -1, 0), (0, 0, 1), (0, 0, -1)], dtype=np.int64)
+_STEPS = ((1, 0, 0), (-1, 0, 0), (0, 1, 0),
+          (0, -1, 0), (0, 0, 1), (0, 0, -1))
+# the 27 offsets of a voxel's 3x3x3 neighbourhood, itself included
+_NEIGHBOURS = np.indices((3, 3, 3)).reshape(3, -1).T - 1
 
 _BOX_3X3X3 = np.ones((3, 3, 3), dtype=bool)
 
@@ -57,45 +59,40 @@ def _lesion_rng(seed: int, index: int) -> np.random.Generator:
 def _walk_blob(rng: np.random.Generator, dims, size: int):
     """Grow a connected blob of exactly ``size`` voxels, or None if the
     walk stalls (e.g. wedged into a corner)."""
-    start = tuple(int(rng.integers(0, d)) for d in dims)
-    voxels = [start]
-    seen = {start}
-    steps = 0
-    cap = _WALK_STEP_CAP * size
-    while len(voxels) < size:
-        steps += 1
-        if steps > cap:
-            return None
-        base = voxels[int(rng.integers(0, len(voxels)))]
-        d = _STEPS[int(rng.integers(0, 6))]
-        cand = (base[0] + int(d[0]), base[1] + int(d[1]), base[2] + int(d[2]))
-        if cand in seen:
-            continue
-        if not all(0 <= c < n for c, n in zip(cand, dims)):
-            continue
-        seen.add(cand)
-        voxels.append(cand)
+    nx, ny, nz = dims
+    voxels = [tuple(int(rng.integers(0, d)) for d in dims)]
+    seen = set(voxels)
+    for _ in range(_WALK_STEP_CAP * size):
+        if len(voxels) == size:
+            break
+        x, y, z = voxels[int(rng.integers(0, len(voxels)))]
+        dx, dy, dz = _STEPS[int(rng.integers(0, 6))]
+        cand = (x + dx, y + dy, z + dz)
+        if (cand not in seen and 0 <= cand[0] < nx and 0 <= cand[1] < ny
+                and 0 <= cand[2] < nz):
+            seen.add(cand)
+            voxels.append(cand)
+    if len(voxels) < size:
+        return None
     return np.array(voxels, dtype=np.int64)
 
 
 def _touches_occupied(occupied: np.ndarray, coords: np.ndarray) -> bool:
     """True if any coord is within one voxel (26-neighbourhood) of an
-    occupied voxel."""
-    for x, y, z in coords:
-        window = occupied[max(0, x - 1):x + 2,
-                          max(0, y - 1):y + 2,
-                          max(0, z - 1):z + 2]
-        if window.any():
-            return True
-    return False
+    occupied voxel. Offsets clipped to the grid land on voxels of the
+    same clipped neighbourhood."""
+    near = np.clip(coords[:, None, :] + _NEIGHBOURS, 0,
+                   np.array(occupied.shape) - 1)
+    return bool(occupied[near[..., 0], near[..., 1], near[..., 2]].any())
 
 
-def _place_blobs(occupied: np.ndarray, dims, size_range, seed: int,
+def _place_blobs(occupied: np.ndarray, size_range, seed: int,
                  key_base: int, n_blobs: int | None,
-                 target_voxels: int | None) -> np.ndarray:
+                 target_voxels: int | None) -> None:
     """Place blobs until either ``n_blobs`` are down or the cumulative
-    voxel count reaches ``target_voxels``. Returns the new mask."""
-    out = np.zeros(dims, dtype=bool, order="F")
+    voxel count reaches ``target_voxels``, marking them in
+    ``occupied``."""
+    dims = occupied.shape
     lo, hi = size_range
     placed = 0
     total = 0
@@ -120,11 +117,9 @@ def _place_blobs(occupied: np.ndarray, dims, size_range, seed: int,
             raise CapacityError(
                 f"could not place blob {placed} after {PLACEMENT_RETRIES} "
                 f"attempts; grid {dims} is too crowded for {size_range}")
-        out[coords[:, 0], coords[:, 1], coords[:, 2]] = True
         occupied[coords[:, 0], coords[:, 1], coords[:, 2]] = True
         placed += 1
         total += len(coords)
-    return out
 
 
 def generate_phantom(spec: PhantomSpec) -> LabelVolume:
@@ -136,16 +131,16 @@ def generate_phantom(spec: PhantomSpec) -> LabelVolume:
     that fraction of the label-1 voxel count.
     """
     occupied = np.zeros(spec.dims, dtype=bool, order="F")
-    wmh = _place_blobs(occupied, spec.dims, spec.size_range, spec.seed,
-                       key_base=0, n_blobs=spec.n_lesions, target_voxels=None)
-    data = wmh.astype(np.uint8)
+    _place_blobs(occupied, spec.size_range, spec.seed, key_base=0,
+                 n_blobs=spec.n_lesions, target_voxels=None)
+    data = occupied.astype(np.uint8)
     if spec.ignore_fraction > 0.0:
-        target = int(round(spec.ignore_fraction * wmh.sum()))
+        target = int(round(spec.ignore_fraction * occupied.sum()))
         if target > 0:
-            other = _place_blobs(occupied, spec.dims, spec.size_range,
-                                 spec.seed, key_base=_IGNORE_KEY_BASE,
-                                 n_blobs=None, target_voxels=target)
-            data[other] = 2
+            _place_blobs(occupied, spec.size_range, spec.seed,
+                         key_base=_IGNORE_KEY_BASE, n_blobs=None,
+                         target_voxels=target)
+            data[occupied & (data == 0)] = 2
     return LabelVolume(data, spec.spacing)
 
 
@@ -186,12 +181,10 @@ def perturb_mask(mask: BinaryMask, ops: PerturbOps) -> BinaryMask:
         out = BinaryMask(out.data & keep, out.spacing)
 
     if ops.add_blobs:
-        occupied = out.data.copy()
-        added = _place_blobs(occupied, out.dims,
-                             (ops.blob_size, ops.blob_size), ops.seed,
-                             key_base=0, n_blobs=ops.add_blobs,
-                             target_voxels=None)
-        out = BinaryMask(out.data | added, out.spacing)
+        occupied = out.data.copy(order="F")
+        _place_blobs(occupied, (ops.blob_size, ops.blob_size), ops.seed,
+                     key_base=0, n_blobs=ops.add_blobs, target_voxels=None)
+        out = BinaryMask(occupied, out.spacing)
 
     if any(ops.translate):
         # voxel v moves to v + t; whatever leaves the grid is dropped

@@ -104,6 +104,18 @@ def surface_oracle(mask: np.ndarray) -> np.ndarray:
     return mask & ~eroded
 
 
+def touches_oracle(occupied: np.ndarray, coords) -> bool:
+    """True if any coord has an occupied voxel in its 3x3x3 window,
+    clipped to the grid."""
+    for x, y, z in coords:
+        window = occupied[max(0, x - 1):x + 2,
+                          max(0, y - 1):y + 2,
+                          max(0, z - 1):z + 2]
+        if window.any():
+            return True
+    return False
+
+
 def allpairs_directed(from_coords, to_coords, spacing) -> np.ndarray:
     """Min distance from each 'from' point to the 'to' set, by checking
     every pair."""

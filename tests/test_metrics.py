@@ -511,8 +511,7 @@ class TestEvaluatePairCrop:
 
 
 def prepared_arrays(prepared):
-    return [prepared.wmh.data, prepared.other,
-            prepared.components.labels, prepared.components.sizes,
+    return [prepared.components.labels, prepared.components.sizes,
             prepared.surface]
 
 

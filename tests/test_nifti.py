@@ -479,6 +479,21 @@ class TestHeaderMeaning:
         vol = read_nifti(on_disk(bytes(blob)))
         assert vol.data.ravel(order="F").tolist() == [0, 1, 1, 0]
 
+    @pytest.mark.parametrize("byteorder", ["<", ">"])
+    @pytest.mark.parametrize("offset", [352.5, 355.5])
+    def test_fractional_vox_offset_is_rejected(self, on_disk, offset,
+                                               byteorder):
+        # the payload sits at 356; truncating 355.5 would read it from
+        # 355 as [0, 0, 1, 1]
+        blob = bytearray(build_file(payload=bytes([0, 1, 1, 0]),
+                                    vox_offset=356.0, byteorder=byteorder))
+        struct.pack_into(byteorder + "f", blob, 108, offset)
+        path = on_disk(bytes(blob))
+        with pytest.raises(FormatError, match=(
+                rf"vox_offset {offset:g} is not a whole byte offset")) as err:
+            read_nifti(path)
+        assert str(path) in str(err.value)
+
     # byte 123: spatial code in bits 0-2, temporal code in bits 3-5
     @pytest.mark.parametrize("byteorder", ["<", ">"])
     @pytest.mark.parametrize("units", [0, 2, 2 | 8, 2 | 16, 0 | 24])

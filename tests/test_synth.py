@@ -1,13 +1,82 @@
+import gzip
+import hashlib
+
 import numpy as np
 import pytest
 
+from seg_eval.cli import main
 from seg_eval.errors import CapacityError
-from seg_eval.synth import (PerturbOps, PhantomSpec, generate_phantom,
-                            perturb_mask)
+from seg_eval.synth import (PerturbOps, PhantomSpec, _touches_occupied,
+                            generate_phantom, perturb_mask)
 from seg_eval.volume import (BinaryMask, binarize_challenge,
                              connected_components)
 
 from helpers import mask_from, score_masks as score
+from oracles import touches_oracle
+
+
+def sha256(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()
+
+
+class TestPinnedBytes:
+    """What synth builds, pinned by SHA-256: a change to the walk, the
+    placement or the label rule changes every benchmark corpus."""
+
+    def test_synth_corpus(self, tmp_path):
+        # label 2 is present, and methods 1-3 add blobs and translate;
+        # files are hashed decompressed, so the zlib build does not matter
+        assert main(["synth", "--out-dir", str(tmp_path), "--subjects", "2",
+                     "--methods", "4", "--dims", "20", "20", "10",
+                     "--lesions", "4", "--size-range", "3", "15",
+                     "--ignore-fraction", "0.2", "--seed", "7"]) == 0
+        h = hashlib.sha256()
+        for path in sorted(tmp_path.iterdir()):
+            raw = path.read_bytes()
+            h.update(path.name.encode())
+            h.update(gzip.decompress(raw) if path.suffix == ".gz" else raw)
+        assert h.hexdigest() == ("cb5410bf1aceba21fa9529c0f149706b"
+                                 "2c17e50455769f22361c53a28e6bfdeb")
+
+    def test_phantom_and_perturbation(self):
+        vol = generate_phantom(PhantomSpec(
+            dims=(24, 20, 12), n_lesions=6, size_range=(3, 20), seed=11,
+            ignore_fraction=0.3))
+        assert np.bincount(vol.data.ravel()).tolist() == [5666, 72, 22]
+        assert sha256(vol.data.tobytes(order="F")) == (
+            "dbe32b210b36f030b493788eb58e5abcc63424f976f1a313a8797a0a564f0712")
+        pred = perturb_mask(binarize_challenge(vol), PerturbOps(
+            dilate=1, add_blobs=3, blob_size=6, translate=(1, -1, 0),
+            seed=5))
+        assert pred.count() == 637
+        assert sha256(pred.data.tobytes(order="F")) == (
+            "d214cd890c93f9633c3fdd9af124dbf38b86784bf4742e4c2944c580ed878a7c")
+
+
+class TestTouchesOccupied:
+    @pytest.mark.parametrize("dims", [(4, 5, 3), (1, 4, 5), (3, 1, 4),
+                                      (4, 3, 1), (1, 1, 6), (1, 1, 1)])
+    def test_every_voxel_against_every_voxel(self, dims):
+        # corners, edges, faces and the inside, one occupied voxel and
+        # one blob voxel at a time, on grids down to 1 voxel thick
+        voxels = np.argwhere(np.ones(dims, dtype=bool))
+        for occ in voxels:
+            occupied = np.zeros(dims, dtype=bool, order="F")
+            occupied[tuple(occ)] = True
+            for v in voxels:
+                coords = v[None, :]
+                assert (_touches_occupied(occupied, coords)
+                        == touches_oracle(occupied, coords)), (occ, v)
+
+    def test_random_blobs(self):
+        rng = np.random.default_rng(19)
+        for _ in range(300):
+            dims = tuple(int(d) for d in rng.integers(1, 7, 3))
+            occupied = np.asfortranarray(rng.random(dims) < 0.05)
+            n = int(rng.integers(1, 6))
+            coords = np.stack([rng.integers(0, d, n) for d in dims], axis=1)
+            assert (_touches_occupied(occupied, coords)
+                    == touches_oracle(occupied, coords))
 
 
 class TestGeneratePhantom:
