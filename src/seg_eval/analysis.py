@@ -210,7 +210,7 @@ def summarize_cohort(masks: list[BinaryMask], volume_bin_ml: float = 10.0,
     if volume_bin_ml <= 0 or count_bin <= 0:
         raise ValueError("bin widths must be positive")
     volumes = np.array([m.volume_ml() for m in masks])
-    counts = np.array([connected_components(m, connectivity).count
+    counts = np.array([connected_components(m, connectivity)[1]
                        for m in masks], dtype=np.float64)
     return CohortSummary(
         n=len(masks), volumes_ml=volumes, lesion_counts=counts,

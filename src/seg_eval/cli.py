@@ -158,14 +158,15 @@ def cmd_evaluate_batch(args) -> int:
 
 def cmd_rank(args) -> int:
     table = read_result_csv(args.results)
-    rank = rank_with_ci(table, args.volume_metric,
-                        BootstrapConfig(replicates=args.bootstrap,
-                                        seed=args.seed,
-                                        confidence=args.confidence))
     inter = None
-    if args.interscanner:
-        inter = interscanner_rank(table, args.volume_metric,
-                                  args.interscanner_normalization)
+    with _naming(args.results):
+        rank = rank_with_ci(table, args.volume_metric,
+                            BootstrapConfig(replicates=args.bootstrap,
+                                            seed=args.seed,
+                                            confidence=args.confidence))
+        if args.interscanner:
+            inter = interscanner_rank(table, args.volume_metric,
+                                      args.interscanner_normalization)
     body = rank_report(rank, _config_echo(
         args, ("volume_metric", "bootstrap", "seed", "confidence",
                "interscanner", "interscanner_normalization")), inter)

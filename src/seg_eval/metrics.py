@@ -20,9 +20,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import UndefinedMetricError
-from .volume import (BinaryMask, ComponentLabeling, LabelVolume,
-                     binarize_challenge, bounding_box, connected_components,
-                     same_grid, surface_voxels, directed_surface_distances)
+from .volume import (BinaryMask, LabelVolume, binarize_challenge,
+                     bounding_box, connected_components, same_grid,
+                     surface_voxels, directed_surface_distances)
 
 __all__ = [
     "EvalConfig",
@@ -185,15 +185,19 @@ def wmh_in_lesion_box(vol: LabelVolume) -> BinaryMask:
 class PreparedReference:
     """A reference's read-only share of :func:`evaluate_pair`: its
     lesion ``box``, the label-1 voxel ``count`` and ``volume_ml``, the
-    components of the label-1 crop (the whole grid's ids and sizes), and
-    its ``surface`` in grid coordinates with a KD-tree over it in mm.
-    Labels are read from ``volume`` itself."""
+    component ``labels`` of the label-1 crop under ``connectivity`` (the
+    whole grid's ids) with each lesion's voxel count in ``sizes``
+    (``sizes[k]`` for id k+1, int64), and its ``surface`` in grid
+    coordinates with a KD-tree over it in mm. Labels are read from
+    ``volume`` itself."""
 
     volume: LabelVolume
     box: tuple[slice, ...]
     count: int
     volume_ml: float
-    components: ComponentLabeling
+    connectivity: int
+    labels: np.ndarray
+    sizes: np.ndarray
     surface: np.ndarray
     tree: object
 
@@ -207,12 +211,15 @@ def prepare_reference(ref: LabelVolume, config: EvalConfig = EvalConfig()
     box = _lesion_box(ref)
     wmh = BinaryMask(ref.data[box] == 1, ref.spacing)
     count = wmh.count()
+    labels, _ = connected_components(wmh, config.connectivity)
+    # ids 1..n all occur, so this has n entries; none for an empty mask
+    sizes = np.bincount(labels[wmh.data])[1:]
     surface = surface_voxels(wmh) + [sl.start for sl in box]
-    surface.setflags(write=False)
+    for array in (labels, sizes, surface):
+        array.setflags(write=False)
     tree = cKDTree(surface * np.asarray(ref.spacing)) if count else None
-    return PreparedReference(
-        ref, box, count, wmh.volume_ml(),
-        connected_components(wmh, config.connectivity), surface, tree)
+    return PreparedReference(ref, box, count, wmh.volume_ml(),
+                             config.connectivity, labels, sizes, surface, tree)
 
 
 def _surface_h95(ref: PreparedReference, surf_pred: np.ndarray,
@@ -250,10 +257,9 @@ def evaluate_pair(ref: LabelVolume | PreparedReference, pred: LabelVolume,
     """
     if not isinstance(ref, PreparedReference):
         ref = prepare_reference(ref, config)
-    elif ref.components.connectivity != config.connectivity:
+    elif ref.connectivity != config.connectivity:
         raise ValueError(f"reference was prepared with connectivity "
-                         f"{ref.components.connectivity}, "
-                         f"not {config.connectivity}")
+                         f"{ref.connectivity}, not {config.connectivity}")
     same_grid(ref.volume, pred, "reference and prediction")
     box = _lesion_box(pred)
     pred_data = pred.data[box] == 1
@@ -262,7 +268,7 @@ def evaluate_pair(ref: LabelVolume | PreparedReference, pred: LabelVolume,
         pred_data &= ref_labels != 2
     pred_eval = BinaryMask(pred_data, ref.volume.spacing)
     n_pred_vox = pred_eval.count()
-    comps_pred = connected_components(pred_eval, config.connectivity)
+    pred_ids, n_pred = connected_components(pred_eval, config.connectivity)
 
     # lesions are hit where reference and prediction overlap; one flat
     # x-fastest scan is faster than a 3-D np.nonzero
@@ -272,8 +278,8 @@ def evaluate_pair(ref: LabelVolume | PreparedReference, pred: LabelVolume,
     # every overlap voxel is a reference lesion voxel, so in its box
     in_ref = tuple(i + (p.start - r.start)
                    for i, p, r in zip(overlap, box, ref.box))
-    ref_hit = _hits(ref.components.labels[in_ref], ref.components.count)
-    pred_hit = _hits(comps_pred.labels[overlap], comps_pred.count)
+    ref_hit = _hits(ref.labels[in_ref], ref.sizes.size)
+    pred_hit = _hits(pred_ids[overlap], n_pred)
     total = ref.count + n_pred_vox
     dsc = 1.0 if total == 0 else 2.0 * overlap[0].size / total
     h95 = avd = lavd = None
@@ -286,13 +292,13 @@ def evaluate_pair(ref: LabelVolume | PreparedReference, pred: LabelVolume,
         lavd = log_avd(ref.count, n_pred_vox)
     recall, f1 = _recall_f1(ref_hit, pred_hit)
     recall_small, recall_large = (
-        size_split_recall(ref.components.sizes, ref_hit)
-        if ref.components.count else (None, None))
+        size_split_recall(ref.sizes, ref_hit)
+        if ref.sizes.size else (None, None))
 
     return MetricVector(
         dsc=dsc, h95_mm=h95, avd_pct=avd, lavd=lavd, recall=recall, f1=f1,
         recall_small=recall_small, recall_large=recall_large,
-        n_ref_lesions=ref.components.count,
-        n_pred_lesions=comps_pred.count,
+        n_ref_lesions=ref.sizes.size,
+        n_pred_lesions=n_pred,
         ref_volume_ml=ref.volume_ml,
         pred_volume_ml=pred_eval.volume_ml())

@@ -51,7 +51,6 @@ _MAGIC_SINGLE = b"n+1\x00"
 
 _DTYPE_BY_CODE = {2: np.uint8, 4: np.int16, 8: np.int32, 16: np.float32,
                   64: np.float64, 256: np.int8, 512: np.uint16}
-_BITPIX_BY_CODE = {2: 8, 4: 16, 8: 32, 16: 32, 64: 64, 256: 8, 512: 16}
 
 
 def _read_container(path: Path) -> bytes:
@@ -113,7 +112,7 @@ def read_nifti(path: str | Path) -> LabelVolume:
     if datatype not in _DTYPE_BY_CODE:
         raise UnsupportedDataTypeError(
             f"{path}: unsupported NIfTI datatype code {datatype}")
-    if bitpix != _BITPIX_BY_CODE[datatype]:
+    if bitpix != 8 * np.dtype(_DTYPE_BY_CODE[datatype]).itemsize:
         raise FormatError(
             f"{path}: bitpix {bitpix} does not match datatype {datatype}")
 
@@ -196,7 +195,8 @@ def _pack_header(dims: tuple[int, int, int],
     struct.pack_into("<i", hdr, 0, HEADER_SIZE)
     struct.pack_into("<c", hdr, 38, b"r")
     struct.pack_into("<8h", hdr, 40, 3, dims[0], dims[1], dims[2], 1, 1, 1, 1)
-    struct.pack_into("<2h", hdr, 70, datatype, _BITPIX_BY_CODE[datatype])
+    struct.pack_into("<2h", hdr, 70, datatype,
+                     8 * np.dtype(_DTYPE_BY_CODE[datatype]).itemsize)
     struct.pack_into("<8f", hdr, 76, 1.0, spacing[0], spacing[1], spacing[2],
                      0.0, 0.0, 0.0, 0.0)
     struct.pack_into("<f", hdr, 108, float(_PAYLOAD_OFFSET))

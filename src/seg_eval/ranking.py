@@ -92,14 +92,14 @@ class ResultTable:
     def __init__(self, records: list[SubjectResult]):
         if not records:
             raise ArityError("a result table needs at least one record")
-        seen: set[tuple[str, str]] = set()
+        cell: dict[tuple[str, str], MetricVector] = {}
         scanner_of: dict[str, str] = {}
         per_method: dict[str, set[str]] = {}
         for rec in records:
             key = (rec.method_id, rec.subject_id)
-            if key in seen:
+            if key in cell:
                 raise ValueError(f"duplicate record for {key}")
-            seen.add(key)
+            cell[key] = rec.metrics
             prev = scanner_of.setdefault(rec.subject_id, rec.scanner_id)
             if prev != rec.scanner_id:
                 raise ValueError(
@@ -114,8 +114,7 @@ class ResultTable:
         self.methods = tuple(sorted(per_method))
         self.subjects = tuple(sorted(scanner_of))
         self.scanner_of = dict(scanner_of)
-        self._cell = {(r.method_id, r.subject_id): r.metrics
-                      for r in records}
+        self._cell = cell
         self._columns: dict[str, np.ndarray] = {}
 
     @property

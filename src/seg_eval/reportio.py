@@ -16,6 +16,7 @@ from __future__ import annotations
 import csv
 import io
 import json
+import math
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -78,11 +79,16 @@ def _parse_cell(path, cell: str, row: int, column: str, kind: type):
     if cell == "":
         return None
     try:
-        return kind(cell)
+        value = kind(cell)
     except ValueError:
         raise ParseError(f"{path}: row {row}, column {column}: "
                          f"cannot parse {cell!r} as {kind.__name__}",
                          row=row, column=column) from None
+    if not math.isfinite(value):
+        raise ParseError(f"{path}: row {row}, column {column}: "
+                         f"{cell!r} is not a finite number",
+                         row=row, column=column)
+    return value
 
 
 def _csv_rows(path: Path, columns: tuple[str, ...]):

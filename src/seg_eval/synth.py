@@ -172,12 +172,12 @@ def perturb_mask(mask: BinaryMask, ops: PerturbOps) -> BinaryMask:
             out.data, _BOX_3X3X3, border_value=0), out.spacing)
 
     if ops.drop_components:
-        comps = connected_components(out, ops.connectivity)
+        labels, count = connected_components(out, ops.connectivity)
         for cid in ops.drop_components:
-            if not 1 <= cid <= comps.count:
+            if not 1 <= cid <= count:
                 raise ValueError(
-                    f"component id {cid} out of range 1..{comps.count}")
-        keep = ~np.isin(comps.labels, np.asarray(ops.drop_components))
+                    f"component id {cid} out of range 1..{count}")
+        keep = ~np.isin(labels, np.asarray(ops.drop_components))
         out = BinaryMask(out.data & keep, out.spacing)
 
     if ops.add_blobs:

@@ -24,7 +24,6 @@ from .errors import InvalidLabelError, ShapeMismatchError
 __all__ = [
     "LabelVolume",
     "BinaryMask",
-    "ComponentLabeling",
     "binarize_challenge",
     "bounding_box",
     "surface_voxels",
@@ -32,7 +31,8 @@ __all__ = [
     "connected_components",
 ]
 
-_CONNECTIVITY_RANK = {6: 1, 18: 2, 26: 3}
+_STRUCTURE = {conn: ndimage.generate_binary_structure(3, rank)
+              for conn, rank in ((6, 1), (18, 2), (26, 3))}
 _LABEL_MAX = np.iinfo(np.int32).max
 
 
@@ -152,21 +152,6 @@ def _first_where(cond: np.ndarray) -> tuple[int, int, int]:
     return tuple(int(i) for i in idx)
 
 
-@dataclass(frozen=True, eq=False)
-class ComponentLabeling:
-    """Connected components of a mask.
-
-    ``labels`` assigns 1..count to foreground voxels, 0 to background.
-    Component ids are deterministic: they follow the first-encounter
-    order of an x-fastest scan of the grid.
-    """
-
-    labels: np.ndarray
-    count: int
-    sizes: np.ndarray  # sizes[k] is the voxel count of component k+1
-    connectivity: int
-
-
 def binarize_challenge(volume: LabelVolume) -> BinaryMask:
     """The WMH (label-1) mask of a challenge label volume; label 2 is
     background here.
@@ -235,8 +220,10 @@ def directed_surface_distances(from_coords: np.ndarray,
 
 
 def connected_components(mask: BinaryMask, connectivity: int = 26
-                         ) -> ComponentLabeling:
-    """Label connected components with deterministic ids.
+                         ) -> tuple[np.ndarray, int]:
+    """Label connected components with deterministic ids: ``(labels,
+    count)``, where ``labels`` assigns 1..count to foreground voxels and
+    0 to background.
 
     scipy labels in the order its C-order scan first meets each
     component. Run on the transposed view, that scan is our x-fastest
@@ -245,15 +232,7 @@ def connected_components(mask: BinaryMask, connectivity: int = 26
     scipy scans it in place.
     Supported connectivities: 6, 18, 26 (default 26).
     """
-    if connectivity not in _CONNECTIVITY_RANK:
+    if connectivity not in _STRUCTURE:
         raise ValueError(f"connectivity must be 6, 18 or 26, got {connectivity}")
-    structure = ndimage.generate_binary_structure(
-        3, _CONNECTIVITY_RANK[connectivity])
-    raw, n = ndimage.label(mask.data.T, structure=structure)
-    labels = raw.T
-    sizes = np.bincount(labels[mask.data], minlength=n + 1)[1:]
-    sizes = sizes.astype(np.int64, copy=False)
-    labels.setflags(write=False)
-    sizes.setflags(write=False)
-    return ComponentLabeling(labels=labels, count=int(n), sizes=sizes,
-                             connectivity=connectivity)
+    raw, n = ndimage.label(mask.data.T, structure=_STRUCTURE[connectivity])
+    return raw.T, int(n)

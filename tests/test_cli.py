@@ -538,12 +538,36 @@ class TestRank:
         write_result_csv(list(table.records), path)
         rc = main(["rank", str(path), "--bootstrap", "0"])
         assert rc == 1
-        assert "error:" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {path}: ")
+        assert "ranking needs at least two methods" in err
+
+    @pytest.mark.parametrize("columns, flags, message", [
+        ({"a": {"dsc": [0.9]}, "b": {"dsc": [0.8]}}, ["--bootstrap", "20"],
+         "bootstrap needs at least two subjects"),
+        ({"a": {"h95_mm": [None, None]}, "b": {"h95_mm": [1.0, 2.0]}},
+         ["--bootstrap", "0"], "has no defined h95_mm on any subject"),
+        ({"a": {"dsc": [0.9, 0.8]}, "b": {"dsc": [0.7, 0.6]}},
+         ["--bootstrap", "0", "--interscanner"],
+         "inter-scanner ranking needs at least two scanners"),
+    ])
+    def test_a_table_that_cannot_be_ranked_names_the_file(
+            self, tmp_path, capsys, columns, flags, message):
+        path = tmp_path / "unrankable.csv"
+        write_result_csv(list(table_from_columns(columns).records), path)
+        rc = main(["rank", str(path), *flags])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {path}: ")
+        assert message in err
 
     @pytest.mark.parametrize("edit, message", [
         (lambda ln: ln.replace(",s001,scB,", ",s001,scA,", 1), "scanners"),
         (lambda ln: ln.replace("m_c,s003,", "m_c,s002,", 1), "duplicate"),
         (lambda ln: ln.replace("m_c,s003,", "m_c,s009,", 1), "subject set"),
+        # the first 0.5 of an m_b row is its h95_mm cell
+        (lambda ln: ln.replace(",0.5,", ",inf,", 1) if ln.startswith("m_b,")
+         else ln, "column h95_mm: 'inf' is not a finite number"),
     ])
     def test_a_broken_table_is_an_error_naming_the_file(
             self, results_csv, tmp_path, capsys, edit, message):

@@ -122,11 +122,12 @@ class TestKernels:
     @pytest.mark.parametrize("connectivity", [6, 26])
     def test_connected_components(self, connectivity):
         mask = random_mask(np.random.default_rng(11), (14, 9, 7), 0.25)
-        c = connected_components(in_order(mask, "C"), connectivity)
-        f = connected_components(in_order(mask, "F"), connectivity)
-        assert c.count == f.count > 1
-        assert np.array_equal(c.labels, f.labels)
-        assert np.array_equal(c.sizes, f.sizes)
+        c_ids, c_count = connected_components(in_order(mask, "C"),
+                                              connectivity)
+        f_ids, f_count = connected_components(in_order(mask, "F"),
+                                              connectivity)
+        assert c_count == f_count > 1
+        assert np.array_equal(c_ids, f_ids)
 
     def test_surface_voxels(self):
         mask = random_mask(np.random.default_rng(12), (14, 9, 7), 0.4)

@@ -511,8 +511,7 @@ class TestEvaluatePairCrop:
 
 
 def prepared_arrays(prepared):
-    return [prepared.components.labels, prepared.components.sizes,
-            prepared.surface]
+    return [prepared.labels, prepared.sizes, prepared.surface]
 
 
 def assert_prepared_matches(ref, preds, config=EvalConfig()):
@@ -590,7 +589,7 @@ class TestPreparedReference:
                  labels_from([(5, 4, 3), (6, 5, 4), (7, 5, 4)], dims)]
         config = EvalConfig(connectivity=connectivity)
         assert_prepared_matches(ref, preds, config)
-        assert prepare_reference(ref, config).components.count == {
+        assert prepare_reference(ref, config).sizes.size == {
             6: 4, 18: 3, 26: 2}[connectivity]
 
     def test_connectivity_mismatch_is_an_error(self):

@@ -102,6 +102,25 @@ class TestReadResultCsv:
             read_result_csv(path)
         assert str(path) in str(info.value)
 
+    @pytest.mark.parametrize("column", ["dsc", "h95_mm"])
+    @pytest.mark.parametrize("cell", ["inf", "-inf", "nan"])
+    def test_a_non_finite_cell_names_its_row_and_column(self, tmp_path,
+                                                        column, cell):
+        table = table_from_columns({"a": {"dsc": [0.9, 0.8]},
+                                    "b": {"dsc": [0.7, 0.6]}})
+        path = tmp_path / "r.csv"
+        write_result_csv(list(table.records), path)
+        lines = path.read_text().splitlines()
+        cells = lines[2].split(",")
+        cells[RESULT_COLUMNS.index(column)] = cell
+        lines[2] = ",".join(cells)
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ParseError, match="not a finite number") as info:
+            read_result_csv(path)
+        assert str(path) in str(info.value)
+        assert f"row 3, column {column}: {cell!r}" in str(info.value)
+        assert (info.value.row, info.value.column) == (3, column)
+
     def test_header_only_names_the_file(self, tmp_path):
         path = tmp_path / "r.csv"
         path.write_text(",".join(RESULT_COLUMNS) + "\n")

@@ -6,6 +6,7 @@ import pytest
 
 from seg_eval.cli import main
 from seg_eval.errors import CapacityError
+from seg_eval.metrics import prepare_reference
 from seg_eval.synth import (PerturbOps, PhantomSpec, _touches_occupied,
                             generate_phantom, perturb_mask)
 from seg_eval.volume import (BinaryMask, binarize_challenge,
@@ -100,14 +101,14 @@ class TestGeneratePhantom:
         for n in (1, 4, 7):
             vol = generate_phantom(PhantomSpec(n_lesions=n, seed=5))
             wmh = binarize_challenge(vol)
-            assert connected_components(wmh, 26).count == n
+            assert connected_components(wmh, 26)[1] == n
 
     def test_lesion_sizes_within_range(self):
         spec = PhantomSpec(n_lesions=6, size_range=(5, 11), seed=9)
-        wmh = binarize_challenge(generate_phantom(spec))
-        comps = connected_components(wmh, 26)
-        assert comps.sizes.min() >= 5
-        assert comps.sizes.max() <= 11
+        sizes = prepare_reference(generate_phantom(spec)).sizes
+        assert sizes.size == 6
+        assert sizes.min() >= 5
+        assert sizes.max() <= 11
 
     def test_ignore_fraction_hits_exact_target(self):
         spec = PhantomSpec(n_lesions=5, seed=3, ignore_fraction=0.25,
@@ -126,9 +127,9 @@ class TestGeneratePhantom:
         # 26-separation: every label-1 component keeps a 1-voxel moat,
         # so merging masks must not fuse any components
         merged = BinaryMask(wmh | ignore, vol.spacing)
-        n_w = connected_components(BinaryMask(wmh, vol.spacing), 26).count
-        n_i = connected_components(BinaryMask(ignore, vol.spacing), 26).count
-        assert connected_components(merged, 26).count == n_w + n_i
+        n_w = connected_components(BinaryMask(wmh, vol.spacing), 26)[1]
+        n_i = connected_components(BinaryMask(ignore, vol.spacing), 26)[1]
+        assert connected_components(merged, 26)[1] == n_w + n_i
 
     def test_impossible_spec_raises_capacity_error(self):
         spec = PhantomSpec(dims=(8, 8, 2), n_lesions=40,
@@ -221,9 +222,9 @@ class TestPerturbMask:
 
     def test_added_blobs_are_disjoint_from_the_mask(self):
         ref = self._phantom_mask(seed=37, n_lesions=3)
-        n_before = connected_components(ref, 26).count
+        n_before = connected_components(ref, 26)[1]
         out = perturb_mask(ref, PerturbOps(add_blobs=2, blob_size=6, seed=1))
-        n_after = connected_components(out, 26).count
+        n_after = connected_components(out, 26)[1]
         assert n_after == n_before + 2
         assert out.count() == ref.count() + 12
 

@@ -3,6 +3,7 @@ import pytest
 from scipy import ndimage
 
 from seg_eval.errors import InvalidLabelError
+from seg_eval.metrics import EvalConfig, prepare_reference
 from seg_eval.synth import PerturbOps, perturb_mask
 from seg_eval.volume import (BinaryMask, LabelVolume, binarize_challenge,
                              connected_components,
@@ -236,26 +237,33 @@ class TestDistances:
                                        (1, 1, 1))
 
 
+def prepared(mask: BinaryMask, connectivity: int = 26):
+    """The prepared reference whose label-1 voxels are ``mask``."""
+    return prepare_reference(LabelVolume(mask.data.astype(np.uint8),
+                                         mask.spacing),
+                             EvalConfig(connectivity=connectivity))
+
+
 class TestConnectedComponents:
     def test_connectivity_semantics_on_diagonals(self):
         # two voxels sharing only a corner: one component at 26, two at 6/18
         m = mask_from([(0, 0, 0), (1, 1, 1)], (3, 3, 3))
-        assert connected_components(m, 26).count == 1
-        assert connected_components(m, 18).count == 2
-        assert connected_components(m, 6).count == 2
+        assert connected_components(m, 26)[1] == 1
+        assert connected_components(m, 18)[1] == 2
+        assert connected_components(m, 6)[1] == 2
         # sharing an edge: joined at 18 and 26, split at 6
         m = mask_from([(0, 0, 0), (1, 1, 0)], (3, 3, 3))
-        assert connected_components(m, 26).count == 1
-        assert connected_components(m, 18).count == 1
-        assert connected_components(m, 6).count == 2
+        assert connected_components(m, 26)[1] == 1
+        assert connected_components(m, 18)[1] == 1
+        assert connected_components(m, 6)[1] == 2
 
     def test_count_monotone_in_connectivity(self):
         rng = np.random.default_rng(15)
         for _ in range(10):
             m = random_mask(rng, (12, 12, 6), density=0.2)
-            c6 = connected_components(m, 6).count
-            c18 = connected_components(m, 18).count
-            c26 = connected_components(m, 26).count
+            c6 = connected_components(m, 6)[1]
+            c18 = connected_components(m, 18)[1]
+            c26 = connected_components(m, 26)[1]
             assert c6 >= c18 >= c26
 
     def test_matches_union_find_oracle(self):
@@ -263,41 +271,47 @@ class TestConnectedComponents:
         for trial in range(15):
             m = random_mask(rng, (12, 10, 8), density=0.18)
             for conn in (6, 18, 26):
-                got = connected_components(m, conn)
+                got, n = connected_components(m, conn)
                 labels, count, sizes = cc_oracle(m.data, conn)
-                assert got.count == count
-                assert np.array_equal(got.labels, labels)
-                assert list(got.sizes) == sizes
+                assert n == count
+                assert np.array_equal(got, labels)
+                assert list(prepared(m, conn).sizes) == sizes
 
     def test_first_encounter_ids_are_scan_ordered(self):
         # two blobs; the one met first by the x-fastest scan gets id 1
         m = mask_from([(5, 0, 0), (0, 3, 0)], (6, 6, 1))
-        comps = connected_components(m, 26)
-        assert comps.labels[5, 0, 0] == 1
-        assert comps.labels[0, 3, 0] == 2
+        labels, _ = connected_components(m, 26)
+        assert labels[5, 0, 0] == 1
+        assert labels[0, 3, 0] == 2
 
     def test_sizes_sum_to_mask_count(self):
         rng = np.random.default_rng(17)
         m = random_mask(rng, (10, 10, 10), density=0.3)
-        comps = connected_components(m)
-        assert comps.sizes.sum() == m.count()
+        ref = prepared(m)
+        assert ref.sizes.size == connected_components(m)[1]
+        assert ref.sizes.sum() == m.count()
 
     def test_labels_read_only_and_sizes_int64(self):
         rng = np.random.default_rng(18)
         for m in (random_mask(rng, (9, 7, 5), density=0.3),
                   mask_from([], (4, 4, 4))):
-            comps = connected_components(m)
-            assert comps.labels.shape == m.dims
-            assert not comps.labels.flags.writeable
-            with pytest.raises(ValueError):
-                comps.labels[0, 0, 0] = 7
-            assert comps.sizes.dtype == np.int64
+            ref = prepared(m)
+            assert ref.labels.shape == tuple(
+                sl.stop - sl.start for sl in ref.box)
+            assert not ref.labels.flags.writeable
+            assert not ref.sizes.flags.writeable
+            if ref.labels.size:
+                with pytest.raises(ValueError):
+                    ref.labels[0, 0, 0] = 7
+            assert ref.sizes.dtype == np.int64
 
     def test_empty_mask(self):
-        comps = connected_components(mask_from([], (4, 4, 4)))
-        assert comps.count == 0
-        assert comps.sizes.size == 0
+        m = mask_from([], (4, 4, 4))
+        labels, n = connected_components(m)
+        assert n == 0
+        assert labels.shape == m.dims and not labels.any()
+        assert prepared(m).sizes.size == 0
 
     def test_bad_connectivity(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="6, 18 or 26, got 10"):
             connected_components(mask_from([], (2, 2, 2)), 10)
