@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ArityError, SegEvalError
+from .errors import ArityError, DegenerateInputError, SegEvalError
 from .volume import (BinaryMask, bounding_box, connected_components,
                      same_grid)
 
@@ -181,6 +181,10 @@ def _summary(values: np.ndarray) -> Summary:
                    sd_degenerate=degenerate)
 
 
+# a histogram never gets more bins than this, whatever its bin width
+_MAX_BINS = 10**6
+
+
 @dataclass(frozen=True, eq=False)
 class CohortSummary:
     n: int
@@ -192,8 +196,13 @@ class CohortSummary:
     count_hist: tuple[np.ndarray, np.ndarray]
 
 
-def _histogram(values: np.ndarray, width: float):
+def _histogram(values: np.ndarray, width: float, what: str):
     top = float(np.max(values))
+    # compared in float: the bin count of a tiny width may not fit an int
+    if top / width > _MAX_BINS:
+        raise DegenerateInputError(
+            f"{what} bin width {width:g} would need {top / width:.4g} bins "
+            f"to reach {top:g}; at most {_MAX_BINS} are allowed")
     n_bins = max(1, int(math.ceil(top / width)))
     edges = np.arange(n_bins + 1, dtype=np.float64) * width
     counts, _ = np.histogram(values, bins=edges)
@@ -215,5 +224,5 @@ def summarize_cohort(masks: list[BinaryMask], volume_bin_ml: float = 10.0,
     return CohortSummary(
         n=len(masks), volumes_ml=volumes, lesion_counts=counts,
         volume=_summary(volumes), count=_summary(counts),
-        volume_hist=_histogram(volumes, volume_bin_ml),
-        count_hist=_histogram(counts, count_bin))
+        volume_hist=_histogram(volumes, volume_bin_ml, "volume"),
+        count_hist=_histogram(counts, count_bin, "lesion-count"))

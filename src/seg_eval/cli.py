@@ -110,10 +110,7 @@ def cmd_evaluate(args) -> int:
     pred = read_nifti(args.prediction)
     same_grid(ref, pred, f"reference {args.reference} and prediction "
               f"{args.prediction}")
-    with _naming(args.reference):
-        ref = prepare_reference(ref, config)
-    with _naming(args.prediction):
-        vec = evaluate_pair(ref, pred, config)
+    vec = evaluate_pair(ref, pred, config)
     body = metric_report(vec, _config_echo(
         args, ("connectivity", "h95_mode", "ignore_mode")))
     dump_json(body, args.output)
@@ -181,12 +178,11 @@ def cmd_staple(args) -> int:
                           threshold=args.threshold, prior=args.prior)
     masks = []
     for path in args.inputs:
-        vol = read_nifti(path)
-        with _naming(path):
-            masks.append(binarize_challenge(vol))
+        masks.append(binarize_challenge(read_nifti(path)))
         same_grid(masks[0], masks[-1],
                   f"raters {args.inputs[0]} and {path}")
-    result = staple_fuse(masks, params)
+    with _naming(", ".join(args.inputs)):
+        result = staple_fuse(masks, params)
     write_nifti(result.consensus, args.output)
     if args.weights_out:
         write_nifti_real(result.weights, masks[0].spacing, args.weights_out)

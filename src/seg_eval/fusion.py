@@ -19,7 +19,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import expit
 
 from .errors import ArityError, DegenerateInputError
 from .volume import BinaryMask, same_grid
@@ -74,6 +73,8 @@ def majority_vote(masks: list[BinaryMask]) -> BinaryMask:
 def staple_fuse(masks: list[BinaryMask],
                 params: StapleParams = StapleParams()) -> FusionResult:
     """Fuse two or more binary segmentations into a consensus."""
+    from scipy.special import expit
+
     if len(masks) < 2:
         raise ArityError(f"fusion needs at least two masks, got {len(masks)}")
     for m in masks[1:]:

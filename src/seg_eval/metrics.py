@@ -20,6 +20,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import UndefinedMetricError
+# binarize_challenge is unused here, but perfbench/tracing.py wraps it
+# under this module's name
 from .volume import (BinaryMask, LabelVolume, binarize_challenge,
                      bounding_box, connected_components, same_grid,
                      surface_voxels, directed_surface_distances)
@@ -166,19 +168,10 @@ def relative_difference(value: float, baseline: float) -> float:
     return (value - baseline) / baseline
 
 
-def _lesion_box(vol: LabelVolume) -> tuple[slice, ...]:
-    """Bounding box of a volume's non-zero labels, empty when every
-    label is 0; a label above 2 raises, naming its voxel."""
-    box = bounding_box(vol.data)
-    if vol.data[box].max(initial=0) > 2:
-        binarize_challenge(vol)
-    return box
-
-
 def wmh_in_lesion_box(vol: LabelVolume) -> BinaryMask:
     """The label-1 mask of a challenge volume inside its lesion box: the
     whole-grid mask's voxel count and components, in fewer voxels."""
-    return BinaryMask(vol.data[_lesion_box(vol)] == 1, vol.spacing)
+    return BinaryMask(vol.data[bounding_box(vol.data)] == 1, vol.spacing)
 
 
 @dataclass(frozen=True, eq=False)
@@ -204,11 +197,11 @@ class PreparedReference:
 
 def prepare_reference(ref: LabelVolume, config: EvalConfig = EvalConfig()
                       ) -> PreparedReference:
-    """Check, crop, label and surface a reference once, for scoring
+    """Crop, label and surface a reference once, for scoring
     many predictions with :func:`evaluate_pair`."""
     from scipy.spatial import cKDTree
 
-    box = _lesion_box(ref)
+    box = bounding_box(ref.data)
     wmh = BinaryMask(ref.data[box] == 1, ref.spacing)
     count = wmh.count()
     labels, _ = connected_components(wmh, config.connectivity)
@@ -261,7 +254,7 @@ def evaluate_pair(ref: LabelVolume | PreparedReference, pred: LabelVolume,
         raise ValueError(f"reference was prepared with connectivity "
                          f"{ref.connectivity}, not {config.connectivity}")
     same_grid(ref.volume, pred, "reference and prediction")
-    box = _lesion_box(pred)
+    box = bounding_box(pred.data)
     pred_data = pred.data[box] == 1
     ref_labels = ref.volume.data[box]
     if config.ignore_mode == "exclude":

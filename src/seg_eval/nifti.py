@@ -7,14 +7,13 @@ payload is stored x-fastest, which is how NIfTI defines its on-disk
 order and how every volume and mask holds its data, so a read is an
 F-ordered ``reshape`` of the payload and a write hands the array's own
 buffer to the file one z plane at a time, copying a plane only to
-change its dtype. An
-integer payload in native byte order is handed over as decoded, in its
-own dtype; a byte-swapped one becomes int32, and a float one is
-rounded to int32.
+change its dtype. Every payload is read into a uint8
+:class:`~seg_eval.volume.LabelVolume`; a native uint8 one is handed
+over as decoded, and a float one is rounded first.
 
 Every voxel value is a label as stored: the scaling fields
 ``scl_slope``/``scl_inter`` must say so (slope 0 or 1, intercept 0),
-and a label that is negative or beyond int32 is rejected. A negative
+and a label outside {0, 1, 2} is rejected. A negative
 voxel spacing, which some writers use to mark a flipped axis, is
 rejected too, as are spatial units other than mm (or unknown, read as
 mm), a ``vox_offset`` below 352 other than 0 (which reads as 352),
@@ -40,7 +39,7 @@ import numpy as np
 
 from .errors import (FormatError, InvalidLabelError, TruncatedFileError,
                      UnsupportedDataTypeError)
-from .volume import _LABEL_MAX, BinaryMask, LabelVolume, _first_where
+from .volume import BinaryMask, LabelVolume, _check_labels, _first_where
 
 __all__ = ["read_nifti", "write_nifti", "write_nifti_real"]
 
@@ -76,10 +75,9 @@ def read_nifti(path: str | Path) -> LabelVolume:
     Big-endian headers are detected through the dim[0] range check and
     byte-swapped. Float payloads are rounded to the nearest integer,
     ties away from zero. Non-finite values and labels outside
-    [0, 2**31 - 1] are rejected with the file, value and voxel, and a
-    negative spacing with the file and axis. The returned data keeps
-    the file's x-fastest order (F-contiguous) and, for a native integer
-    payload, its dtype.
+    {0, 1, 2} are rejected with the file, value and voxel, and a
+    negative spacing with the file and axis. The returned data is
+    uint8 in the file's x-fastest order (F-contiguous).
     """
     path = Path(path)
     raw = _read_container(path)
@@ -167,21 +165,17 @@ def read_nifti(path: str | Path) -> LabelVolume:
     flat = np.frombuffer(raw, dtype=dt, count=nvox, offset=offset)
     data = flat.reshape((nx, ny, nz), order="F")
 
-    if dt.kind == "f":
-        finite = np.isfinite(data)
-        if not finite.all():
-            at = _first_where(~finite)
-            raise InvalidLabelError(
-                f"{path}: non-finite voxel value {data[at]} at voxel {at}",
-                value=float(data[at]), coordinate=at)
-        data = _round_half_away(data.astype(np.float64))
-        if data.min() < 0 or data.max() > _LABEL_MAX:
-            at = _first_where((data < 0) | (data > _LABEL_MAX))
-            raise InvalidLabelError(
-                f"{path}: label {data[at]:g} at voxel {at} is outside "
-                f"[0, {_LABEL_MAX}]", value=float(data[at]), coordinate=at)
-        data = data.astype(np.int32, order="F")
-    try:   # LabelVolume checks the sign; no payload here exceeds int32
+    try:
+        if dt.kind == "f":
+            finite = np.isfinite(data)
+            if not finite.all():
+                at = _first_where(~finite)
+                raise InvalidLabelError(
+                    f"non-finite voxel value {data[at]} at voxel {at}",
+                    value=float(data[at]), coordinate=at)
+            data = _round_half_away(data.astype(np.float64))
+            _check_labels(data)   # before the cast, so nothing wraps
+            data = data.astype(np.uint8, order="F")
         return LabelVolume(data, spacing)
     except InvalidLabelError as exc:
         raise InvalidLabelError(f"{path}: {exc}", exc.value,
@@ -228,12 +222,7 @@ def _write(path: Path, data: np.ndarray,
 def write_nifti(volume: LabelVolume | BinaryMask, path: str | Path) -> None:
     """Write labels (or a mask as 0/1) as uint8, gzipped iff the path
     ends in .gz."""
-    data = volume.data
-    # labels are never negative, so a 1-byte payload fits uint8
-    if data.dtype.itemsize > 1 and data.size and int(data.max()) > 255:
-        raise InvalidLabelError(
-            f"label {int(data.max())} does not fit the uint8 payload")
-    _write(Path(path), data, volume.spacing, 2)
+    _write(Path(path), volume.data, volume.spacing, 2)
 
 
 def write_nifti_real(data: np.ndarray, spacing: tuple[float, float, float],

@@ -12,7 +12,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import ndimage
 
 from .errors import CapacityError
 from .volume import BinaryMask, LabelVolume, connected_components
@@ -101,6 +100,10 @@ def _place_blobs(occupied: np.ndarray, size_range, seed: int,
             break
         if target_voxels is not None and total >= target_voxels:
             break
+        if hi > occupied.size:   # no walk could ever finish such a blob
+            raise CapacityError(
+                f"blob size up to {hi} voxels exceeds the {occupied.size} "
+                f"voxels of grid {dims}")
         rng = _lesion_rng(seed, key_base + placed)
         coords = None
         for _ in range(PLACEMENT_RETRIES):
@@ -161,6 +164,8 @@ class PerturbOps:
 
 def perturb_mask(mask: BinaryMask, ops: PerturbOps) -> BinaryMask:
     """Derive a degraded prediction from a reference mask."""
+    from scipy import ndimage
+
     out = mask
     # neighbourhoods are clipped at the grid edge; out-of-grid voxels
     # count as background, so foreground touching the edge erodes away

@@ -17,7 +17,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import ndimage
 
 from .errors import InvalidLabelError, ShapeMismatchError
 
@@ -31,9 +30,10 @@ __all__ = [
     "connected_components",
 ]
 
-_STRUCTURE = {conn: ndimage.generate_binary_structure(3, rank)
+# the 3x3x3 cube where |dx| + |dy| + |dz| <= rank, as
+# scipy.ndimage.generate_binary_structure(3, rank) builds it
+_STRUCTURE = {conn: np.abs(np.indices((3, 3, 3)) - 1).sum(axis=0) <= rank
               for conn, rank in ((6, 1), (18, 2), (26, 3))}
-_LABEL_MAX = np.iinfo(np.int32).max
 
 
 def _check_grid(data: np.ndarray, spacing) -> tuple[float, float, float]:
@@ -49,16 +49,15 @@ def _check_grid(data: np.ndarray, spacing) -> tuple[float, float, float]:
 
 @dataclass(frozen=True, eq=False)
 class LabelVolume:
-    """An integer-labelled 3-D grid with voxel spacing in mm.
+    """A challenge label volume with voxel spacing in mm.
 
-    ``data`` is a read-only, F-contiguous integer array of shape
-    ``(nx, ny, nz)``. A native payload of at most 32 bits (uint8, int8,
-    int16, uint16, int32, uint32) keeps its dtype; wider dtypes and
-    non-native byte orders become int32. An F-contiguous array that
-    keeps its dtype is frozen in place, so the caller's array becomes
-    read-only too; anything else is copied once. Either way the volume
-    owns read-only data, so a prepared reference never goes stale.
-    Labels must lie in [0, 2**31 - 1].
+    ``data`` is a read-only, F-contiguous uint8 array of shape
+    ``(nx, ny, nz)`` holding only the labels 0, 1 and 2; any other
+    label raises :class:`InvalidLabelError` naming its value and voxel.
+    Any integer dtype is accepted. An F-contiguous uint8 array is
+    frozen in place, so the caller's array becomes read-only too;
+    anything else is copied once. Either way the volume owns read-only
+    data, so a prepared reference never goes stale.
     """
 
     data: np.ndarray
@@ -69,22 +68,8 @@ class LabelVolume:
         spacing = _check_grid(arr, self.spacing)
         if not np.issubdtype(arr.dtype, np.integer):
             raise TypeError(f"label data must be integer, got {arr.dtype}")
-        if arr.dtype.kind == "i" and arr.size and int(arr.min()) < 0:
-            bad = _first_where(arr < 0)
-            raise InvalidLabelError(
-                f"negative label {int(arr[bad])} at voxel {bad}",
-                value=float(arr[bad]), coordinate=bad)
-        # only dtypes wider than int32 can hold a label that would wrap
-        if (np.iinfo(arr.dtype).max > _LABEL_MAX and arr.size
-                and int(arr.max()) > _LABEL_MAX):
-            bad = _first_where(arr > _LABEL_MAX)
-            raise InvalidLabelError(
-                f"label {int(arr[bad])} at voxel {bad} does not fit int32",
-                value=float(arr[bad]), coordinate=bad)
-        dtype = arr.dtype
-        if dtype.itemsize > 4 or not dtype.isnative:
-            dtype = np.dtype(np.int32)
-        object.__setattr__(self, "data", _frozen(arr, dtype))
+        _check_labels(arr)
+        object.__setattr__(self, "data", _frozen(arr, np.uint8))
         object.__setattr__(self, "spacing", spacing)
 
     @property
@@ -152,20 +137,25 @@ def _first_where(cond: np.ndarray) -> tuple[int, int, int]:
     return tuple(int(i) for i in idx)
 
 
+def _check_labels(arr: np.ndarray) -> None:
+    """Raise unless every value of an integer (or whole-valued float)
+    array is a challenge label: 0, 1 or 2. One ``max``, plus a ``min``
+    unless the dtype is unsigned; the first bad voxel in x-fastest
+    order is named."""
+    if not arr.size or (arr.max() <= 2
+                        and (arr.dtype.kind == "u" or arr.min() >= 0)):
+        return
+    at = _first_where((arr < 0) | (arr > 2))
+    shown = f"{arr[at]:g}" if arr.dtype.kind == "f" else int(arr[at])
+    raise InvalidLabelError(
+        f"label {shown} at voxel {at} is outside {{0, 1, 2}}",
+        value=float(arr[at]), coordinate=at)
+
+
 def binarize_challenge(volume: LabelVolume) -> BinaryMask:
     """The WMH (label-1) mask of a challenge label volume; label 2 is
-    background here.
-
-    Labels outside {0, 1, 2} are rejected with the offending value and
-    coordinate rather than being clamped.
-    """
-    data = volume.data
-    if data.max(initial=0) > 2:
-        at = _first_where(data > 2)
-        raise InvalidLabelError(
-            f"label {int(data[at])} at voxel {at} is outside {{0, 1, 2}}",
-            value=float(data[at]), coordinate=at)
-    return BinaryMask(data == 1, volume.spacing)
+    background here."""
+    return BinaryMask(volume.data == 1, volume.spacing)
 
 
 def bounding_box(data: np.ndarray) -> tuple[slice, slice, slice]:
@@ -232,6 +222,8 @@ def connected_components(mask: BinaryMask, connectivity: int = 26
     scipy scans it in place.
     Supported connectivities: 6, 18, 26 (default 26).
     """
+    from scipy import ndimage
+
     if connectivity not in _STRUCTURE:
         raise ValueError(f"connectivity must be 6, 18 or 26, got {connectivity}")
     raw, n = ndimage.label(mask.data.T, structure=_STRUCTURE[connectivity])

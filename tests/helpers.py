@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import gzip
 import struct
+from pathlib import Path
 
 import numpy as np
 
@@ -49,6 +51,16 @@ def encode_as(data: np.ndarray, spacing, datatype: int,
     return build_file(dims=data.shape, pixdim=spacing, datatype=datatype,
                       byteorder=byteorder,
                       payload=data.astype(dt).tobytes(order="F"))
+
+
+def write_labels(path, data: np.ndarray) -> Path:
+    """Any labels, those a volume refuses too, as a hand-built uint8
+    file on a 1 mm grid at ``path``, gzipped iff it ends in .gz."""
+    path = Path(path)
+    blob = encode_as(data, (1.0, 1.0, 1.0), 2)
+    path.write_bytes(gzip.compress(blob, mtime=0) if path.suffix == ".gz"
+                     else blob)
+    return path
 
 
 def mask_from(coords, dims, spacing=(1.0, 1.0, 1.0)) -> BinaryMask:

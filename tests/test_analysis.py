@@ -324,6 +324,17 @@ class TestCohortSummary:
         edges, counts = summary.count_hist
         assert counts.sum() == 7
 
+    def test_a_histogram_has_at_most_a_million_bins(self):
+        one = [mask_from([(1, 1, 1)], (3, 3, 3))]   # one lesion
+        edges, counts = summarize_cohort(one, count_bin=2.0**-19).count_hist
+        assert len(counts) == 2**19 and counts.sum() == 1
+        for kw in ({"count_bin": 2.0**-20}, {"count_bin": 1e-12},
+                   {"volume_bin_ml": 1e-300}, {"volume_bin_ml": 1e-320}):
+            with pytest.raises(SegEvalError, match=(
+                    r"bin width \S+ would need \S+ bins to reach \S+; at "
+                    r"most 1000000 are allowed")):
+                summarize_cohort(one, **kw)
+
     def test_volume_scales_with_voxel_volume(self):
         coords = [(1, 1, 1), (2, 2, 2), (3, 1, 2)]
         small = summarize_cohort([mask_from(coords, (5, 5, 5))])

@@ -21,7 +21,8 @@ import numpy as np
 import pytest
 
 import seg_eval
-from helpers import encode_as, labels_from, table_from_columns
+from helpers import (encode_as, labels_from, table_from_columns,
+                     write_labels)
 from seg_eval.analysis import fn_fp_maps, summarize_cohort
 from seg_eval.cli import main
 from seg_eval.fusion import StapleParams, staple_fuse
@@ -148,10 +149,9 @@ class TestEvaluate:
     def test_a_bad_label_names_its_file(self, pair_on_disk, tmp_path,
                                         capsys, side):
         _, _, ref_p, pred_p = pair_on_disk
-        bad = np.zeros((8, 8, 4), dtype=np.int32)
+        bad = np.zeros((8, 8, 4), dtype=np.uint8)
         bad[2, 2, 2] = 3
-        bad_p = tmp_path / "bad.nii.gz"
-        write_nifti(LabelVolume(bad, (1.0, 1.0, 1.0)), bad_p)
+        bad_p = write_labels(tmp_path / "bad.nii.gz", bad)
         pair = (bad_p, pred_p) if side == "reference" else (ref_p, bad_p)
         assert main(["evaluate", *map(str, pair)]) == 1
         assert capsys.readouterr().err == (
@@ -337,10 +337,9 @@ class TestEvaluateBatch:
     def test_a_bad_label_names_its_row_and_file(self, batch_corpus,
                                                 tmp_path, capsys, jobs):
         manifest, *_ = batch_corpus
-        bad = np.zeros((8, 8, 4), dtype=np.int32)
+        bad = np.zeros((8, 8, 4), dtype=np.uint8)
         bad[3, 4, 2] = 3
-        write_nifti(LabelVolume(bad, (1.0, 1.0, 1.0)),
-                    tmp_path / "s1_b.nii.gz")
+        write_labels(tmp_path / "s1_b.nii.gz", bad)
         rc = main(["evaluate-batch", str(manifest),
                    "-o", str(tmp_path / "r.csv"), "--jobs", jobs])
         assert rc == 1
@@ -348,17 +347,17 @@ class TestEvaluateBatch:
         assert err.count("error:") == 1 and err.startswith("error:")
         # rows run a-s0, a-s1, b-s0, b-s1 from line 2
         assert "row 5" in err
-        assert str(tmp_path / "s1_b.nii.gz") in err
-        assert "label 3 at voxel (3, 4, 2)" in err
+        # the reader names the file after the row
+        assert (f"{tmp_path / 's1_b.nii.gz'}): {tmp_path / 's1_b.nii.gz'}: "
+                f"label 3 at voxel (3, 4, 2) is outside {{0, 1, 2}}") in err
 
     @pytest.mark.parametrize("jobs", ["1", "2"])
     def test_a_bad_reference_label_names_its_subjects_first_row(
             self, batch_corpus, tmp_path, capsys, jobs):
         manifest, *_ = batch_corpus
-        bad = np.zeros((8, 8, 4), dtype=np.int32)
+        bad = np.zeros((8, 8, 4), dtype=np.uint8)
         bad[5, 1, 3] = 3
-        write_nifti(LabelVolume(bad, (1.0, 1.0, 1.0)),
-                    tmp_path / "s1_ref.nii.gz")
+        write_labels(tmp_path / "s1_ref.nii.gz", bad)
         rc = main(["evaluate-batch", str(manifest),
                    "-o", str(tmp_path / "r.csv"), "--jobs", jobs])
         assert rc == 1
@@ -366,7 +365,8 @@ class TestEvaluateBatch:
         assert err.count("error:") == 1 and err.startswith("error:")
         # s1's rows are lines 3 and 5
         assert f"row 3 ({tmp_path / 's1_ref.nii.gz'}, " in err
-        assert "label 3 at voxel (5, 1, 3)" in err
+        assert (f"): {tmp_path / 's1_ref.nii.gz'}: label 3 at voxel "
+                f"(5, 1, 3)") in err
 
     def test_a_missing_reference_names_its_subjects_first_row(
             self, batch_corpus, tmp_path, capsys):
@@ -679,13 +679,22 @@ class TestStaple:
         assert rc == 1
         assert "error:" in capsys.readouterr().err
 
+    def test_all_empty_raters_are_named(self, tmp_path, capsys):
+        paths = [str(write_labels(tmp_path / f"e{j}.nii.gz",
+                                  np.zeros((4, 4, 2), np.uint8)))
+                 for j in (1, 2)]
+        out = tmp_path / "c.nii.gz"
+        assert main(["staple", *paths, "-o", str(out)]) == 1
+        assert capsys.readouterr().err.splitlines() == [
+            f"error: {paths[0]}, {paths[1]}: every rater mask is empty"]
+        assert not out.exists()
+
     def test_a_label_above_2_names_the_rater(self, raters_on_disk, tmp_path,
                                              capsys):
         masks, paths = raters_on_disk
         data = masks[1].data.astype(np.uint8)
         data[4, 4, 2] = 7
-        bad = tmp_path / "rb.nii"
-        write_nifti(LabelVolume(data, (1.0, 1.0, 1.0)), bad)
+        bad = write_labels(tmp_path / "rb.nii", data)
         out = tmp_path / "c.nii"
         assert main(["staple", paths[0], str(bad), "-o", str(out)]) == 1
         assert capsys.readouterr().err.splitlines() == [
@@ -777,17 +786,18 @@ class TestMaps:
     def test_a_bad_label_names_its_row_and_file(self, maps_corpus, tmp_path,
                                                 capsys):
         manifest, _ = maps_corpus
-        bad = np.zeros((6, 6, 4), dtype=np.int32)
+        bad = np.zeros((6, 6, 4), dtype=np.uint8)
         bad[1, 2, 3] = 3
-        write_nifti(LabelVolume(bad, (1.0, 1.0, 1.0)), tmp_path / "s2_pred.nii")
+        write_labels(tmp_path / "s2_pred.nii", bad)
         rc = main(["maps", str(manifest), "--fn-out",
                    str(tmp_path / "fn.nii.gz"), "--fp-out",
                    str(tmp_path / "fp.nii.gz")])
         assert rc == 1
         err = capsys.readouterr().err
         assert err.count("error:") == 1 and err.startswith("error:")
-        assert "row 3" in err and str(tmp_path / "s2_pred.nii") in err
-        assert "label 3 at voxel (1, 2, 3)" in err
+        assert "row 3" in err
+        assert (f"{tmp_path / 's2_pred.nii'}): {tmp_path / 's2_pred.nii'}: "
+                f"label 3 at voxel (1, 2, 3)") in err
 
     @pytest.mark.parametrize("rows", [
         [("m", "s1", "sc", "r.nii", "r5.nii")],
@@ -841,6 +851,26 @@ class TestCohort:
         assert body["volume_ml"]["histogram"]["counts"] \
             == [int(c) for c in expected.volume_hist[1]]
 
+    @pytest.mark.parametrize("flag, width, what", [
+        ("--count-bin", "1e-12", "lesion-count"),
+        ("--volume-bin-ml", "1e-300", "volume"),
+        ("--volume-bin-ml", "1e-320", "volume")])
+    def test_a_tiny_bin_width_is_one_error_line(self, tmp_path, capsys, flag,
+                                                width, what):
+        write_nifti(labels_from([(1, 1, 1), (3, 3, 3)], (4, 4, 4)),
+                    tmp_path / "r.nii")
+        manifest = write_manifest(
+            tmp_path / "m.csv", [("m", "s1", "sc", "r.nii", "r.nii")])
+        out = tmp_path / "cohort.json"
+        assert main(["cohort", str(manifest), flag, width,
+                     "-o", str(out)]) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1, err
+        assert err[0].startswith(f"error: {what} bin width {float(width):g} "
+                                 f"would need ")
+        assert "at most 1000000" in err[0]
+        assert not out.exists()
+
     def test_output_file(self, tmp_path, capsys):
         ref = labels_from([(1, 1, 1)], (4, 4, 4))
         write_nifti(ref, tmp_path / "r.nii")
@@ -853,6 +883,51 @@ class TestCohort:
         body = json.loads(out.read_text())
         assert body["n"] == 1
         assert body["volume_ml"]["sd_degenerate"] is True
+
+
+class TestBadLabels:
+    """A label outside {0, 1, 2} ends every command that reads labels
+    with one error line naming the file, after the manifest row where
+    there is one."""
+
+    @pytest.mark.parametrize("value", [3, 255])
+    @pytest.mark.parametrize("command", [
+        "evaluate", "evaluate-batch-1", "evaluate-batch-2", "staple", "maps",
+        "cohort"])
+    def test_one_error_line_names_the_file(self, tmp_path, capsys, command,
+                                           value):
+        good = tmp_path / "good.nii"
+        write_nifti(labels_from([(1, 1, 1)], (6, 6, 4)), good)
+        data = np.zeros((6, 6, 4), np.uint8)
+        data[1, 2, 3] = value
+        bad = write_labels(tmp_path / "bad.nii.gz", data)
+        # cohort reads only references, the others read the prediction
+        pair = ("bad.nii.gz", "good.nii") if command == "cohort" else \
+            ("good.nii", "bad.nii.gz")
+        manifest = write_manifest(tmp_path / "m.csv",
+                                  [("m", "s1", "sc", *pair)])
+        out = tmp_path / "out"
+        argv = {
+            "evaluate": ["evaluate", str(good), str(bad), "-o", str(out)],
+            "evaluate-batch-1": ["evaluate-batch", str(manifest),
+                                 "-o", str(out), "--jobs", "1"],
+            "evaluate-batch-2": ["evaluate-batch", str(manifest),
+                                 "-o", str(out), "--jobs", "2"],
+            "staple": ["staple", str(good), str(bad), "-o", str(out)],
+            "maps": ["maps", str(manifest), "--fn-out", str(out),
+                     "--fp-out", str(tmp_path / "fp.nii")],
+            "cohort": ["cohort", str(manifest), "-o", str(out)],
+        }[command]
+        assert main(argv) == 1
+        err = capsys.readouterr().err.splitlines()
+        message = (f"{bad}: label {value} at voxel (1, 2, 3) is outside "
+                   f"{{0, 1, 2}}")
+        if command in ("evaluate", "staple"):
+            assert err == [f"error: {message}"]
+        else:
+            assert err == [f"error: {manifest}: row 2 ({tmp_path / pair[0]}, "
+                           f"{tmp_path / pair[1]}): {message}"]
+        assert not out.exists()
 
 
 SYNTH_ARGS = ["--subjects", "3", "--methods", "2", "--scanners", "2",
@@ -898,6 +973,15 @@ class TestSynth:
             == (b / "manifest.csv").read_text()
         for name in ("sub-000_ref.nii.gz", "sub-002_method_01.nii.gz"):
             assert (a / name).read_bytes() == (b / name).read_bytes()
+
+    def test_a_lesion_larger_than_the_grid_fails_at_once(self, tmp_path,
+                                                           capsys):
+        out = tmp_path / "corpus"
+        assert main(["synth", "--out-dir", str(out), "--dims", "8", "8", "4",
+                     "--size-range", "300", "300"]) == 1
+        assert capsys.readouterr().err.splitlines() == [
+            "error: blob size up to 300 voxels exceeds the 256 voxels of "
+            "grid (8, 8, 4)"]
 
     def test_pipeline_end_to_end(self, tmp_path, capsys):
         out = tmp_path / "corpus"
@@ -1105,10 +1189,12 @@ class TestTopLevel:
 
     def test_import_leaves_scipy_stats_and_spatial_unloaded(self, tmp_path):
         # scipy.stats alone nearly doubles the RSS of importing the CLI,
-        # so it and scipy.spatial load only inside the functions using them
+        # and scipy.ndimage takes most of its time, so these load only
+        # inside the functions using them
         proc = run_child(
             "import sys, seg_eval.cli; print(sorted(m for m in sys.modules "
-            "if m.startswith(('scipy.stats', 'scipy.spatial'))))",
+            "if m.startswith(('scipy.stats', 'scipy.spatial', "
+            "'scipy.ndimage', 'scipy.special'))))",
             cwd=tmp_path)
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.strip() == "[]"

@@ -483,14 +483,15 @@ class TestEvaluatePairCrop:
 
     @pytest.mark.parametrize("which", ["reference", "prediction"])
     def test_a_label_above_2_names_its_first_voxel(self, which):
+        # neither volume of a pair can be built holding label 7
         data = np.zeros((5, 4, 3), dtype=np.int32)
         data[3, 2, 1] = data[1, 3, 2] = 7   # x-fastest: (3, 2, 1) first
-        bad = LabelVolume(np.asfortranarray(data), (1, 1, 1))
         good = labels_from([(1, 1, 1)], (5, 4, 3))
-        args = (bad, good) if which == "reference" else (good, bad)
         with pytest.raises(InvalidLabelError,
                            match=r"label 7 at voxel \(3, 2, 1\)") as err:
-            evaluate_pair(*args)
+            bad = LabelVolume(np.asfortranarray(data), (1, 1, 1))
+            evaluate_pair(*((bad, good) if which == "reference"
+                            else (good, bad)))
         assert err.value.coordinate == (3, 2, 1)
 
     def test_lesions_far_from_the_origin_on_anisotropic_spacing(self):

@@ -137,6 +137,18 @@ class TestGeneratePhantom:
         with pytest.raises(CapacityError):
             generate_phantom(spec)
 
+    def test_a_lesion_larger_than_the_grid_fails_at_once(self):
+        # no walk can grow 40 voxels in 32, so none is tried
+        spec = PhantomSpec(dims=(4, 4, 2), n_lesions=1, size_range=(3, 40))
+        with pytest.raises(CapacityError) as err:
+            generate_phantom(spec)
+        assert str(err.value) == ("blob size up to 40 voxels exceeds the 32 "
+                                  "voxels of grid (4, 4, 2)")
+        # a spec that places no blob asks for none of that size
+        empty = generate_phantom(PhantomSpec(dims=(4, 4, 2), n_lesions=0,
+                                             size_range=(3, 40)))
+        assert not empty.data.any()
+
     def test_spec_validation(self):
         with pytest.raises(ValueError):
             PhantomSpec(size_range=(0, 5))
@@ -227,6 +239,11 @@ class TestPerturbMask:
         n_after = connected_components(out, 26)[1]
         assert n_after == n_before + 2
         assert out.count() == ref.count() + 12
+
+    def test_a_blob_larger_than_the_grid_fails_at_once(self):
+        ops = PerturbOps(add_blobs=1, blob_size=9)
+        with pytest.raises(CapacityError, match="9 voxels exceeds the 8 "):
+            perturb_mask(mask_from([], (2, 2, 2)), ops)
 
     def test_op_order_dilate_before_translate(self):
         # a dilate combined with a translate must equal dilating first,

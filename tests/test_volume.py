@@ -5,8 +5,8 @@ from scipy import ndimage
 from seg_eval.errors import InvalidLabelError
 from seg_eval.metrics import EvalConfig, prepare_reference
 from seg_eval.synth import PerturbOps, perturb_mask
-from seg_eval.volume import (BinaryMask, LabelVolume, binarize_challenge,
-                             connected_components,
+from seg_eval.volume import (_STRUCTURE, BinaryMask, LabelVolume,
+                             binarize_challenge, connected_components,
                              directed_surface_distances, surface_voxels)
 
 from helpers import labels_from, mask_from, random_mask
@@ -14,13 +14,13 @@ from oracles import allpairs_directed, cc_oracle, surface_oracle
 
 
 class TestLabelVolume:
-    def test_normalises_to_readonly_int32(self):
+    def test_normalises_to_readonly_uint8(self):
         v = LabelVolume(np.ones((2, 3, 4), dtype=np.uint8), (1, 1, 1))
-        assert v.data.dtype == np.uint8   # a native payload of <= 32 bits
+        assert v.data.dtype == np.uint8
         assert not v.data.flags.writeable
         for wide in (np.int64, np.dtype(">i2")):
             w = LabelVolume(np.ones((2, 3, 4), dtype=wide), (1, 1, 1))
-            assert w.data.dtype == np.int32
+            assert w.data.dtype == np.uint8
             assert not w.data.flags.writeable
         with pytest.raises(ValueError):
             v.data[0, 0, 0] = 5
@@ -45,17 +45,38 @@ class TestLabelVolume:
         assert err.value.value == 2**31 + 5
         assert "2147483653" in str(err.value)
 
-    @pytest.mark.parametrize("dtype", [np.int64, np.uint32, np.uint64])
-    def test_largest_int32_label_is_kept(self, dtype):
-        data = np.full((1, 1, 2), 2**31 - 1, dtype=dtype)
-        kept = LabelVolume(data, (1, 1, 1)).data
-        assert kept.tolist() == [[[2**31 - 1, 2**31 - 1]]]
-
     @pytest.mark.parametrize("dtype", [np.uint8, np.int16, np.int32])
     def test_narrow_dtypes_keep_their_largest_value(self, dtype):
-        top = np.iinfo(dtype).max
-        data = np.full((2, 1, 1), top, dtype=dtype)
-        assert LabelVolume(data, (1, 1, 1)).data.max() == top
+        # the largest label, 2, in any dtype is kept, stored as uint8
+        data = np.full((2, 1, 1), 2, dtype=dtype)
+        stored = LabelVolume(data, (1, 1, 1)).data
+        assert stored.dtype == np.uint8 and stored.max() == 2
+
+    # every integer dtype, native, and byte-swapped where that differs
+    INTEGER_DTYPES = [np.dtype(code) for code in
+                      ("i1", "u1", "i2", "u2", "i4", "u4", "i8", "u8")]
+    INTEGER_DTYPES += [d.newbyteorder() for d in INTEGER_DTYPES
+                       if d.itemsize > 1]
+
+    @pytest.mark.parametrize("dtype", INTEGER_DTYPES, ids=str)
+    def test_every_integer_dtype_is_stored_as_uint8(self, dtype):
+        data = np.random.default_rng(1).integers(0, 3, (4, 3, 2))
+        vol = LabelVolume(data.astype(dtype), (1, 1, 1))
+        assert vol.data.dtype == np.uint8
+        assert vol.data.flags.f_contiguous and not vol.data.flags.writeable
+        assert np.array_equal(vol.data, data)
+
+    @pytest.mark.parametrize("dtype", INTEGER_DTYPES, ids=str)
+    @pytest.mark.parametrize("value", [3, 127])
+    def test_a_label_above_2_names_value_and_voxel(self, dtype, value):
+        data = np.zeros((3, 3, 2), dtype=dtype)
+        data[0, 1, 0] = data[1, 0, 0] = value   # x-fastest: (1, 0, 0) first
+        with pytest.raises(InvalidLabelError) as err:
+            LabelVolume(data, (1, 1, 1))
+        assert str(err.value) == (f"label {value} at voxel (1, 0, 0) is "
+                                  f"outside {{0, 1, 2}}")
+        assert err.value.value == value
+        assert err.value.coordinate == (1, 0, 0)
 
     def test_rejects_bad_spacing(self):
         data = np.zeros((2, 2, 2), dtype=np.int32)
@@ -68,6 +89,12 @@ class TestLabelVolume:
             LabelVolume(np.zeros((2, 2, 2), dtype=np.float32), (1, 1, 1))
         with pytest.raises(ValueError):
             LabelVolume(np.zeros((2, 2), dtype=np.int32), (1, 1, 1))
+
+
+def test_structures_equal_scipys():
+    for conn, rank in ((6, 1), (18, 2), (26, 3)):
+        assert np.array_equal(_STRUCTURE[conn],
+                              ndimage.generate_binary_structure(3, rank))
 
 
 class TestBinaryMask:
@@ -99,10 +126,11 @@ class TestBinarize:
         assert not wmh.data[2, 2, 0]   # label 2 is not WMH
 
     def test_rejects_label_3_with_location(self):
+        # the volume refuses label 3, so binarize never meets it
         data = np.zeros((3, 3, 3), dtype=np.int32)
         data[1, 2, 0] = 3
         with pytest.raises(InvalidLabelError) as err:
-            binarize_challenge(LabelVolume(data, (1, 1, 1)))
+            LabelVolume(data, (1, 1, 1))
         assert err.value.coordinate == (1, 2, 0)
         assert err.value.value == 3
 
