@@ -22,8 +22,10 @@ extension bytes, and a fractional ``vox_offset``. Every error names the
 file.
 
 Written files are deterministic: unused header fields are zeroed and
-gzip members carry mtime 0, so identical volumes produce identical
-bytes.
+a ``.nii.gz`` is one gzip member deflated at zlib's default level 6
+with mtime 0, so identical volumes produce identical bytes for a given
+zlib build. A ``.nii.gz`` is read in one call; trailing zero padding
+and further members are accepted, as gzip itself does.
 """
 
 from __future__ import annotations
@@ -55,8 +57,7 @@ _DTYPE_BY_CODE = {2: np.uint8, 4: np.int16, 8: np.int32, 16: np.float32,
 def _read_container(path: Path) -> bytes:
     if path.suffix == ".gz":
         try:
-            with gzip.open(path, "rb") as fh:
-                return fh.read()
+            return gzip.decompress(path.read_bytes())
         except EOFError as exc:
             raise TruncatedFileError(
                 f"{path}: gzip stream ends early: {exc}") from exc
@@ -204,15 +205,17 @@ def _write(path: Path, data: np.ndarray,
            spacing: tuple[float, float, float], datatype: int) -> None:
     """Write the header, then ``data`` one z plane at a time, each plane
     cast to the payload dtype and scanned x-fastest, gzipped iff the
-    path ends in .gz. A plane of F-contiguous data already of that dtype
-    is a view, so no write copies the grid. Deflate output does not
-    depend on how its input is split, so the bytes equal those of one
-    joined blob."""
+    path ends in .gz (level 6, mtime 0). A plane of F-contiguous data
+    already of that dtype is a view, so no write copies the grid.
+    Deflate output does not depend on how its input is split, so the
+    bytes equal those of one joined blob, fixed for a given zlib
+    build."""
     # four zero bytes after the header: no extensions
     header = _pack_header(data.shape, spacing, datatype) + b"\x00" * 4
     dtype = np.dtype(_DTYPE_BY_CODE[datatype]).newbyteorder("<")
     with open(path, "wb") as fh, (
-            gzip.GzipFile(filename="", mode="wb", fileobj=fh, mtime=0)
+            gzip.GzipFile(filename="", mode="wb", fileobj=fh, mtime=0,
+                          compresslevel=6)
             if path.suffix == ".gz" else contextlib.nullcontext(fh)) as out:
         out.write(header)
         for z in range(data.shape[2]):

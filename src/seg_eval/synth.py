@@ -85,6 +85,19 @@ def _touches_occupied(occupied: np.ndarray, coords: np.ndarray) -> bool:
     return bool(occupied[near[..., 0], near[..., 1], near[..., 2]].any())
 
 
+def _crowded(occupied: np.ndarray, size: int) -> bool:
+    """True if fewer than ``size`` voxels lie outside the
+    26-neighbourhood of every occupied voxel, so that no blob of
+    ``size`` voxels fits."""
+    # the 3x3x3 dilation as one pass per axis, several times faster
+    # than ndimage.binary_dilation on a synth grid
+    near = np.pad(occupied, 1)
+    near = near[:-2] | near[1:-1] | near[2:]
+    near = near[:, :-2] | near[:, 1:-1] | near[:, 2:]
+    near = near[:, :, :-2] | near[:, :, 1:-1] | near[:, :, 2:]
+    return occupied.size - np.count_nonzero(near) < size
+
+
 def _place_blobs(occupied: np.ndarray, size_range, seed: int,
                  key_base: int, n_blobs: int | None,
                  target_voxels: int | None) -> None:
@@ -105,17 +118,21 @@ def _place_blobs(occupied: np.ndarray, size_range, seed: int,
                 f"blob size up to {hi} voxels exceeds the {occupied.size} "
                 f"voxels of grid {dims}")
         rng = _lesion_rng(seed, key_base + placed)
+        smallest = (lo if target_voxels is None
+                    else min(lo, target_voxels - total))
         coords = None
-        for _ in range(PLACEMENT_RETRIES):
+        for attempt in range(PLACEMENT_RETRIES):
             size = int(rng.integers(lo, hi + 1))
             if target_voxels is not None:
                 size = min(size, target_voxels - total)
             cand = _walk_blob(rng, dims, size)
-            if cand is None:
-                continue
-            if not _touches_occupied(occupied, cand):
+            if cand is not None and not _touches_occupied(occupied, cand):
                 coords = cand
                 break
+            if attempt == 0 and _crowded(occupied, smallest):
+                raise CapacityError(
+                    f"blob {placed} needs at least {smallest} voxels but "
+                    f"fewer of grid {dims} lie clear of the occupied ones")
         if coords is None:
             raise CapacityError(
                 f"could not place blob {placed} after {PLACEMENT_RETRIES} "

@@ -167,6 +167,38 @@ class TestErrors:
             read_nifti(p)
 
 
+class TestGzipContainer:
+    """A .nii.gz reads as gzip itself reads it: members concatenated,
+    trailing zero padding skipped, anything else after a member an
+    error naming the file."""
+
+    @pytest.fixture
+    def plain(self, tmp_path):
+        p = tmp_path / "plain.nii"
+        write_nifti(labels_from([(1, 1, 1), (5, 2, 3)], (8, 6, 4),
+                                ignore_coords=[(0, 0, 0)]), p)
+        return p
+
+    def test_two_members_read_as_their_concatenation(self, plain):
+        raw = plain.read_bytes()
+        p = plain.with_suffix(".nii.gz")
+        p.write_bytes(gzip.compress(raw[:200], mtime=0)
+                      + gzip.compress(raw[200:], mtime=0))
+        assert np.array_equal(read_nifti(p).data, read_nifti(plain).data)
+
+    def test_trailing_zero_padding_is_accepted(self, plain):
+        p = plain.with_suffix(".nii.gz")
+        p.write_bytes(gzip.compress(plain.read_bytes(), mtime=0) + bytes(512))
+        assert np.array_equal(read_nifti(p).data, read_nifti(plain).data)
+
+    def test_trailing_non_gzip_bytes_name_the_file(self, plain):
+        p = plain.with_name("tail.nii.gz")
+        p.write_bytes(gzip.compress(plain.read_bytes(), mtime=0)
+                      + b"not gzip")
+        with pytest.raises(FormatError, match="tail.nii.gz"):
+            read_nifti(p)
+
+
 class TestRoundTrip:
     @pytest.mark.parametrize("suffix", [".nii", ".nii.gz"])
     def test_label_volume(self, tmp_path, suffix):
@@ -534,10 +566,10 @@ class TestHeaderMeaning:
 
 
 def _gzip(blob: bytes) -> bytes:
-    """``blob`` as one gzip member: level 9, mtime 0, no file name."""
+    """``blob`` as one gzip member: level 6, mtime 0, no file name."""
     buf = io.BytesIO()
     with gzip.GzipFile(filename="", mode="wb", fileobj=buf, mtime=0,
-                       compresslevel=9) as gz:
+                       compresslevel=6) as gz:
         gz.write(blob)
     return buf.getvalue()
 
@@ -594,6 +626,21 @@ class TestWriterBytes:
         if suffix == ".nii.gz":
             blob = _gzip(blob)
         assert path.read_bytes() == blob
+
+    def test_a_map_wider_than_the_deflate_window(self, tmp_path):
+        # each 256 KB plane spans the 32 KB window many times over, which
+        # the drawn grids of at most 6 voxels a side never do
+        rng = np.random.default_rng(22)
+        rates = np.zeros((256, 256, 48), dtype=np.float64, order="F")
+        box = rates[64:192, 64:192, 12:36]
+        hit = rng.random(box.shape) < 0.02
+        box[hit] = rng.random(np.count_nonzero(hit))
+        spacing = (0.96, 0.95, 3.0)
+        path = tmp_path / "rates.nii.gz"
+        write_nifti_real(rates, spacing, path)
+        blob = (_pack_header(rates.shape, spacing, 16) + bytes(4)
+                + rates.astype("<f4").tobytes("F"))
+        assert path.read_bytes() == _gzip(blob)
 
 
 def _valid_blobs() -> list[bytes]:

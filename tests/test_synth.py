@@ -4,16 +4,36 @@ import hashlib
 import numpy as np
 import pytest
 
+from seg_eval import synth
 from seg_eval.cli import main
 from seg_eval.errors import CapacityError
 from seg_eval.metrics import prepare_reference
-from seg_eval.synth import (PerturbOps, PhantomSpec, _touches_occupied,
-                            generate_phantom, perturb_mask)
+from seg_eval.synth import (PerturbOps, PhantomSpec, _crowded,
+                            _touches_occupied, generate_phantom,
+                            perturb_mask)
 from seg_eval.volume import (BinaryMask, binarize_challenge,
                              connected_components)
 
 from helpers import mask_from, score_masks as score
 from oracles import touches_oracle
+
+
+def _count_walks(monkeypatch) -> list[int]:
+    """Patch ``_walk_blob`` to count its calls per blob: the returned
+    list grows by one entry per random stream, and a blob that takes
+    more than 5 walks fails the test at once."""
+    walk, walks, streams = synth._walk_blob, [], []
+
+    def counted(rng, dims, size):
+        if not streams or streams[-1] is not rng:
+            streams.append(rng)
+            walks.append(0)
+        walks[-1] += 1
+        assert walks[-1] <= 5, "placement kept walking"
+        return walk(rng, dims, size)
+
+    monkeypatch.setattr(synth, "_walk_blob", counted)
+    return walks
 
 
 def sha256(data: bytes) -> str:
@@ -78,6 +98,17 @@ class TestTouchesOccupied:
             coords = np.stack([rng.integers(0, d, n) for d in dims], axis=1)
             assert (_touches_occupied(occupied, coords)
                     == touches_oracle(occupied, coords))
+
+    def test_crowded_counts_the_voxels_clear_of_the_oracle(self):
+        # a blob of exactly the clear count fits; one voxel more does not
+        rng = np.random.default_rng(23)
+        for _ in range(100):
+            dims = tuple(int(d) for d in rng.integers(1, 7, 3))
+            occupied = np.asfortranarray(rng.random(dims) < 0.05)
+            clear = sum(not touches_oracle(occupied, v[None, :])
+                        for v in np.argwhere(np.ones(dims, dtype=bool)))
+            assert not _crowded(occupied, clear)
+            assert _crowded(occupied, clear + 1)
 
 
 class TestGeneratePhantom:
@@ -148,6 +179,20 @@ class TestGeneratePhantom:
         empty = generate_phantom(PhantomSpec(dims=(4, 4, 2), n_lesions=0,
                                              size_range=(3, 40)))
         assert not empty.data.any()
+
+    def test_a_lesion_that_fits_the_grid_but_not_the_gaps_fails_at_once(
+            self, monkeypatch):
+        # the first 3000-voxel blob leaves too few voxels clear of it for
+        # a second one, so one rejected walk ends the placement
+        walks = _count_walks(monkeypatch)
+        spec = PhantomSpec(dims=(16, 16, 16), n_lesions=2,
+                           size_range=(3000, 3000))
+        with pytest.raises(CapacityError) as err:
+            generate_phantom(spec)
+        assert str(err.value) == ("blob 1 needs at least 3000 voxels but "
+                                  "fewer of grid (16, 16, 16) lie clear of "
+                                  "the occupied ones")
+        assert walks == [1, 1]
 
     def test_spec_validation(self):
         with pytest.raises(ValueError):
@@ -244,6 +289,16 @@ class TestPerturbMask:
         ops = PerturbOps(add_blobs=1, blob_size=9)
         with pytest.raises(CapacityError, match="9 voxels exceeds the 8 "):
             perturb_mask(mask_from([], (2, 2, 2)), ops)
+
+    def test_a_blob_with_no_clear_voxel_fails_after_one_walk(
+            self, monkeypatch):
+        # the one voxel's neighbourhood is the whole 3x3x3 grid
+        walks = _count_walks(monkeypatch)
+        ops = PerturbOps(add_blobs=1, blob_size=9)
+        with pytest.raises(CapacityError, match="needs at least 9 voxels "
+                           "but fewer of grid"):
+            perturb_mask(mask_from([(1, 1, 1)], (3, 3, 3)), ops)
+        assert walks == [1]
 
     def test_op_order_dilate_before_translate(self):
         # a dilate combined with a translate must equal dilating first,
