@@ -5,6 +5,9 @@ no two come within a 26-neighbourhood of each other; the component
 count of the result is therefore exactly the number of lesions asked
 for. All randomness is drawn from counter-based Philox streams keyed
 by (seed, lesion index), so a phantom is a pure function of its spec.
+
+``_dilate`` answers every "within one voxel" question, for placement
+and for ``perturb_mask``, so the module needs no scipy.
 """
 
 from __future__ import annotations
@@ -27,8 +30,6 @@ _STEPS = ((1, 0, 0), (-1, 0, 0), (0, 1, 0),
 # the 27 offsets of a voxel's 3x3x3 neighbourhood, itself included
 _NEIGHBOURS = np.indices((3, 3, 3)).reshape(3, -1).T - 1
 
-_BOX_3X3X3 = np.ones((3, 3, 3), dtype=bool)
-
 
 @dataclass(frozen=True)
 class PhantomSpec:
@@ -41,6 +42,9 @@ class PhantomSpec:
     """Target ratio of label-2 voxels to label-1 voxels, in [0, 1)."""
 
     def __post_init__(self):
+        dims = np.asarray(self.dims)
+        if dims.shape != (3,) or dims.dtype.kind not in "iu" or dims.min() < 1:
+            raise ValueError(f"dims must be 3 integers >= 1: {self.dims}")
         lo, hi = self.size_range
         if lo < 1 or hi < lo:
             raise ValueError(f"bad size_range {self.size_range}")
@@ -76,26 +80,13 @@ def _walk_blob(rng: np.random.Generator, dims, size: int):
     return np.array(voxels, dtype=np.int64)
 
 
-def _touches_occupied(occupied: np.ndarray, coords: np.ndarray) -> bool:
-    """True if any coord is within one voxel (26-neighbourhood) of an
-    occupied voxel. Offsets clipped to the grid land on voxels of the
-    same clipped neighbourhood."""
-    near = np.clip(coords[:, None, :] + _NEIGHBOURS, 0,
-                   np.array(occupied.shape) - 1)
-    return bool(occupied[near[..., 0], near[..., 1], near[..., 2]].any())
-
-
-def _crowded(occupied: np.ndarray, size: int) -> bool:
-    """True if fewer than ``size`` voxels lie outside the
-    26-neighbourhood of every occupied voxel, so that no blob of
-    ``size`` voxels fits."""
-    # the 3x3x3 dilation as one pass per axis, several times faster
-    # than ndimage.binary_dilation on a synth grid
-    near = np.pad(occupied, 1)
+def _dilate(mask: np.ndarray, border: bool = False) -> np.ndarray:
+    """The 3x3x3 box dilation of ``mask``, as one OR pass per axis;
+    voxels outside the grid count as ``border``."""
+    near = np.pad(mask, 1, constant_values=border)
     near = near[:-2] | near[1:-1] | near[2:]
     near = near[:, :-2] | near[:, 1:-1] | near[:, 2:]
-    near = near[:, :, :-2] | near[:, :, 1:-1] | near[:, :, 2:]
-    return occupied.size - np.count_nonzero(near) < size
+    return near[:, :, :-2] | near[:, :, 1:-1] | near[:, :, 2:]
 
 
 def _place_blobs(occupied: np.ndarray, size_range, seed: int,
@@ -106,6 +97,7 @@ def _place_blobs(occupied: np.ndarray, size_range, seed: int,
     ``occupied``."""
     dims = occupied.shape
     lo, hi = size_range
+    near = _dilate(occupied)    # within one voxel of an occupied voxel
     placed = 0
     total = 0
     while True:
@@ -126,10 +118,10 @@ def _place_blobs(occupied: np.ndarray, size_range, seed: int,
             if target_voxels is not None:
                 size = min(size, target_voxels - total)
             cand = _walk_blob(rng, dims, size)
-            if cand is not None and not _touches_occupied(occupied, cand):
+            if cand is not None and not near[tuple(cand.T)].any():
                 coords = cand
                 break
-            if attempt == 0 and _crowded(occupied, smallest):
+            if attempt == 0 and near.size - np.count_nonzero(near) < smallest:
                 raise CapacityError(
                     f"blob {placed} needs at least {smallest} voxels but "
                     f"fewer of grid {dims} lie clear of the occupied ones")
@@ -137,7 +129,10 @@ def _place_blobs(occupied: np.ndarray, size_range, seed: int,
             raise CapacityError(
                 f"could not place blob {placed} after {PLACEMENT_RETRIES} "
                 f"attempts; grid {dims} is too crowded for {size_range}")
-        occupied[coords[:, 0], coords[:, 1], coords[:, 2]] = True
+        occupied[tuple(coords.T)] = True
+        # a neighbour clipped back onto the grid stays in the window
+        ring = np.clip(coords[:, None] + _NEIGHBOURS, 0, np.array(dims) - 1)
+        near[tuple(ring.reshape(-1, 3).T)] = True
         placed += 1
         total += len(coords)
 
@@ -178,20 +173,24 @@ class PerturbOps:
     seed: int = 0
     connectivity: int = 26
 
+    def __post_init__(self):
+        if min(self.dilate, self.erode, self.add_blobs) < 0:
+            raise ValueError("dilate, erode and add_blobs must be >= 0")
+        if self.blob_size < 1:
+            raise ValueError("blob_size must be >= 1")
+        if self.connectivity not in (6, 18, 26):
+            raise ValueError("connectivity must be 6, 18 or 26")
+
 
 def perturb_mask(mask: BinaryMask, ops: PerturbOps) -> BinaryMask:
     """Derive a degraded prediction from a reference mask."""
-    from scipy import ndimage
-
     out = mask
     # neighbourhoods are clipped at the grid edge; out-of-grid voxels
     # count as background, so foreground touching the edge erodes away
     for _ in range(ops.dilate):
-        out = BinaryMask(ndimage.binary_dilation(
-            out.data, _BOX_3X3X3, border_value=0), out.spacing)
+        out = BinaryMask(_dilate(out.data), out.spacing)
     for _ in range(ops.erode):
-        out = BinaryMask(ndimage.binary_erosion(
-            out.data, _BOX_3X3X3, border_value=0), out.spacing)
+        out = BinaryMask(~_dilate(~out.data, border=True), out.spacing)
 
     if ops.drop_components:
         labels, count = connected_components(out, ops.connectivity)

@@ -1198,3 +1198,17 @@ class TestTopLevel:
             cwd=tmp_path)
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.strip() == "[]"
+
+    def test_synth_leaves_scipy_ndimage_unloaded(self, tmp_path):
+        # methods 1-3 add blobs, translate, dilate and erode; all of it
+        # is numpy, so a fresh synth pays no scipy.ndimage import
+        proc = run_child(
+            "import sys; from seg_eval.cli import main; "
+            "rc = main(['synth', '--out-dir', 'out', '--subjects', '1', "
+            "'--methods', '4', '--dims', '12', '12', '6', '--lesions', '2', "
+            "'--size-range', '3', '8']); "
+            "print(rc, sorted(m for m in sys.modules "
+            "if m.startswith('scipy.ndimage')))",
+            cwd=tmp_path)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.splitlines()[-1] == "0 []"

@@ -8,9 +8,8 @@ from seg_eval import synth
 from seg_eval.cli import main
 from seg_eval.errors import CapacityError
 from seg_eval.metrics import prepare_reference
-from seg_eval.synth import (PerturbOps, PhantomSpec, _crowded,
-                            _touches_occupied, generate_phantom,
-                            perturb_mask)
+from seg_eval.synth import (PerturbOps, PhantomSpec, _dilate,
+                            generate_phantom, perturb_mask)
 from seg_eval.volume import (BinaryMask, binarize_challenge,
                              connected_components)
 
@@ -75,19 +74,23 @@ class TestPinnedBytes:
 
 
 class TestTouchesOccupied:
+    """``_dilate`` marks every voxel that touches an occupied one, which
+    is what placement rejects and what ``perturb_mask`` grows into."""
+
     @pytest.mark.parametrize("dims", [(4, 5, 3), (1, 4, 5), (3, 1, 4),
                                       (4, 3, 1), (1, 1, 6), (1, 1, 1)])
     def test_every_voxel_against_every_voxel(self, dims):
-        # corners, edges, faces and the inside, one occupied voxel and
-        # one blob voxel at a time, on grids down to 1 voxel thick
+        # corners, edges, faces and the inside, one occupied voxel at a
+        # time, on grids down to 1 voxel thick
         voxels = np.argwhere(np.ones(dims, dtype=bool))
         for occ in voxels:
             occupied = np.zeros(dims, dtype=bool, order="F")
             occupied[tuple(occ)] = True
+            near = _dilate(occupied)
+            assert near.shape == dims
             for v in voxels:
-                coords = v[None, :]
-                assert (_touches_occupied(occupied, coords)
-                        == touches_oracle(occupied, coords)), (occ, v)
+                want = touches_oracle(occupied, v[None, :])
+                assert near[tuple(v)] == want, (occ, v)
 
     def test_random_blobs(self):
         rng = np.random.default_rng(19)
@@ -96,19 +99,35 @@ class TestTouchesOccupied:
             occupied = np.asfortranarray(rng.random(dims) < 0.05)
             n = int(rng.integers(1, 6))
             coords = np.stack([rng.integers(0, d, n) for d in dims], axis=1)
-            assert (_touches_occupied(occupied, coords)
+            assert (_dilate(occupied)[tuple(coords.T)].any()
                     == touches_oracle(occupied, coords))
 
-    def test_crowded_counts_the_voxels_clear_of_the_oracle(self):
-        # a blob of exactly the clear count fits; one voxel more does not
+    def test_random_grids_and_their_clear_count(self):
+        # the hopeless-placement check compares the clear count with the
+        # smallest blob still to place
         rng = np.random.default_rng(23)
         for _ in range(100):
             dims = tuple(int(d) for d in rng.integers(1, 7, 3))
-            occupied = np.asfortranarray(rng.random(dims) < 0.05)
-            clear = sum(not touches_oracle(occupied, v[None, :])
-                        for v in np.argwhere(np.ones(dims, dtype=bool)))
-            assert not _crowded(occupied, clear)
-            assert _crowded(occupied, clear + 1)
+            occupied = np.asfortranarray(rng.random(dims)
+                                         < rng.choice([0.02, 0.05, 0.2]))
+            want = np.reshape([touches_oracle(occupied, v[None, :]) for v
+                               in np.argwhere(np.ones(dims, dtype=bool))],
+                              dims)
+            near = _dilate(occupied)
+            assert np.array_equal(near, want)
+            assert (near.size - np.count_nonzero(near)
+                    == np.count_nonzero(~want))
+
+    def test_a_blob_of_exactly_the_clear_count_is_walked_again(
+            self, monkeypatch):
+        # one voxel of the 1x1x3 grid lies clear of the occupied one, so
+        # a 1-voxel blob is not hopeless: its placement keeps walking
+        # (seed 1's first two walks start near the occupied voxel)
+        walks = _count_walks(monkeypatch)
+        out = perturb_mask(mask_from([(0, 0, 0)], (1, 1, 3)),
+                           PerturbOps(add_blobs=1, blob_size=1, seed=1))
+        assert out.data.ravel().tolist() == [True, False, True]
+        assert walks == [3]
 
 
 class TestGeneratePhantom:
@@ -204,10 +223,24 @@ class TestGeneratePhantom:
         with pytest.raises(ValueError):
             PhantomSpec(n_lesions=-1)
 
+    @pytest.mark.parametrize("dims", [(0, 4, 4), (4, -1, 4), (4, 4),
+                                      (4, 4, 4, 1), (4.0, 4, 4)])
+    def test_dims_must_be_three_positive_integers(self, dims):
+        # a zero dim would write a file that read_nifti rejects
+        with pytest.raises(ValueError, match="dims must be 3 integers"):
+            PhantomSpec(dims=dims, n_lesions=0)
+
 
 class TestPerturbMask:
     def _phantom_mask(self, **kw):
         return binarize_challenge(generate_phantom(PhantomSpec(**kw)))
+
+    @pytest.mark.parametrize("field, value", [
+        ("dilate", -1), ("erode", -1), ("add_blobs", -2), ("blob_size", 0),
+        ("blob_size", -4), ("connectivity", 8)])
+    def test_a_bad_recipe_is_refused_where_it_is_built(self, field, value):
+        with pytest.raises(ValueError, match=field):
+            PerturbOps(**{field: value})
 
     def test_empty_ops_identity(self):
         m = self._phantom_mask(seed=21)
