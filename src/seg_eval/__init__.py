@@ -4,8 +4,7 @@ __version__ = "0.1.0"
 
 from .errors import SegEvalError
 from .volume import BinaryMask, LabelVolume
-from .metrics import (EvalConfig, MetricVector, evaluate_pair,
-                      prepare_reference)
+from .metrics import MetricVector, evaluate_pair, prepare_reference
 from .fusion import FusionResult, StapleParams, majority_vote, staple_fuse
 from .ranking import (BootstrapConfig, RankTable, ResultTable, SubjectResult,
                       final_rank, interscanner_rank, rank_with_ci,
@@ -18,7 +17,6 @@ __all__ = [
     "SegEvalError",
     "BinaryMask",
     "LabelVolume",
-    "EvalConfig",
     "MetricVector",
     "evaluate_pair",
     "prepare_reference",

@@ -72,17 +72,16 @@ def _within(box: tuple[slice, ...],
                  for b, f in zip(box, frame))
 
 
-def fn_fp_maps(subjects: Iterable[tuple[BinaryMask, Iterable[BinaryMask]]],
-               fp_denominator: str = "ref_negative") -> ErrorMaps:
+def fn_fp_maps(subjects: Iterable[tuple[BinaryMask, Iterable[BinaryMask]]]
+               ) -> ErrorMaps:
     """Aggregate false-negative and false-positive rates over subjects.
 
     Each subject is (reference, predictions): one reference mask and
     the masks of the methods scored against it, all on a common grid.
     Every (reference, prediction) pair counts once. The FN rate divides
     by how often a voxel was reference foreground; the FP rate divides
-    by how often it was reference background, or by the total number of
-    pairs with ``fp_denominator="pairs"``. The lesion-count grid (int32)
-    adds each subject's reference once.
+    by how often it was reference background. The lesion-count grid
+    (int32) adds each subject's reference once.
 
     ``subjects`` and each subject's predictions may be any iterables,
     generators included; each is consumed once, so memory does not grow
@@ -97,8 +96,6 @@ def fn_fp_maps(subjects: Iterable[tuple[BinaryMask, Iterable[BinaryMask]]],
     More than ``2**31 - 1`` pairs or subjects would overflow the counts
     and raise ``SegEvalError``.
     """
-    if fp_denominator not in ("ref_negative", "pairs"):
-        raise ValueError(f"bad fp_denominator {fp_denominator!r}")
     ref0 = None
     n = n_subjects = 0
     frame = (slice(0, 0),) * 3
@@ -152,8 +149,7 @@ def fn_fp_maps(subjects: Iterable[tuple[BinaryMask, Iterable[BinaryMask]]],
 
     lesion_count = _whole(np.int32)
     lesion_count[frame] = lesion
-    fp_den = n - fn_den if fp_denominator == "ref_negative" else n
-    return ErrorMaps(_rate(fn_num, fn_den), _rate(fp_num, fp_den),
+    return ErrorMaps(_rate(fn_num, fn_den), _rate(fp_num, n - fn_den),
                      lesion_count, ref0.spacing)
 
 

@@ -20,8 +20,7 @@ from pathlib import Path
 from .analysis import fn_fp_maps, summarize_cohort
 from .errors import SegEvalError
 from .fusion import StapleParams, staple_fuse
-from .metrics import (EvalConfig, evaluate_pair, prepare_reference,
-                      wmh_in_lesion_box)
+from .metrics import evaluate_pair, prepare_reference, wmh_in_lesion_box
 from .nifti import read_nifti, write_nifti, write_nifti_real
 from .ranking import (BootstrapConfig, SubjectResult, interscanner_rank,
                       rank_with_ci)
@@ -70,19 +69,9 @@ def _default_jobs() -> int:
         raise CliUsageError(f"SEG_EVAL_JOBS {exc}") from None
 
 
-def _add_eval_config(p: argparse.ArgumentParser) -> None:
+def _add_connectivity(p: argparse.ArgumentParser) -> None:
     p.add_argument("--connectivity", type=int, choices=(6, 18, 26),
                    default=26, help="lesion component neighbourhood")
-    p.add_argument("--h95-mode", choices=("directed", "pooled"),
-                   default="directed")
-    p.add_argument("--ignore-mode", choices=("exclude", "background"),
-                   default="exclude",
-                   help="handling of reference label 2 voxels")
-
-
-def _eval_config(args) -> EvalConfig:
-    return EvalConfig(connectivity=args.connectivity,
-                      h95_mode=args.h95_mode, ignore_mode=args.ignore_mode)
 
 
 def _config_echo(args, keys) -> dict:
@@ -105,35 +94,34 @@ def _naming_row(manifest, subject, row):
 
 
 def cmd_evaluate(args) -> int:
-    config = _eval_config(args)
     ref = read_nifti(args.reference)
     pred = read_nifti(args.prediction)
     same_grid(ref, pred, f"reference {args.reference} and prediction "
               f"{args.prediction}")
-    vec = evaluate_pair(ref, pred, config)
-    body = metric_report(vec, _config_echo(
-        args, ("connectivity", "h95_mode", "ignore_mode")))
+    vec = evaluate_pair(prepare_reference(ref, args.connectivity), pred)
+    body = metric_report(vec, _config_echo(args, ("connectivity",)))
     dump_json(body, args.output)
     return 2 if vec.has_missing else 0
 
 
-def _score_subject(subject, config: EvalConfig, manifest) -> list:
+def _score_subject(subject, connectivity: int, manifest) -> list:
     """Score each row of a manifest subject against its reference."""
     with _naming_row(manifest, subject, subject.rows[0]):
-        ref = prepare_reference(read_nifti(subject.reference_path), config)
+        ref = prepare_reference(read_nifti(subject.reference_path),
+                                connectivity)
     vectors = []
     for row in subject.rows:
         with _naming_row(manifest, subject, row):
-            vectors.append(evaluate_pair(ref, read_nifti(row.prediction_path),
-                                         config))
+            vectors.append(evaluate_pair(ref,
+                                         read_nifti(row.prediction_path)))
     return vectors
 
 
 def cmd_evaluate_batch(args) -> int:
-    config = _eval_config(args)
     subjects = read_manifest(args.manifest)
     jobs = args.jobs if args.jobs is not None else _default_jobs()
-    score = partial(_score_subject, config=config, manifest=args.manifest)
+    score = partial(_score_subject, connectivity=args.connectivity,
+                    manifest=args.manifest)
     if jobs == 1:
         results = list(map(score, subjects))
     else:
@@ -220,7 +208,7 @@ def cmd_maps(args) -> int:
                 first = ref
             yield ref, predictions(s, ref)
 
-    maps = fn_fp_maps(subjects(), args.fp_denominator)
+    maps = fn_fp_maps(subjects())
     write_nifti_real(maps.fn_rate, maps.spacing, args.fn_out)
     write_nifti_real(maps.fp_rate, maps.spacing, args.fp_out)
     if args.lesion_count_out:
@@ -316,14 +304,14 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("evaluate", parents=[], help="score one pair")
     p.add_argument("reference")
     p.add_argument("prediction")
-    _add_eval_config(p)
+    _add_connectivity(p)
     p.add_argument("-o", "--output", default=None, help="JSON path "
                    "(default: stdout)")
     p.set_defaults(func=cmd_evaluate)
 
     p = sub.add_parser("evaluate-batch", help="score a manifest of pairs")
     p.add_argument("manifest")
-    _add_eval_config(p)
+    _add_connectivity(p)
     p.add_argument("-o", "--output", required=True, help="result CSV path")
     p.add_argument("--jobs", type=_AT_LEAST_1, default=None,
                    help="worker processes (default: SEG_EVAL_JOBS or 1)")
@@ -367,16 +355,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--fn-out", required=True)
     p.add_argument("--fp-out", required=True)
     p.add_argument("--lesion-count-out", default=None)
-    p.add_argument("--fp-denominator", choices=("ref_negative", "pairs"),
-                   default="ref_negative")
     p.set_defaults(func=cmd_maps)
 
     p = sub.add_parser("cohort", help="reference cohort summary")
     p.add_argument("manifest")
     p.add_argument("--volume-bin-ml", type=_POSITIVE, default=10.0)
     p.add_argument("--count-bin", type=_POSITIVE, default=10.0)
-    p.add_argument("--connectivity", type=int, choices=(6, 18, 26),
-                   default=26)
+    _add_connectivity(p)
     p.add_argument("-o", "--output", default=None)
     p.set_defaults(func=cmd_cohort)
 

@@ -27,7 +27,6 @@ from .volume import (BinaryMask, LabelVolume, binarize_challenge,
                      surface_voxels, directed_surface_distances)
 
 __all__ = [
-    "EvalConfig",
     "MetricVector",
     "PreparedReference",
     "avd_percent",
@@ -38,33 +37,6 @@ __all__ = [
     "wmh_in_lesion_box",
     "evaluate_pair",
 ]
-
-
-@dataclass(frozen=True)
-class EvalConfig:
-    """Knobs for :func:`evaluate_pair`.
-
-    connectivity
-        Neighbourhood for lesion components (6, 18 or 26).
-    h95_mode
-        "directed" takes the max of the two directed 95th percentiles;
-        "pooled" takes one percentile over the pooled distances.
-    ignore_mode
-        "exclude" removes reference label-2 voxels from both masks
-        before scoring; "background" leaves them in as background.
-    """
-
-    connectivity: int = 26
-    h95_mode: str = "directed"
-    ignore_mode: str = "exclude"
-
-    def __post_init__(self):
-        if self.connectivity not in (6, 18, 26):
-            raise ValueError(f"bad connectivity {self.connectivity}")
-        if self.h95_mode not in ("directed", "pooled"):
-            raise ValueError(f"bad h95_mode {self.h95_mode!r}")
-        if self.ignore_mode not in ("exclude", "background"):
-            raise ValueError(f"bad ignore_mode {self.ignore_mode!r}")
 
 
 @dataclass(frozen=True)
@@ -195,51 +167,50 @@ class PreparedReference:
     tree: object
 
 
-def prepare_reference(ref: LabelVolume, config: EvalConfig = EvalConfig()
+def prepare_reference(ref: LabelVolume, connectivity: int = 26
                       ) -> PreparedReference:
-    """Crop, label and surface a reference once, for scoring
-    many predictions with :func:`evaluate_pair`."""
+    """Crop, label and surface a reference once, for scoring many
+    predictions with :func:`evaluate_pair`. ``connectivity`` (6, 18 or
+    26) is the lesion neighbourhood of the reference and of every
+    prediction scored against it."""
     from scipy.spatial import cKDTree
 
     box = bounding_box(ref.data)
     wmh = BinaryMask(ref.data[box] == 1, ref.spacing)
     count = wmh.count()
-    labels, _ = connected_components(wmh, config.connectivity)
+    labels, _ = connected_components(wmh, connectivity)
     # ids 1..n all occur, so this has n entries; none for an empty mask
     sizes = np.bincount(labels[wmh.data])[1:]
     surface = surface_voxels(wmh) + [sl.start for sl in box]
     for array in (labels, sizes, surface):
         array.setflags(write=False)
     tree = cKDTree(surface * np.asarray(ref.spacing)) if count else None
-    return PreparedReference(ref, box, count, wmh.volume_ml(),
-                             config.connectivity, labels, sizes, surface, tree)
+    return PreparedReference(ref, box, count, wmh.volume_ml(), connectivity,
+                             labels, sizes, surface, tree)
 
 
-def _surface_h95(ref: PreparedReference, surf_pred: np.ndarray,
-                 mode: str) -> float:
+def _surface_h95(ref: PreparedReference, surf_pred: np.ndarray) -> float:
     """H95 between a prepared reference's surface and a prediction's,
-    both non-empty and in grid coordinates. Percentiles use linear
-    interpolation between order statistics."""
+    both non-empty and in grid coordinates: the larger of the two
+    directed 95th percentiles, each interpolated linearly between order
+    statistics."""
     spacing = ref.volume.spacing
     d_rp = directed_surface_distances(ref.surface, surf_pred, spacing)
     d_pr = ref.tree.query(surf_pred * np.asarray(spacing), k=1)[0]
-    if mode == "directed":
-        return float(max(np.percentile(d_rp, 95.0),
-                         np.percentile(d_pr, 95.0)))
-    return float(np.percentile(np.concatenate([d_rp, d_pr]), 95.0))
+    return float(max(np.percentile(d_rp, 95.0), np.percentile(d_pr, 95.0)))
 
 
-def evaluate_pair(ref: LabelVolume | PreparedReference, pred: LabelVolume,
-                  config: EvalConfig = EvalConfig()) -> MetricVector:
+def evaluate_pair(ref: LabelVolume | PreparedReference, pred: LabelVolume
+                  ) -> MetricVector:
     """Score one prediction against one reference.
 
     Reference label 2 (other pathology) is excised from both masks
-    before anything is measured, unless the config says to treat it as
-    plain background. Prediction label 2 is tolerated and treated as
-    background either way.
+    before anything is measured. Prediction label 2 is treated as
+    background.
 
-    ``ref`` is a label volume, prepared here, or a reference prepared
-    with the same connectivity by :func:`prepare_reference`. Each volume
+    ``ref`` is a reference prepared by :func:`prepare_reference`, whose
+    connectivity the prediction's lesions are labelled with, or a label
+    volume, prepared here at the default connectivity. Each volume
     is cropped to its own lesion box. Every voxel outside that box is
     background, so a voxel on a face of the crop borders background in
     the whole grid too: surfaces, component ids and (shifted back) H95
@@ -249,19 +220,15 @@ def evaluate_pair(ref: LabelVolume | PreparedReference, pred: LabelVolume,
     box, look up its component ids.
     """
     if not isinstance(ref, PreparedReference):
-        ref = prepare_reference(ref, config)
-    elif ref.connectivity != config.connectivity:
-        raise ValueError(f"reference was prepared with connectivity "
-                         f"{ref.connectivity}, not {config.connectivity}")
+        ref = prepare_reference(ref)
     same_grid(ref.volume, pred, "reference and prediction")
     box = bounding_box(pred.data)
     pred_data = pred.data[box] == 1
     ref_labels = ref.volume.data[box]
-    if config.ignore_mode == "exclude":
-        pred_data &= ref_labels != 2
+    pred_data &= ref_labels != 2
     pred_eval = BinaryMask(pred_data, ref.volume.spacing)
     n_pred_vox = pred_eval.count()
-    pred_ids, n_pred = connected_components(pred_eval, config.connectivity)
+    pred_ids, n_pred = connected_components(pred_eval, ref.connectivity)
 
     # lesions are hit where reference and prediction overlap; one flat
     # x-fastest scan is faster than a 3-D np.nonzero
@@ -278,8 +245,7 @@ def evaluate_pair(ref: LabelVolume | PreparedReference, pred: LabelVolume,
     h95 = avd = lavd = None
     if ref.count and n_pred_vox:
         h95 = _surface_h95(
-            ref, surface_voxels(pred_eval) + [sl.start for sl in box],
-            config.h95_mode)
+            ref, surface_voxels(pred_eval) + [sl.start for sl in box])
     if ref.count:
         avd = avd_percent(ref.count, n_pred_vox)
         lavd = log_avd(ref.count, n_pred_vox)

@@ -92,10 +92,11 @@ def _parse_cell(path, cell: str, row: int, column: str, kind: type):
 
 
 def _csv_rows(path: Path, columns: tuple[str, ...]):
-    """Yield (row number, cells) for each row of a UTF-8 CSV file under
-    the header ``columns``; anything else is a ParseError naming it."""
+    """Yield (row number, cells) for each row of a UTF-8 CSV file, with
+    or without a byte-order mark, under the header ``columns``; anything
+    else is a ParseError naming it."""
     try:
-        text = path.read_bytes().decode("utf-8")
+        text = path.read_bytes().decode("utf-8-sig")
     except UnicodeDecodeError as exc:
         raise ParseError(f"{path}: not UTF-8 text: {exc}") from None
     reader = csv.reader(io.StringIO(text, newline=""))

@@ -8,7 +8,7 @@ from pathlib import Path
 
 import numpy as np
 
-from seg_eval.metrics import EvalConfig, MetricVector, evaluate_pair
+from seg_eval.metrics import MetricVector, evaluate_pair, prepare_reference
 from seg_eval.ranking import ResultTable, SubjectResult
 from seg_eval.synth import PerturbOps, PhantomSpec, generate_phantom, \
     perturb_mask
@@ -81,10 +81,11 @@ def labels_from(wmh_coords, dims, spacing=(1.0, 1.0, 1.0),
 
 
 def score_masks(ref: BinaryMask, pred: BinaryMask,
-                config: EvalConfig = EvalConfig()) -> MetricVector:
+                connectivity: int = 26) -> MetricVector:
     """evaluate_pair on two binary masks taken as label-1 volumes."""
-    return evaluate_pair(*(LabelVolume(m.data.astype(np.int32), m.spacing)
-                           for m in (ref, pred)), config)
+    ref_vol, pred_vol = (LabelVolume(m.data.astype(np.int32), m.spacing)
+                         for m in (ref, pred))
+    return evaluate_pair(prepare_reference(ref_vol, connectivity), pred_vol)
 
 
 def random_mask(rng, dims, density=0.1, spacing=(1.0, 1.0, 1.0)) -> BinaryMask:

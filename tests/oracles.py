@@ -140,7 +140,7 @@ def quantile_linear(values, q: float) -> float:
     return xs[lo] * (1.0 - frac) + xs[hi] * frac
 
 
-def h95_oracle(ref_mask, pred_mask, spacing, mode="directed"):
+def h95_oracle(ref_mask, pred_mask, spacing):
     ref_mask = np.asarray(ref_mask, dtype=bool)
     pred_mask = np.asarray(pred_mask, dtype=bool)
     if not ref_mask.any() or not pred_mask.any():
@@ -149,9 +149,7 @@ def h95_oracle(ref_mask, pred_mask, spacing, mode="directed"):
     surf_p = np.argwhere(surface_oracle(pred_mask))
     d_rp = allpairs_directed(surf_r, surf_p, spacing)
     d_pr = allpairs_directed(surf_p, surf_r, spacing)
-    if mode == "directed":
-        return max(quantile_linear(d_rp, 0.95), quantile_linear(d_pr, 0.95))
-    return quantile_linear(np.concatenate([d_rp, d_pr]), 0.95)
+    return max(quantile_linear(d_rp, 0.95), quantile_linear(d_pr, 0.95))
 
 
 # ----------------------------------------------------------------- metrics
@@ -205,17 +203,13 @@ def size_split_oracle(ref_sizes, detected):
 
 
 def evaluate_pair_oracle(ref_labels, pred_labels, spacing,
-                         connectivity=26, h95_mode="directed",
-                         ignore_mode="exclude"):
+                         connectivity=26):
     """Full metric vector, re-derived from scratch. Returns a dict."""
     ref_labels = np.asarray(ref_labels)
     pred_labels = np.asarray(pred_labels)
-    ref_mask = ref_labels == 1
     ignore = ref_labels == 2
-    pred_mask = pred_labels == 1
-    if ignore_mode == "exclude":
-        ref_mask = ref_mask & ~ignore
-        pred_mask = pred_mask & ~ignore
+    ref_mask = (ref_labels == 1) & ~ignore
+    pred_mask = (pred_labels == 1) & ~ignore
 
     voxvol = spacing[0] * spacing[1] * spacing[2]
     n_ref = int(ref_mask.sum())
@@ -234,7 +228,7 @@ def evaluate_pair_oracle(ref_labels, pred_labels, spacing,
 
     return {
         "dsc": dice_oracle(ref_mask, pred_mask),
-        "h95_mm": h95_oracle(ref_mask, pred_mask, spacing, h95_mode),
+        "h95_mm": h95_oracle(ref_mask, pred_mask, spacing),
         "avd_pct": avd,
         "lavd": lavd,
         "recall": recall,
@@ -250,7 +244,7 @@ def evaluate_pair_oracle(ref_labels, pred_labels, spacing,
 
 # ------------------------------------------------------------------- maps
 
-def maps_oracle(subjects, fp_denominator="ref_negative"):
+def maps_oracle(subjects):
     """FN/FP rate maps by the plain loop: every (reference, prediction)
     pair adds its FN, reference-positive and FP voxels on the whole
     grid, in int64. ``subjects`` is a list of (reference, predictions)
@@ -274,13 +268,12 @@ def maps_oracle(subjects, fp_denominator="ref_negative"):
             n += 1
     if n == 0:
         return None
-    fp_den = (n - fn_den if fp_denominator == "ref_negative"
-              else np.full(ref0.shape, n, np.int64))
 
     def rate(num, den):
         return np.where(den > 0, num / np.maximum(den, 1), 0.0)
 
-    return {"fn_rate": rate(fn_num, fn_den), "fp_rate": rate(fp_num, fp_den),
+    return {"fn_rate": rate(fn_num, fn_den),
+            "fp_rate": rate(fp_num, n - fn_den),
             "lesion_count": lesion_count}
 
 

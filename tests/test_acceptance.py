@@ -26,8 +26,7 @@ from oracles import bootstrap_oracle, dice_oracle, evaluate_pair_oracle
 from seg_eval import ranking
 from seg_eval.cli import main
 from seg_eval.fusion import StapleParams, majority_vote, staple_fuse
-from seg_eval.metrics import (EvalConfig, MetricVector, evaluate_pair,
-                              relative_difference)
+from seg_eval.metrics import MetricVector, evaluate_pair, relative_difference
 from seg_eval.nifti import read_nifti, write_nifti
 from seg_eval.ranking import (HIGHER_BETTER, BootstrapConfig, ResultTable,
                               SubjectResult, final_rank, rank_with_ci,
@@ -163,7 +162,7 @@ class TestMetricOracleParity:
                     spacing=spacing, n_lesions=1 + i % 6, size_range=(3, 30),
                     ignore_fraction=0.15 if i % 2 else 0.0,
                     ops=_c4_ops(i, seed=2000 + i))
-                got = evaluate_pair(ref, pred, EvalConfig()).as_dict()
+                got = evaluate_pair(ref, pred).as_dict()
                 want = evaluate_pair_oracle(ref.data, pred.data, spacing)
                 assert got.keys() == want.keys()
                 for key, expected in want.items():

@@ -82,29 +82,16 @@ class TestRateMaps:
         assert np.array_equal(shared.fn_rate, distinct.fn_rate)
         assert np.array_equal(shared.fp_rate, distinct.fp_rate)
 
-    def test_fp_denominator_modes(self):
-        a = mask_from([(0, 0, 0)], (3, 3, 3))
-        b = mask_from([(1, 1, 1)], (3, 3, 3))
-        # each voxel is reference background in one of the two pairs,
-        # and predicted there
-        subjects = [(a, [b]), (b, [a])]
-        by_negative = fn_fp_maps(subjects)
-        by_pairs = fn_fp_maps(subjects, fp_denominator="pairs")
-        for voxel in ((0, 0, 0), (1, 1, 1)):
-            assert by_negative.fp_rate[voxel] == 1.0
-            assert by_pairs.fp_rate[voxel] == 0.5
-
     def test_rates_bounded(self):
         rng = np.random.default_rng(103)
         subjects = [(random_mask(rng, (6, 6, 6), density=0.3),
                      [random_mask(rng, (6, 6, 6), density=0.3)
                       for _ in range(k)])
                     for k in (1, 2, 2)]
-        for mode in ("ref_negative", "pairs"):
-            maps = fn_fp_maps(subjects, fp_denominator=mode)
-            for rate in (maps.fn_rate, maps.fp_rate):
-                assert rate.min() >= 0.0 and rate.max() <= 1.0
-            assert maps.fn_rate.max() > 0 and maps.fp_rate.max() > 0
+        maps = fn_fp_maps(subjects)
+        for rate in (maps.fn_rate, maps.fp_rate):
+            assert rate.min() >= 0.0 and rate.max() <= 1.0
+        assert maps.fn_rate.max() > 0 and maps.fp_rate.max() > 0
 
     def test_validation(self):
         with pytest.raises(ArityError):
@@ -117,23 +104,20 @@ class TestRateMaps:
             fn_fp_maps([(a, [b])])
         with pytest.raises(ShapeMismatchError):
             fn_fp_maps([(a, [a]), (b, [b])])
-        with pytest.raises(ValueError, match="fp_denominator"):
-            fn_fp_maps([(a, [a])], fp_denominator="everything")
 
     def test_any_iterable_of_pairs(self):
         rng = np.random.default_rng(108)
         subjects = [(random_mask(rng, (5, 4, 3), 0.3),
                      [random_mask(rng, (5, 4, 3), 0.3) for _ in range(k)])
                     for k in (3, 2, 1)]
-        for mode in ("ref_negative", "pairs"):
-            want = fn_fp_maps(subjects, mode)
-            assert np.array_equal(want.lesion_count,
-                                  sum(ref.data for ref, _ in subjects))
-            got = fn_fp_maps(((ref, (p for p in preds))
-                              for ref, preds in subjects), mode)
-            for field in ("fn_rate", "fp_rate", "lesion_count"):
-                assert np.array_equal(getattr(want, field),
-                                      getattr(got, field)), field
+        want = fn_fp_maps(subjects)
+        assert np.array_equal(want.lesion_count,
+                              sum(ref.data for ref, _ in subjects))
+        got = fn_fp_maps(((ref, (p for p in preds))
+                          for ref, preds in subjects))
+        for field in ("fn_rate", "fp_rate", "lesion_count"):
+            assert np.array_equal(getattr(want, field),
+                                  getattr(got, field)), field
 
     def test_validation_on_a_generator(self):
         a = mask_from([(1, 1, 1)], (3, 3, 3))
@@ -185,22 +169,19 @@ MAP_DRAWS = settings(max_examples=200, derandomize=True, deadline=None,
 @given(map_cohorts(), st.booleans())
 def test_maps_match_the_whole_grid_oracle(subjects, as_generator):
     """Every ErrorMaps array equals the per-pair whole-grid loop exactly,
-    in value and dtype, and is stored x-fastest, under both
-    denominators, for lists and for generators."""
-    oracle_input = [(ref.data, [p.data for p in preds])
-                    for ref, preds in subjects]
-    for mode in ("ref_negative", "pairs"):
-        feed = subjects
-        if as_generator:
-            feed = ((ref, (p for p in preds)) for ref, preds in subjects)
-        want = maps_oracle(oracle_input, mode)
-        if want is None:
-            event("no pairs")
-            with pytest.raises(ArityError):
-                fn_fp_maps(feed, mode)
-            continue
-        assert_matches_oracle(fn_fp_maps(feed, mode), want,
-                              subjects[0][0].spacing)
+    in value and dtype, and is stored x-fastest, for lists and for
+    generators."""
+    feed = subjects
+    if as_generator:
+        feed = ((ref, (p for p in preds)) for ref, preds in subjects)
+    want = maps_oracle([(ref.data, [p.data for p in preds])
+                        for ref, preds in subjects])
+    if want is None:
+        event("no pairs")
+        with pytest.raises(ArityError):
+            fn_fp_maps(feed)
+        return
+    assert_matches_oracle(fn_fp_maps(feed), want, subjects[0][0].spacing)
 
 
 def assert_matches_oracle(got, want, spacing):
@@ -243,15 +224,14 @@ class TestFrame:
         ]
 
     @pytest.mark.parametrize("as_generator", [False, True])
-    @pytest.mark.parametrize("mode", ["ref_negative", "pairs"])
-    def test_growing_frame_matches_the_oracle(self, mode, as_generator):
+    def test_growing_frame_matches_the_oracle(self, as_generator):
         subjects = self.cohort()
         want = maps_oracle([(ref.data, [p.data for p in preds])
-                            for ref, preds in subjects], mode)
+                            for ref, preds in subjects])
         feed = subjects
         if as_generator:
             feed = ((ref, (p for p in preds)) for ref, preds in subjects)
-        maps = fn_fp_maps(feed, mode)
+        maps = fn_fp_maps(feed)
         assert_matches_oracle(maps, want, subjects[0][0].spacing)
         # each corner the later subjects reached is counted
         assert maps.fp_rate[0, 0, 0] > 0 and maps.fn_rate[8, 7, 6] == 0.5

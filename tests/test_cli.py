@@ -26,7 +26,7 @@ from helpers import (encode_as, labels_from, table_from_columns,
 from seg_eval.analysis import fn_fp_maps, summarize_cohort
 from seg_eval.cli import main
 from seg_eval.fusion import StapleParams, staple_fuse
-from seg_eval.metrics import EvalConfig, evaluate_pair
+from seg_eval.metrics import evaluate_pair
 from seg_eval.nifti import read_nifti, write_nifti
 from seg_eval.ranking import (BootstrapConfig, final_rank, interscanner_rank,
                               rank_with_ci)
@@ -102,10 +102,9 @@ class TestEvaluate:
         rc = main(["evaluate", str(ref_p), str(pred_p)])
         assert rc == 0
         body = json.loads(capsys.readouterr().out)
-        expected = evaluate_pair(ref, pred, EvalConfig())
+        expected = evaluate_pair(ref, pred)
         assert body["metrics"] == expected.as_dict()
-        assert body["config"] == {"connectivity": 26, "h95_mode": "directed",
-                                  "ignore_mode": "exclude"}
+        assert body["config"] == {"connectivity": 26}
         assert body["schema_version"] == 1
         assert body["tool"]["name"] == "seg-eval"
 
@@ -229,9 +228,9 @@ class TestEvaluateBatch:
         assert [(r.method_id, r.subject_id) for r in table.records] \
             == [(m, s) for m, s, *_ in rows]
         for rec in table.records:
-            expected = evaluate_pair(refs[rec.subject_id],
-                                     preds[(rec.method_id, rec.subject_id)],
-                                     EvalConfig()).as_dict()
+            expected = evaluate_pair(
+                refs[rec.subject_id],
+                preds[(rec.method_id, rec.subject_id)]).as_dict()
             # the CSV schema carries every field except n_pred_lesions
             expected["n_pred_lesions"] = None
             assert rec.metrics.as_dict() == expected
@@ -279,6 +278,23 @@ class TestEvaluateBatch:
         assert method_rows[1:] == sorted(
             subject_rows[1:], key=lambda ln: ln.split(b",")[0])
         assert method_rows[1:] != subject_rows[1:]
+
+    def test_connectivity_flag_reaches_the_workers(self, tmp_path, capsys):
+        # two corner-touching voxels: one lesion at 26, two at 6; two
+        # subjects, so that two workers each score one
+        write_nifti(labels_from([(1, 1, 1), (2, 2, 2)], (6, 6, 6)),
+                    tmp_path / "v.nii")
+        manifest = write_manifest(tmp_path / "m.csv", [
+            ("m", sid, "sc", "v.nii", "v.nii") for sid in ("s0", "s1")])
+        for flags, lesions in (([], 1), (["--connectivity", "6"], 2)):
+            for jobs in ("1", "2"):
+                out = tmp_path / f"r{lesions}-{jobs}.csv"
+                # equal lesion sizes leave recall_large undefined
+                assert main(["evaluate-batch", str(manifest), "-o", str(out),
+                             "--jobs", jobs, *flags]) == 2
+                assert [r.metrics.n_ref_lesions
+                        for r in read_result_csv(out).records] \
+                    == [lesions, lesions], (flags, jobs)
 
     def test_undefined_metrics_are_counted_on_stderr(self, tmp_path, capsys):
         ref = labels_from(REF_COORDS, (8, 8, 4))
@@ -772,17 +788,6 @@ class TestMaps:
         assert read_real(count_p)[1, 1, 1] == 2.0
         assert read_real(fn_p)[1, 1, 1] == 0.5
 
-    def test_fp_denominator_flag(self, maps_corpus, tmp_path):
-        manifest, subjects = maps_corpus
-        fp_p = tmp_path / "fp.nii.gz"
-        rc = main(["maps", str(manifest), "--fn-out",
-                   str(tmp_path / "fn.nii.gz"), "--fp-out", str(fp_p),
-                   "--fp-denominator", "pairs"])
-        assert rc == 0
-        maps = fn_fp_maps(subjects, "pairs")
-        assert np.array_equal(read_real(fp_p),
-                              maps.fp_rate.astype(np.float32))
-
     def test_a_bad_label_names_its_row_and_file(self, maps_corpus, tmp_path,
                                                 capsys):
         manifest, _ = maps_corpus
@@ -870,6 +875,18 @@ class TestCohort:
                                  f"would need ")
         assert "at most 1000000" in err[0]
         assert not out.exists()
+
+    def test_connectivity_flag_reaches_the_count(self, tmp_path, capsys):
+        # two corner-touching voxels: one lesion at 26, two at 6
+        write_nifti(labels_from([(1, 1, 1), (2, 2, 2)], (6, 6, 6)),
+                    tmp_path / "v.nii")
+        manifest = write_manifest(tmp_path / "m.csv",
+                                  [("m", "s0", "sc", "v.nii", "v.nii")])
+        for flags, lesions in (([], 1), (["--connectivity", "6"], 2)):
+            assert main(["cohort", str(manifest), *flags]) == 0
+            body = json.loads(capsys.readouterr().out)
+            assert body["lesion_count"]["values"] == [lesions], flags
+            assert body["config"]["connectivity"] == (6 if flags else 26)
 
     def test_output_file(self, tmp_path, capsys):
         ref = labels_from([(1, 1, 1)], (4, 4, 4))
@@ -1000,24 +1017,18 @@ class TestSynth:
         assert body["methods"][0]["position"] == 1
 
 
-class TestEvalConfigFlags:
-    """``--ignore-mode`` and ``--h95-mode`` reach the metrics of both
-    ``evaluate`` and ``evaluate-batch``."""
+class TestLabel2Exclusion:
+    """``evaluate`` and ``evaluate-batch`` leave reference label 2
+    (other pathology) out of scoring, as the library does."""
 
-    CONFIGS = {"default": ([], EvalConfig()),
-               "background": (["--ignore-mode", "background"],
-                              EvalConfig(ignore_mode="background")),
-               "pooled": (["--h95-mode", "pooled"],
-                          EvalConfig(h95_mode="pooled"))}
-
-    def test_each_mode_matches_the_library_and_changes_the_output(
+    def test_a_method_taking_label_2_for_wmh_scores_as_the_reference(
             self, tmp_path, capsys):
         corpus = tmp_path / "corpus"
         assert main(["synth", "--out-dir", str(corpus), *SYNTH_ARGS,
                      "--ignore-fraction", "0.1"]) == 0
-        # the synth predictions here never reach reference label 2, so
-        # the ignore modes agree on them; add a method that takes other
-        # pathology (label 2) for WMH
+        # the synth predictions here never reach reference label 2; add
+        # a method that takes other pathology (label 2) for WMH, which
+        # the exclusion makes the same as method_00, the reference
         manifest = corpus / "manifest.csv"
         lines = manifest.read_text().splitlines()
         for line in lines[1:]:
@@ -1032,31 +1043,32 @@ class TestEvalConfigFlags:
                          f"{subject}_lumper.nii.gz")
         manifest.write_text("\n".join(lines) + "\n")
         pairs = [line.split(",")[3:] for line in lines[1:]]
+        subjects = sorted({line.split(",")[1] for line in lines[1:]})
         capsys.readouterr()
 
-        outputs = {}
-        for name, (flags, config) in self.CONFIGS.items():
-            want = [evaluate_pair(read_nifti(corpus / r),
-                                  read_nifti(corpus / p), config).as_dict()
-                    for r, p in pairs]
-            single = []
-            for r, p in pairs:
-                assert main(["evaluate", str(corpus / r), str(corpus / p),
-                             *flags]) in (0, 2)
-                single.append(json.loads(capsys.readouterr().out)["metrics"])
-            assert single == want, name
-            for jobs in ("1", "2"):
-                out = tmp_path / f"{name}-j{jobs}.csv"
-                assert main(["evaluate-batch", str(manifest), "-o", str(out),
-                             "--jobs", jobs, *flags]) in (0, 2)
-                got = [r.metrics.as_dict()
-                       for r in read_result_csv(out).records]
-                # the CSV schema carries every field except n_pred_lesions
-                assert got == [{**w, "n_pred_lesions": None} for w in want]
-            outputs[name] = out.read_bytes()
+        want = [evaluate_pair(read_nifti(corpus / r),
+                              read_nifti(corpus / p)).as_dict()
+                for r, p in pairs]
+        single = []
+        for r, p in pairs:
+            assert main(["evaluate", str(corpus / r), str(corpus / p)]) \
+                in (0, 2)
+            single.append(json.loads(capsys.readouterr().out)["metrics"])
+        assert single == want
+        for jobs in ("1", "2"):
+            out = tmp_path / f"j{jobs}.csv"
+            assert main(["evaluate-batch", str(manifest), "-o", str(out),
+                         "--jobs", jobs]) in (0, 2)
+            records = read_result_csv(out).records
+            # the CSV schema carries every field except n_pred_lesions
+            assert [r.metrics.as_dict() for r in records] \
+                == [{**w, "n_pred_lesions": None} for w in want]
+            rows = {(r.method_id, r.subject_id): r.metrics for r in records}
+            for subject in subjects:
+                lumper = rows[("lumper", subject)]
+                assert lumper == rows[("method_00", subject)], subject
+                assert lumper.dsc == 1.0
         capsys.readouterr()
-        assert outputs["background"] != outputs["default"]
-        assert outputs["pooled"] != outputs["default"]
 
 
 # one corpus's files in each NIfTI datatype the reader converts or keeps:
@@ -1163,6 +1175,19 @@ class TestTopLevel:
         assert len(err) == 1 and err[0].startswith("usage error:"), err
         assert flag in err[0]
         assert not out.exists()
+
+    @pytest.mark.parametrize("argv", [
+        ["evaluate", "r.nii", "p.nii", "--h95-mode", "pooled"],
+        ["evaluate-batch", "m.csv", "-o", "r.csv",
+         "--ignore-mode", "background"],
+        ["maps", "m.csv", "--fn-out", "fn.nii", "--fp-out", "fp.nii",
+         "--fp-denominator", "pairs"]], ids=lambda argv: argv[-2])
+    def test_a_deleted_scoring_option_is_refused(self, argv, capsys):
+        # each metric has one definition; the variant options are gone
+        assert main(argv) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("usage error:"), err
+        assert argv[-2] in err[0]
 
     def test_unknown_command(self, capsys):
         rc = main(["frobnicate"])

@@ -17,7 +17,7 @@ import pytest
 from helpers import phantom_pair, random_mask
 from seg_eval.analysis import fn_fp_maps
 from seg_eval.fusion import staple_fuse
-from seg_eval.metrics import EvalConfig, evaluate_pair
+from seg_eval.metrics import evaluate_pair
 from seg_eval.synth import (PerturbOps, PhantomSpec, generate_phantom,
                             perturb_mask)
 from seg_eval.volume import (BinaryMask, LabelVolume, binarize_challenge,
@@ -92,14 +92,12 @@ class TestContainers:
 
 class TestKernels:
     @pytest.mark.parametrize("seed", [0, 1])
-    @pytest.mark.parametrize("ignore_mode", ["exclude", "background"])
-    def test_evaluate_pair(self, seed, ignore_mode):
+    def test_evaluate_pair(self, seed):
         ref, pred = phantom_pair(seed, dims=(20, 18, 12),
                                  spacing=(0.96, 0.95, 3.0),
                                  ignore_fraction=0.3)
         assert (ref.data == 2).any()
-        config = EvalConfig(ignore_mode=ignore_mode)
-        results = [evaluate_pair(in_order(ref, a), in_order(pred, b), config)
+        results = [evaluate_pair(in_order(ref, a), in_order(pred, b))
                    for a, b in ORDER_PAIRS]
         assert all(r == results[0] for r in results[1:])
         assert results[0].n_ref_lesions > 0

@@ -8,7 +8,7 @@ from hypothesis.extra import numpy as hnp
 
 from seg_eval.errors import (InvalidLabelError, ShapeMismatchError,
                              UndefinedMetricError)
-from seg_eval.metrics import (EvalConfig, avd_percent, evaluate_pair, log_avd,
+from seg_eval.metrics import (avd_percent, evaluate_pair, log_avd,
                               prepare_reference, relative_difference,
                               size_split_recall)
 from seg_eval.synth import PerturbOps
@@ -60,8 +60,8 @@ class TestDice:
             assert d == pytest.approx(dice_oracle(a.data, b.data), abs=0)
 
 
-def h95(ref, pred, mode="directed"):
-    return score(ref, pred, EvalConfig(h95_mode=mode)).h95_mm
+def h95(ref, pred):
+    return score(ref, pred).h95_mm
 
 
 class TestHausdorff95:
@@ -113,8 +113,7 @@ class TestHausdorff95:
         b2 = blob(coords_b, spacing=(2.5, 2.5, 2.5))
         assert h95(a2, b2) == pytest.approx(2.5 * h95(a1, b1))
 
-    @pytest.mark.parametrize("mode", ["directed", "pooled"])
-    def test_matches_all_pairs_oracle(self, mode):
+    def test_matches_all_pairs_oracle(self):
         rng = np.random.default_rng(33)
         for _ in range(15):
             a = random_mask(rng, (14, 12, 10), density=0.12,
@@ -123,8 +122,8 @@ class TestHausdorff95:
                             spacing=(0.97, 1.2, 3.0))
             if a.count() == 0 or b.count() == 0:
                 continue
-            got = h95(a, b, mode)
-            want = h95_oracle(a.data, b.data, a.spacing, mode)
+            got = h95(a, b)
+            want = h95_oracle(a.data, b.data, a.spacing)
             assert got == pytest.approx(want, abs=1e-9)
 
 
@@ -170,7 +169,7 @@ class TestVolumeDifferences:
 
 
 def recall_f1(ref, pred, connectivity=26):
-    m = score(ref, pred, EvalConfig(connectivity=connectivity))
+    m = score(ref, pred, connectivity)
     return m.recall, m.f1
 
 
@@ -321,14 +320,6 @@ class TestEvaluatePair:
         assert m.f1 == 1.0
         assert m.pred_volume_ml == pytest.approx(1 / 1000.0)
 
-    def test_ignore_as_background_mode(self):
-        ref = labels_from([(1, 1, 1)], (6, 6, 6),
-                          ignore_coords=[(3, 3, 3)])
-        pred = labels_from([(1, 1, 1), (3, 3, 3)], (6, 6, 6))
-        m = evaluate_pair(ref, pred, EvalConfig(ignore_mode="background"))
-        assert m.dsc == pytest.approx(2 / 3)
-        assert m.n_pred_lesions == 2
-
     def test_ignore_on_agreed_background_changes_nothing(self):
         rng = np.random.default_rng(42)
         for seed in range(5):
@@ -376,7 +367,7 @@ class TestEvaluatePair:
                           labels_from([], (4, 4, 4), spacing=(1, 1, 2)))
 
 
-def whole_grid_h95(ref_mask, pred_mask, spacing, mode):
+def whole_grid_h95(ref_mask, pred_mask, spacing):
     """H95 from the uncropped masks' surfaces, one KD-tree each way."""
     if not ref_mask.any() or not pred_mask.any():
         return None
@@ -384,20 +375,16 @@ def whole_grid_h95(ref_mask, pred_mask, spacing, mode):
     surf_pred = surface_voxels(BinaryMask(pred_mask, spacing))
     d_rp = directed_surface_distances(surf_ref, surf_pred, spacing)
     d_pr = directed_surface_distances(surf_pred, surf_ref, spacing)
-    if mode == "directed":
-        return float(max(np.percentile(d_rp, 95.0),
-                         np.percentile(d_pr, 95.0)))
-    return float(np.percentile(np.concatenate([d_rp, d_pr]), 95.0))
+    return float(max(np.percentile(d_rp, 95.0), np.percentile(d_pr, 95.0)))
 
 
-def assert_same_as_uncropped(ref, pred, config=EvalConfig()):
+def assert_same_as_uncropped(ref, pred, connectivity=26):
     """evaluate_pair, which crops each volume to its lesion box, against
     the whole-grid oracle, with H95 bit-identical to the same surface
     distances taken on the uncropped masks."""
-    got = evaluate_pair(ref, pred, config).as_dict()
+    got = evaluate_pair(prepare_reference(ref, connectivity), pred).as_dict()
     want = evaluate_pair_oracle(ref.data, pred.data, ref.spacing,
-                                config.connectivity, config.h95_mode,
-                                config.ignore_mode)
+                                connectivity)
     for key, expected in want.items():
         if expected is None:
             assert got[key] is None, key
@@ -407,11 +394,9 @@ def assert_same_as_uncropped(ref, pred, config=EvalConfig()):
             assert got[key] == pytest.approx(expected, abs=1e-9), key
     ref_wmh = binarize_challenge(ref)
     pred_wmh = binarize_challenge(pred)
-    ignore = ref.data == 2
-    keep = ~ignore if config.ignore_mode == "exclude" else True
+    keep = ref.data != 2
     assert got["h95_mm"] == whole_grid_h95(ref_wmh.data & keep,
-                                           pred_wmh.data & keep,
-                                           ref.spacing, config.h95_mode)
+                                           pred_wmh.data & keep, ref.spacing)
 
 
 FACE_DIMS = (9, 8, 7)
@@ -429,11 +414,10 @@ def face_blob(axis, side, shift=0):
 class TestEvaluatePairCrop:
     @pytest.mark.parametrize("axis", [0, 1, 2])
     @pytest.mark.parametrize("side", [0, 1])
-    @pytest.mark.parametrize("mode", ["directed", "pooled"])
-    def test_lesion_touching_a_grid_face(self, axis, side, mode):
+    def test_lesion_touching_a_grid_face(self, axis, side):
         ref = labels_from(face_blob(axis, side) + [(4, 4, 3)], FACE_DIMS)
         pred = labels_from(face_blob(axis, side, shift=1), FACE_DIMS)
-        assert_same_as_uncropped(ref, pred, EvalConfig(h95_mode=mode))
+        assert_same_as_uncropped(ref, pred)
 
     def test_single_voxels_at_opposite_corners(self):
         dims = (7, 6, 5)
@@ -459,27 +443,23 @@ class TestEvaluatePairCrop:
         assert (m.dsc, m.recall, m.f1) == (1.0, 1.0, 1.0)
         assert m.n_ref_lesions == m.n_pred_lesions == 0
 
-    @pytest.mark.parametrize("ignore_mode", ["exclude", "background"])
-    def test_label_2_covering_all_reference_wmh(self, ignore_mode):
+    def test_label_2_covering_all_reference_wmh(self):
         blob = [(3, 3, 3), (4, 3, 3), (4, 4, 3)]
         ref = labels_from([], (8, 8, 6), ignore_coords=blob)
         pred = labels_from(blob + [(6, 1, 5)], (8, 8, 6))
-        assert_same_as_uncropped(ref, pred,
-                                 EvalConfig(ignore_mode=ignore_mode))
+        assert_same_as_uncropped(ref, pred)
 
-    @pytest.mark.parametrize("ignore_mode", ["exclude", "background"])
-    def test_label_2_far_from_the_lesions_widens_the_box_only(
-            self, ignore_mode):
-        dims, config = (12, 11, 9), EvalConfig(ignore_mode=ignore_mode)
+    def test_label_2_far_from_the_lesions_widens_the_box_only(self):
+        dims = (12, 11, 9)
         ref_wmh, pred_wmh = [(4, 4, 3), (5, 4, 3)], [(5, 4, 3), (5, 5, 3)]
         plain = evaluate_pair(labels_from(ref_wmh, dims),
-                              labels_from(pred_wmh, dims), config)
+                              labels_from(pred_wmh, dims))
         far = [(0, 0, 0), (11, 10, 8)]
         for ref_far, pred_far in ((far, []), ([], far), (far, far)):
             ref = labels_from(ref_wmh, dims, ignore_coords=ref_far)
             pred = labels_from(pred_wmh, dims, ignore_coords=pred_far)
-            assert evaluate_pair(ref, pred, config) == plain
-            assert_same_as_uncropped(ref, pred, config)
+            assert evaluate_pair(ref, pred) == plain
+            assert_same_as_uncropped(ref, pred)
 
     @pytest.mark.parametrize("which", ["reference", "prediction"])
     def test_a_label_above_2_names_its_first_voxel(self, which):
@@ -505,33 +485,32 @@ class TestEvaluatePairCrop:
             ref[40:52, 38:50, 11:18] = rng.random((12, 12, 7)) < 0.3
             pred[43:57, 35:47, 12:19] = rng.random((14, 12, 7)) < 0.3
             ref[44:47, 40:43, 13] = 2
-            for mode in ("directed", "pooled"):
-                assert_same_as_uncropped(LabelVolume(ref, spacing),
-                                         LabelVolume(pred, spacing),
-                                         EvalConfig(h95_mode=mode))
+            assert_same_as_uncropped(LabelVolume(ref, spacing),
+                                     LabelVolume(pred, spacing))
 
 
 def prepared_arrays(prepared):
     return [prepared.labels, prepared.sizes, prepared.surface]
 
 
-def assert_prepared_matches(ref, preds, config=EvalConfig()):
-    """One prepared reference scores every prediction exactly as
-    evaluate_pair on the raw volumes does, and scoring leaves it as it
-    was."""
-    prepared = prepare_reference(ref, config)
+def assert_prepared_matches(ref, preds, connectivity=26):
+    """One prepared reference scores every prediction exactly as a
+    freshly prepared one does, and as evaluate_pair on the raw volumes
+    does at the default connectivity; scoring leaves it as it was."""
+    prepared = prepare_reference(ref, connectivity)
     before = [a.copy() for a in prepared_arrays(prepared)]
     for pred in preds:
-        assert (evaluate_pair(prepared, pred, config)
-                == evaluate_pair(ref, pred, config))
+        want = evaluate_pair(prepare_reference(ref, connectivity), pred)
+        assert evaluate_pair(prepared, pred) == want
+        if connectivity == 26:
+            assert evaluate_pair(ref, pred) == want
     for array, copy in zip(prepared_arrays(prepared), before):
         assert not array.flags.writeable
         assert np.array_equal(array, copy)
 
 
 class TestPreparedReference:
-    @pytest.mark.parametrize("ignore_mode", ["exclude", "background"])
-    def test_one_reference_over_twenty_predictions(self, ignore_mode):
+    def test_one_reference_over_twenty_predictions(self):
         def pair(ops=None):
             return phantom_pair(5, dims=(28, 26, 14), n_lesions=6,
                                 ignore_fraction=0.3, ops=ops)
@@ -542,9 +521,7 @@ class TestPreparedReference:
                                  translate=(i % 2, -int(i % 3 == 0), 0),
                                  seed=i))[1]
                  for i in range(20)]
-        for h95_mode in ("directed", "pooled"):
-            assert_prepared_matches(ref, preds, EvalConfig(
-                h95_mode=h95_mode, ignore_mode=ignore_mode))
+        assert_prepared_matches(ref, preds)
 
     def test_empty_reference_against_a_far_prediction(self):
         # the reference's box is empty, so it meets no prediction box
@@ -555,30 +532,26 @@ class TestPreparedReference:
         assert_prepared_matches(empty, [far, empty])
         assert_same_as_uncropped(empty, far)
 
-    @pytest.mark.parametrize("ignore_mode", ["exclude", "background"])
-    def test_reference_with_only_label_2(self, ignore_mode):
+    def test_reference_with_only_label_2(self):
         dims = (16, 14, 8)
         blob_ = [(6, 6, 3), (7, 6, 3), (7, 7, 4)]
         ref = labels_from([], dims, ignore_coords=blob_)
         preds = [labels_from(blob_, dims), labels_from([], dims),
                  labels_from(blob_[:1] + [(14, 12, 7)], dims),
                  labels_from([(0, 0, 0)], dims)]
-        config = EvalConfig(ignore_mode=ignore_mode)
-        assert_prepared_matches(ref, preds, config)
+        assert_prepared_matches(ref, preds)
         for pred in preds:
-            assert_same_as_uncropped(ref, pred, config)
+            assert_same_as_uncropped(ref, pred)
 
-    @pytest.mark.parametrize("ignore_mode", ["exclude", "background"])
-    def test_prediction_wholly_outside_the_reference_box(self, ignore_mode):
+    def test_prediction_wholly_outside_the_reference_box(self):
         dims = (20, 18, 10)
         ref = labels_from([(2, 2, 1), (3, 2, 1), (4, 5, 2)], dims,
                           ignore_coords=[(3, 3, 1)])
         preds = [labels_from([(15, 14, 8), (16, 14, 8)], dims),
                  labels_from([(19, 0, 9)], dims, ignore_coords=[(3, 3, 1)])]
-        config = EvalConfig(ignore_mode=ignore_mode)
-        assert_prepared_matches(ref, preds, config)
+        assert_prepared_matches(ref, preds)
         for pred in preds:
-            assert_same_as_uncropped(ref, pred, config)
+            assert_same_as_uncropped(ref, pred)
 
     @pytest.mark.parametrize("connectivity", [6, 18, 26])
     def test_connectivities(self, connectivity):
@@ -588,16 +561,19 @@ class TestPreparedReference:
                            (8, 8, 1)], dims)
         preds = [ref, labels_from([(3, 2, 2), (4, 3, 2), (9, 9, 1)], dims),
                  labels_from([(5, 4, 3), (6, 5, 4), (7, 5, 4)], dims)]
-        config = EvalConfig(connectivity=connectivity)
-        assert_prepared_matches(ref, preds, config)
-        assert prepare_reference(ref, config).sizes.size == {
+        assert_prepared_matches(ref, preds, connectivity)
+        assert prepare_reference(ref, connectivity).sizes.size == {
             6: 4, 18: 3, 26: 2}[connectivity]
 
-    def test_connectivity_mismatch_is_an_error(self):
+    def test_a_reference_prepared_at_6_labels_the_prediction_at_6(self):
+        # the prediction's two corner-touching voxels are one lesion at
+        # 26 and two at 6, one of them a false positive
         ref = labels_from([(1, 1, 1)], (4, 4, 4))
-        prepared = prepare_reference(ref, EvalConfig(connectivity=6))
-        with pytest.raises(ValueError, match="connectivity 6, not 26"):
-            evaluate_pair(prepared, ref)
+        pred = labels_from([(1, 1, 1), (2, 2, 2)], (4, 4, 4))
+        narrow = evaluate_pair(prepare_reference(ref, 6), pred)
+        assert (narrow.n_pred_lesions, narrow.f1) == (2, pytest.approx(2 / 3))
+        wide = evaluate_pair(ref, pred)
+        assert (wide.n_pred_lesions, wide.f1) == (1, 1.0)
 
 
 # label payloads as read from uint8, int16 and int32 files
@@ -655,9 +631,7 @@ def box_relation(a, b):
     return "overlapping"
 
 
-ALL_CONFIGS = [EvalConfig(c, h, i) for c in (6, 18, 26)
-               for h in ("directed", "pooled")
-               for i in ("exclude", "background")]
+CONNECTIVITIES = (6, 18, 26)
 
 
 BOX_DRAWS = settings(max_examples=100, derandomize=True, deadline=None,
@@ -673,13 +647,14 @@ def test_raw_and_prepared_match_the_oracle_for_any_two_boxes(vols):
     event(f"labels {ref.data.dtype}")
     copies = [tuple(LabelVolume(v.data.astype(dtype), v.spacing)
                     for v in vols) for dtype in LABEL_DTYPES]
-    for config in ALL_CONFIGS:
-        assert_same_as_uncropped(ref, pred, config)
-        want = evaluate_pair(ref, pred, config)
-        assert evaluate_pair(prepare_reference(ref, config), pred,
-                             config) == want
+    assert evaluate_pair(ref, pred) == evaluate_pair(prepare_reference(ref),
+                                                     pred)
+    for connectivity in CONNECTIVITIES:
+        assert_same_as_uncropped(ref, pred, connectivity)
+        want = evaluate_pair(prepare_reference(ref, connectivity), pred)
         # the label dtype never changes a result
-        assert all(evaluate_pair(*c, config) == want for c in copies)
+        assert all(evaluate_pair(prepare_reference(c_ref, connectivity),
+                                 c_pred) == want for c_ref, c_pred in copies)
 
 
 def test_the_box_draws_cover_every_relation():

@@ -129,6 +129,45 @@ class TestReadResultCsv:
         assert str(path) in str(info.value)
 
 
+BOM = b"\xef\xbb\xbf"   # the UTF-8 byte-order mark
+
+
+def _records(tmp_path, reader):
+    """A well-formed input file for ``reader`` and what it reads as."""
+    if reader is read_manifest:
+        path = manifest_at(tmp_path, "a,s1,scA,s1_ref.nii,a1.nii",
+                           "b,s1,scA,s1_ref.nii,b1.nii")
+        return path, read_manifest(path)
+    path = tmp_path / "r.csv"
+    write_result_csv(list(table_from_columns(
+        {"a": {"dsc": [0.9, 0.8]}, "b": {"dsc": [0.7, 0.6]}}).records), path)
+    return path, read_result_csv(path).records
+
+
+@pytest.mark.parametrize("reader", [read_manifest, read_result_csv])
+def test_a_byte_order_mark_is_skipped(tmp_path, reader):
+    plain, want = _records(tmp_path, reader)
+    marked = tmp_path / f"bom_{plain.name}"
+    marked.write_bytes(BOM + plain.read_bytes())
+    got = reader(marked)
+    assert (got if reader is read_manifest else got.records) == want
+
+
+@pytest.mark.parametrize("prefix", [b"", BOM], ids=["plain", "bom"])
+@pytest.mark.parametrize("reader, columns", [
+    (read_manifest, MANIFEST_COLUMNS),
+    (read_result_csv, RESULT_COLUMNS),
+])
+def test_non_utf8_is_an_error_naming_the_file(tmp_path, reader, columns,
+                                             prefix):
+    path = tmp_path / "x.csv"
+    path.write_bytes(prefix + (",".join(columns) + "\na,s\xe9\n")
+                     .encode("latin-1"))
+    with pytest.raises(ParseError, match="not UTF-8") as info:
+        reader(path)
+    assert str(path) in str(info.value)
+
+
 def _files_like(columns: tuple[str, ...]):
     """Arbitrary bytes, and the header followed by rows of about the
     right width built from cells both valid and not."""

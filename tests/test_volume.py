@@ -3,7 +3,7 @@ import pytest
 from scipy import ndimage
 
 from seg_eval.errors import InvalidLabelError
-from seg_eval.metrics import EvalConfig, prepare_reference
+from seg_eval.metrics import prepare_reference
 from seg_eval.synth import PerturbOps, perturb_mask
 from seg_eval.volume import (_STRUCTURE, BinaryMask, LabelVolume,
                              binarize_challenge, connected_components,
@@ -268,8 +268,7 @@ class TestDistances:
 def prepared(mask: BinaryMask, connectivity: int = 26):
     """The prepared reference whose label-1 voxels are ``mask``."""
     return prepare_reference(LabelVolume(mask.data.astype(np.uint8),
-                                         mask.spacing),
-                             EvalConfig(connectivity=connectivity))
+                                         mask.spacing), connectivity)
 
 
 class TestConnectedComponents:
