@@ -125,6 +125,9 @@ def cmd_evaluate_batch(args) -> int:
     if jobs == 1:
         results = list(map(score, subjects))
     else:
+        # the workers fork from here: import their scipy modules once
+        import scipy.ndimage
+        import scipy.spatial
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             results = list(pool.map(score, subjects))
     by_line = {row.line: SubjectResult(row.method_id, subject.subject_id,

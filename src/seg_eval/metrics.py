@@ -31,7 +31,6 @@ __all__ = [
     "PreparedReference",
     "avd_percent",
     "log_avd",
-    "size_split_recall",
     "relative_difference",
     "prepare_reference",
     "wmh_in_lesion_box",
@@ -110,25 +109,11 @@ def _recall_f1(ref_hit: np.ndarray, pred_hit: np.ndarray
                     else 2.0 * precision * recall / (precision + recall))
 
 
-def size_split_recall(sizes: np.ndarray, detected: np.ndarray
-                      ) -> tuple[float | None, float | None]:
-    """Recall split at the median reference lesion size, given each
-    reference lesion's voxel count and whether it was detected.
-
-    Small lesions are those at or below the median voxel count, large
-    ones strictly above. A stratum with no lesions (all lesions the
-    same size leaves the large stratum empty) reports None.
-    """
-    sizes = np.asarray(sizes)
-    if sizes.size == 0:
-        raise UndefinedMetricError(
-            "size-split recall needs a nonempty reference")
-    detected = np.asarray(detected, dtype=bool)
-    small = sizes <= float(np.median(sizes))
-    large = ~small
-    recall_small = float(detected[small].mean()) if small.any() else None
-    recall_large = float(detected[large].mean()) if large.any() else None
-    return recall_small, recall_large
+def _stratum_recall(hit: np.ndarray, stratum: np.ndarray) -> float | None:
+    """The share of the lesions flagged in ``stratum`` that ``hit`` flags
+    too; None for an empty stratum."""
+    n = np.count_nonzero(stratum)
+    return np.count_nonzero(hit & stratum) / n if n else None
 
 
 def relative_difference(value: float, baseline: float) -> float:
@@ -153,8 +138,9 @@ class PreparedReference:
     component ``labels`` of the label-1 crop under ``connectivity`` (the
     whole grid's ids) with each lesion's voxel count in ``sizes``
     (``sizes[k]`` for id k+1, int64), and its ``surface`` in grid
-    coordinates with a KD-tree over it in mm. Labels are read from
-    ``volume`` itself."""
+    coordinates with a KD-tree over it in mm. ``small`` flags the
+    lesions of at most the median size, the size-split recall's small
+    stratum (the rest are large). Labels are read from ``volume``."""
 
     volume: LabelVolume
     box: tuple[slice, ...]
@@ -163,6 +149,7 @@ class PreparedReference:
     connectivity: int
     labels: np.ndarray
     sizes: np.ndarray
+    small: np.ndarray
     surface: np.ndarray
     tree: object
 
@@ -181,12 +168,26 @@ def prepare_reference(ref: LabelVolume, connectivity: int = 26
     labels, _ = connected_components(wmh, connectivity)
     # ids 1..n all occur, so this has n entries; none for an empty mask
     sizes = np.bincount(labels[wmh.data])[1:]
+    small = sizes <= (np.median(sizes) if sizes.size else 0)
     surface = surface_voxels(wmh) + [sl.start for sl in box]
-    for array in (labels, sizes, surface):
+    for array in (labels, sizes, small, surface):
         array.setflags(write=False)
     tree = cKDTree(surface * np.asarray(ref.spacing)) if count else None
     return PreparedReference(ref, box, count, wmh.volume_ml(), connectivity,
-                             labels, sizes, surface, tree)
+                             labels, sizes, small, surface, tree)
+
+
+def _percentile95(d: np.ndarray) -> float:
+    """``np.percentile(d, 95.0)`` of a non-empty 1-D float64 array, bit
+    for bit: numpy's linear method (Hyndman & Fan type 7), its virtual
+    index ``(n - 1) * 0.95`` and its two-sided lerp."""
+    index = (d.size - 1) * 0.95
+    lo = int(index)
+    if lo == d.size - 1:    # one value: numpy takes it as it is
+        return float(d[0])
+    a, b = np.partition(d, (lo, lo + 1))[lo:lo + 2].tolist()
+    t = index - lo
+    return b - (b - a) * (1 - t) if t >= 0.5 else a + (b - a) * t
 
 
 def _surface_h95(ref: PreparedReference, surf_pred: np.ndarray) -> float:
@@ -197,7 +198,7 @@ def _surface_h95(ref: PreparedReference, surf_pred: np.ndarray) -> float:
     spacing = ref.volume.spacing
     d_rp = directed_surface_distances(ref.surface, surf_pred, spacing)
     d_pr = ref.tree.query(surf_pred * np.asarray(spacing), k=1)[0]
-    return float(max(np.percentile(d_rp, 95.0), np.percentile(d_pr, 95.0)))
+    return max(_percentile95(d_rp), _percentile95(d_pr))
 
 
 def evaluate_pair(ref: LabelVolume | PreparedReference, pred: LabelVolume
@@ -250,13 +251,11 @@ def evaluate_pair(ref: LabelVolume | PreparedReference, pred: LabelVolume
         avd = avd_percent(ref.count, n_pred_vox)
         lavd = log_avd(ref.count, n_pred_vox)
     recall, f1 = _recall_f1(ref_hit, pred_hit)
-    recall_small, recall_large = (
-        size_split_recall(ref.sizes, ref_hit)
-        if ref.sizes.size else (None, None))
 
     return MetricVector(
         dsc=dsc, h95_mm=h95, avd_pct=avd, lavd=lavd, recall=recall, f1=f1,
-        recall_small=recall_small, recall_large=recall_large,
+        recall_small=_stratum_recall(ref_hit, ref.small),
+        recall_large=_stratum_recall(ref_hit, ~ref.small),
         n_ref_lesions=ref.sizes.size,
         n_pred_lesions=n_pred,
         ref_volume_ml=ref.volume_ml,

@@ -178,7 +178,9 @@ def surface_voxels(mask: BinaryMask) -> np.ndarray:
     """Coordinates (K, 3) of foreground voxels with at least one face
     neighbour that is background or outside the volume."""
     m = mask.data
-    p = np.pad(m.T, 1).T    # a background border, still x-fastest
+    # a background border, still x-fastest
+    p = np.zeros([n + 2 for n in m.shape], dtype=bool, order="F")
+    p[1:-1, 1:-1, 1:-1] = m
     interior = p[:-2, 1:-1, 1:-1] & p[2:, 1:-1, 1:-1]
     interior &= p[1:-1, :-2, 1:-1]
     interior &= p[1:-1, 2:, 1:-1]

@@ -9,6 +9,7 @@ library calls on the same inputs.
 from __future__ import annotations
 
 import gzip
+import hashlib
 import json
 import os
 import re
@@ -245,6 +246,24 @@ class TestEvaluateBatch:
         assert main(["evaluate-batch", str(manifest), "-o", str(two),
                      "--jobs", "2"]) == 0
         assert one.read_bytes() == two.read_bytes()
+
+    @pytest.mark.parametrize("jobs", ["1", "2"])
+    def test_pinned_result_bytes(self, tmp_path, capsys, jobs):
+        # label 2 is present, and two of the three references have tied
+        # lesion sizes, so 8 of the 12 rows leave recall_large empty;
+        # every float is written with repr, so a last-bit drift in any
+        # metric (H95 above all) changes the digest
+        corpus = tmp_path / "corpus"
+        assert main(["synth", "--out-dir", str(corpus), "--subjects", "3",
+                     "--methods", "4", "--dims", "32", "32", "8",
+                     "--lesions", "3", "--size-range", "3", "5",
+                     "--ignore-fraction", "0.2", "--seed", "1"]) == 0
+        out = tmp_path / "results.csv"
+        assert main(["evaluate-batch", str(corpus / "manifest.csv"),
+                     "-o", str(out), "--jobs", jobs]) == 2
+        assert "8 of 12 pairs" in capsys.readouterr().err
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == (
+            "b4c5d28a589b255f7302c7c02debd3c93d7e8cf591af78f19d619e79cb84b78f")
 
     def test_jobs_do_not_change_a_chunked_output(self, tmp_path, capsys):
         # 5 subjects of 5 rows: neither 2 nor 3 workers divide the

@@ -8,9 +8,8 @@ from hypothesis.extra import numpy as hnp
 
 from seg_eval.errors import (InvalidLabelError, ShapeMismatchError,
                              UndefinedMetricError)
-from seg_eval.metrics import (avd_percent, evaluate_pair, log_avd,
-                              prepare_reference, relative_difference,
-                              size_split_recall)
+from seg_eval.metrics import (_percentile95, avd_percent, evaluate_pair,
+                              log_avd, prepare_reference, relative_difference)
 from seg_eval.synth import PerturbOps
 from seg_eval.volume import (BinaryMask, LabelVolume, binarize_challenge,
                              directed_surface_distances, surface_voxels)
@@ -18,7 +17,7 @@ from seg_eval.volume import (BinaryMask, LabelVolume, binarize_challenge,
 from helpers import (labels_from, mask_from, phantom_pair, random_mask,
                      score_masks as score)
 from oracles import (cc_oracle, dice_oracle, evaluate_pair_oracle, h95_oracle,
-                     recall_f1_oracle)
+                     recall_f1_oracle, size_split_oracle)
 
 
 def blob(coords, dims=(8, 8, 8), spacing=(1.0, 1.0, 1.0)):
@@ -125,6 +124,35 @@ class TestHausdorff95:
             got = h95(a, b)
             want = h95_oracle(a.data, b.data, a.spacing)
             assert got == pytest.approx(want, abs=1e-9)
+
+
+# surface distances: sqrt of a sum of squared whole-voxel steps on a
+# 0.96 x 0.95 x 3 mm grid, as the KD-tree returns them, with many ties
+VOXEL_DISTANCES = st.builds(
+    lambda x, y, z: math.sqrt((0.96 * x) ** 2 + (0.95 * y) ** 2
+                              + (3.0 * z) ** 2),
+    st.integers(0, 40), st.integers(0, 40), st.integers(0, 8))
+
+
+class TestPercentile95:
+    """The H95 percentile is numpy's, bit for bit: equal with ==."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(hnp.arrays(np.float64, st.integers(1, 500), elements=st.one_of(
+        VOXEL_DISTANCES, st.floats(0, 1e6), st.sampled_from((0.0, 1.0)))))
+    def test_matches_numpy(self, d):
+        event(f"n {'<= 21' if d.size <= 21 else '> 21'}")
+        assert _percentile95(d) == np.percentile(d, 95.0)
+
+    @pytest.mark.parametrize("d", [
+        [2.5], [0.0], [1.0, 3.0], [3.0, 1.0], [7.0, 7.0],
+        np.arange(21.0)[::-1], np.sqrt(np.arange(21.0)),   # whole index 19
+        [4.2] * 21, [1.5] * 500, [0.0] * 9 + [1.0] * 3])
+    def test_small_sizes_whole_indices_and_ties(self, d):
+        d = np.asarray(d, dtype=np.float64)
+        before = d.copy()
+        assert _percentile95(d) == np.percentile(d, 95.0)
+        assert np.array_equal(d, before)   # the input is not reordered
 
 
 class TestVolumeDifferences:
@@ -253,7 +281,11 @@ class TestSizeSplit:
         m = score(ref, blob([(12, 0, 0)], dims=(20, 8, 4)))
         assert m.recall_small == 0.0
         assert m.recall_large == 1.0
-        assert size_split_recall([1, 2, 9], [False, False, True]) == (0.0,
+        prepared = prepare_reference(LabelVolume(data.astype(np.uint8),
+                                                 (1, 1, 1)))
+        assert prepared.sizes.tolist() == [1, 2, 9]
+        assert prepared.small.tolist() == [True, True, False]
+        assert size_split_oracle([1, 2, 9], [False, False, True]) == (0.0,
                                                                       1.0)
 
     def test_equal_sizes_leave_large_stratum_empty(self):
@@ -262,12 +294,12 @@ class TestSizeSplit:
         assert m.recall_small == 1.0
         assert m.recall_large is None
 
-    def test_empty_reference_is_an_error(self):
-        with pytest.raises(UndefinedMetricError):
-            size_split_recall(np.zeros(0, dtype=np.int64),
-                              np.zeros(0, dtype=bool))
-        m = score(blob([]), blob([]))
-        assert m.recall_small is None and m.recall_large is None
+    def test_empty_reference_has_no_split(self):
+        empty = LabelVolume(np.zeros((8, 8, 8), dtype=np.uint8), (1, 1, 1))
+        assert prepare_reference(empty).small.shape == (0,)
+        for pred in (blob([]), blob([(1, 1, 1)])):
+            m = score(blob([]), pred)
+            assert m.recall_small is None and m.recall_large is None
 
     def test_winner_relative_difference(self):
         assert relative_difference(0.76, 0.94) == pytest.approx(-0.1914894,
@@ -490,7 +522,8 @@ class TestEvaluatePairCrop:
 
 
 def prepared_arrays(prepared):
-    return [prepared.labels, prepared.sizes, prepared.surface]
+    return [prepared.labels, prepared.sizes, prepared.small,
+            prepared.surface]
 
 
 def assert_prepared_matches(ref, preds, connectivity=26):
