@@ -29,6 +29,7 @@ import numpy as np
 
 from .errors import AllMissingError, ArityError, EvaluationWarning
 from .metrics import MetricVector
+from .streams import philox, rekey
 
 __all__ = [
     "HIGHER_BETTER",
@@ -242,15 +243,11 @@ def final_rank(table: ResultTable, volume_metric: str = "lavd") -> RankTable:
         volume_metric=_volume_column(volume_metric))
 
 
-def _replicate_rng(seed: int, replicate: int) -> np.random.Generator:
-    return np.random.Generator(
-        np.random.Philox(key=(seed & (2**64 - 1)) + ((replicate + 1) << 64)))
-
-
-def _draw_replicate(out: np.ndarray, seed: int, replicate: int,
-                    defined: np.ndarray) -> int:
-    """Fill ``out`` with a replicate's draw; return the draws discarded."""
-    rng = _replicate_rng(seed, replicate)
+def _draw_replicate(out: np.ndarray, rng: np.random.Generator, seed: int,
+                    replicate: int, defined: np.ndarray) -> int:
+    """Fill ``out`` with a replicate's draw from its own stream, (seed,
+    replicate + 1), re-keying ``rng``; return the draws discarded."""
+    rekey(rng, seed, replicate + 1)
     for redraws in range(_MAX_REDRAW):
         out[:] = rng.integers(0, len(out), len(out))
         if defined[:, :, out].any(axis=2).all():
@@ -287,10 +284,11 @@ def rank_with_ci(table: ResultTable, volume_metric: str = "lavd",
     rep_final = np.empty((config.replicates, len(vals)))
     block_draws = np.empty((min(block, config.replicates), n_subj), np.int64)
     redraws = 0
+    rng = philox()
     for s in range(0, config.replicates, block):
         draws = block_draws[:config.replicates - s]
         for i, row in enumerate(draws):
-            redraws += _draw_replicate(row, config.seed, s + i, defined)
+            redraws += _draw_replicate(row, rng, config.seed, s + i, defined)
         gathered = vals[:, :, draws]                          # (M, K, B, S)
         means = rep_means[s:s + block]
         means[:] = np.nanmean(gathered, axis=3).transpose(2, 0, 1)

@@ -17,6 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import CapacityError
+from .streams import philox, rekey
 from .volume import BinaryMask, LabelVolume, connected_components
 
 __all__ = ["PhantomSpec", "PerturbOps", "generate_phantom", "perturb_mask"]
@@ -52,11 +53,6 @@ class PhantomSpec:
             raise ValueError("n_lesions must be >= 0")
         if not 0.0 <= self.ignore_fraction < 1.0:
             raise ValueError("ignore_fraction must be in [0, 1)")
-
-
-def _lesion_rng(seed: int, index: int) -> np.random.Generator:
-    return np.random.Generator(np.random.Philox(key=(seed & (2**64 - 1))
-                                                + (index << 64)))
 
 
 def _walk_blob(rng: np.random.Generator, dims, size: int):
@@ -98,6 +94,7 @@ def _place_blobs(occupied: np.ndarray, size_range, seed: int,
     dims = occupied.shape
     lo, hi = size_range
     near = _dilate(occupied)    # within one voxel of an occupied voxel
+    rng = philox()
     placed = 0
     total = 0
     while True:
@@ -109,7 +106,7 @@ def _place_blobs(occupied: np.ndarray, size_range, seed: int,
             raise CapacityError(
                 f"blob size up to {hi} voxels exceeds the {occupied.size} "
                 f"voxels of grid {dims}")
-        rng = _lesion_rng(seed, key_base + placed)
+        rekey(rng, seed, key_base + placed)
         smallest = (lo if target_voxels is None
                     else min(lo, target_voxels - total))
         coords = None

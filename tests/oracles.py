@@ -126,7 +126,9 @@ def allpairs_directed(from_coords, to_coords, spacing) -> np.ndarray:
 
 
 def quantile_linear(values, q: float) -> float:
-    """Quantile with linear interpolation at rank q*(n-1), by hand."""
+    """Quantile with linear interpolation at rank q*(n-1), by hand, in
+    numpy's rounding: the lerp runs from the nearer of the two order
+    statistics, so the result equals ``np.percentile``'s bit for bit."""
     xs = sorted(float(v) for v in values)
     n = len(xs)
     if n == 0:
@@ -137,7 +139,10 @@ def quantile_linear(values, q: float) -> float:
     lo = int(math.floor(r))
     hi = min(lo + 1, n - 1)
     frac = r - lo
-    return xs[lo] * (1.0 - frac) + xs[hi] * frac
+    step = xs[hi] - xs[lo]
+    if frac >= 0.5:
+        return xs[hi] - step * (1.0 - frac)
+    return xs[lo] + step * frac
 
 
 def h95_oracle(ref_mask, pred_mask, spacing):

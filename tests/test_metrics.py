@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -6,18 +7,19 @@ from hypothesis import HealthCheck, event, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
+import seg_eval.metrics
 from seg_eval.errors import (InvalidLabelError, ShapeMismatchError,
                              UndefinedMetricError)
 from seg_eval.metrics import (_percentile95, avd_percent, evaluate_pair,
                               log_avd, prepare_reference, relative_difference)
-from seg_eval.synth import PerturbOps
+from seg_eval.synth import PerturbOps, perturb_mask
 from seg_eval.volume import (BinaryMask, LabelVolume, binarize_challenge,
                              directed_surface_distances, surface_voxels)
 
 from helpers import (labels_from, mask_from, phantom_pair, random_mask,
                      score_masks as score)
 from oracles import (cc_oracle, dice_oracle, evaluate_pair_oracle, h95_oracle,
-                     recall_f1_oracle, size_split_oracle)
+                     recall_f1_oracle, size_split_oracle, surface_oracle)
 
 
 def blob(coords, dims=(8, 8, 8), spacing=(1.0, 1.0, 1.0)):
@@ -700,3 +702,152 @@ def test_the_box_draws_cover_every_relation():
 
     collect()
     assert seen == {"empty", "disjoint", "nested", "overlapping"}
+
+
+# ------------------------------------------- H95 over shared surface voxels
+
+C9_SPACING = (0.96, 0.95, 3.0)
+SHARED_DIMS = (12, 11, 8)
+BLOCK = [(x, y, z) for x in range(3, 8) for y in range(3, 7)
+         for z in range(2, 6)]
+
+
+def shifted(coords, dx=0, dy=0, dz=0):
+    return [(x + dx, y + dy, z + dz) for x, y, z in coords]
+
+
+def wmh_masks(ref, pred):
+    """Both label-1 masks with the reference's label 2 excised."""
+    keep = ref.data != 2
+    return (ref.data == 1) & keep, (pred.data == 1) & keep
+
+
+def shared_surface(ref, pred) -> str:
+    """Which of the two surfaces' voxels lie on both: all, some or none."""
+    surf_ref, surf_pred = (surface_oracle(m) for m in wmh_masks(ref, pred))
+    both = np.count_nonzero(surf_ref & surf_pred)
+    if both == 0:
+        return "none"
+    everywhere = both == np.count_nonzero(surf_ref | surf_pred)
+    return "all" if everywhere else "some"
+
+
+def assert_h95_is_the_oracle(ref, pred):
+    """H95 equal to the brute-force oracle's with ==, not approx."""
+    want = h95_oracle(*wmh_masks(ref, pred), ref.spacing)
+    assert evaluate_pair(ref, pred).h95_mm == want
+    assert evaluate_pair(prepare_reference(ref), pred).h95_mm == want
+
+
+def dilated(coords, erode=0, dilate=0):
+    mask = perturb_mask(mask_from(coords, SHARED_DIMS, C9_SPACING),
+                        PerturbOps(erode=erode, dilate=dilate))
+    return [tuple(v) for v in np.argwhere(mask.data)]
+
+
+SHARED_CASES = {
+    "identical": (BLOCK, BLOCK, (), "all"),
+    "one-voxel shift along x": (BLOCK, shifted(BLOCK, dx=1), (), "some"),
+    "one-voxel dilation": (BLOCK, dilated(BLOCK, dilate=1), (), "none"),
+    "one-voxel erosion": (BLOCK, dilated(BLOCK, erode=1), (), "none"),
+    # the inner block keeps two faces of the outer one
+    "nested": (BLOCK, [v for v in BLOCK if v[0] >= 5 and v[2] >= 3], (),
+               "some"),
+    "disjoint": (BLOCK, shifted(BLOCK[:20], dx=-3, dz=-2), (), "none"),
+    # the plane x = 5 is excised, so both masks gain a cut surface there
+    "label 2 across a shared surface": (
+        BLOCK, BLOCK + [(8, 4, 3)], [v for v in BLOCK if v[0] == 5],
+        "some"),
+    "one voxel each, the same": ([(4, 4, 4)], [(4, 4, 4)], (), "all"),
+    "one voxel each, apart": ([(4, 4, 4)], [(6, 3, 5)], (), "none"),
+    "one voxel inside a block's surface": (BLOCK, [(3, 3, 2)], (), "some"),
+}
+
+
+class TestH95OnSharedSurfaceVoxels:
+    """A voxel on both surfaces is at distance 0 and never queried; H95
+    stays the brute-force oracle's bit for bit on every branch."""
+
+    @pytest.mark.parametrize("case", list(SHARED_CASES))
+    def test_equals_the_oracle(self, case):
+        ref_wmh, pred_wmh, ignore, shared = SHARED_CASES[case]
+        ref = labels_from(ref_wmh, SHARED_DIMS, C9_SPACING, ignore)
+        pred = labels_from(pred_wmh, SHARED_DIMS, C9_SPACING)
+        assert shared_surface(ref, pred) == shared
+        assert_h95_is_the_oracle(ref, pred)
+
+    @settings(max_examples=60, derandomize=True, deadline=None)
+    @given(seed=st.integers(0, 10_000), dilate=st.integers(0, 1),
+           erode=st.integers(0, 1), add_blobs=st.integers(0, 2),
+           translate=st.tuples(st.integers(-1, 1), st.integers(-1, 1),
+                               st.integers(-1, 1)),
+           ignore=st.sampled_from((0.0, 0.2)))
+    def test_perturbed_pairs_equal_the_oracle(self, seed, dilate, erode,
+                                              add_blobs, translate, ignore):
+        # a perturbed copy shares much of its reference's surface, where
+        # two independent masks would share almost none of it
+        ops = PerturbOps(dilate=dilate, erode=erode, add_blobs=add_blobs,
+                         blob_size=4, translate=translate, seed=seed + 1)
+        ref, pred = phantom_pair(seed, dims=(14, 12, 8), spacing=C9_SPACING,
+                                 n_lesions=3, size_range=(3, 30),
+                                 ignore_fraction=ignore, ops=ops)
+        event(f"shared surface: {shared_surface(ref, pred)}")
+        assert_h95_is_the_oracle(ref, pred)
+
+
+class SpyTree:
+    """A prepared reference's KD-tree that records each query."""
+
+    def __init__(self, tree):
+        self.tree, self.queries = tree, []
+
+    def query(self, points, k):
+        self.queries.append(np.array(points))
+        return self.tree.query(points, k=k)
+
+
+def spied(monkeypatch, ref):
+    """``ref`` prepared, with every query H95 makes recorded: the
+    ref->pred calls of ``directed_surface_distances`` as (from, to)
+    grid coordinates, and the pred->ref queries of the prepared tree in
+    mm."""
+    real, calls = seg_eval.metrics.directed_surface_distances, []
+
+    def spy(from_coords, to_coords, spacing):
+        calls.append((np.array(from_coords), np.array(to_coords)))
+        return real(from_coords, to_coords, spacing)
+
+    monkeypatch.setattr(seg_eval.metrics, "directed_surface_distances", spy)
+    prepared = prepare_reference(ref)
+    tree = SpyTree(prepared.tree)
+    return replace(prepared, tree=tree), calls, tree.queries
+
+
+def rows(coords) -> set:
+    return {tuple(v) for v in np.asarray(coords).tolist()}
+
+
+class TestSharedSurfaceVoxelsAreNotQueried:
+    def test_identical_masks_query_nothing(self, monkeypatch):
+        ref = labels_from(BLOCK, SHARED_DIMS, C9_SPACING)
+        prepared, calls, queries = spied(monkeypatch, ref)
+        assert evaluate_pair(prepared, ref).h95_mm == 0.0
+        assert calls == [] and queries == []
+
+    def test_a_shift_queries_only_the_unshared_rows(self, monkeypatch):
+        ref = labels_from(BLOCK, SHARED_DIMS, C9_SPACING)
+        pred = labels_from(shifted(BLOCK, dx=1), SHARED_DIMS, C9_SPACING)
+        assert_h95_is_the_oracle(ref, pred)
+        prepared, calls, queries = spied(monkeypatch, ref)
+        evaluate_pair(prepared, pred)
+        surf_ref, surf_pred = (rows(np.argwhere(surface_oracle(m)))
+                               for m in wmh_masks(ref, pred))
+        [(from_coords, to_coords)] = calls
+        assert len(from_coords) == len(rows(from_coords))
+        assert rows(from_coords) == surf_ref - surf_pred
+        assert rows(to_coords) == surf_pred
+        assert len(to_coords) == len(surf_pred)
+        [points] = queries
+        assert len(points) == len(surf_pred - surf_ref)
+        assert rows(points) == rows(np.array(sorted(surf_pred - surf_ref))
+                                    * np.asarray(C9_SPACING))

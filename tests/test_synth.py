@@ -19,13 +19,14 @@ from oracles import touches_oracle
 
 def _count_walks(monkeypatch) -> list[int]:
     """Patch ``_walk_blob`` to count its calls per blob: the returned
-    list grows by one entry per random stream, and a blob that takes
-    more than 5 walks fails the test at once."""
+    list grows by one entry per random stream (a Philox key), and a blob
+    that takes more than 5 walks fails the test at once."""
     walk, walks, streams = synth._walk_blob, [], []
 
     def counted(rng, dims, size):
-        if not streams or streams[-1] is not rng:
-            streams.append(rng)
+        key = tuple(rng.bit_generator.state["state"]["key"].tolist())
+        if not streams or streams[-1] != key:
+            streams.append(key)
             walks.append(0)
         walks[-1] += 1
         assert walks[-1] <= 5, "placement kept walking"
