@@ -6,6 +6,12 @@ count of the result is therefore exactly the number of lesions asked
 for. All randomness is drawn from counter-based Philox streams keyed
 by (seed, lesion index), so a phantom is a pure function of its spec.
 
+A blob's draws are made here from its stream's 32-bit words by numpy's
+own bounded-integer method (``_below``), so each one is what
+``Generator.integers`` draws, without a numpy call per draw. A numpy
+release that changed ``Generator.integers`` would therefore not change
+the phantoms, but ``tests/test_synth.py::TestBoundedDraws`` would fail.
+
 ``_dilate`` answers every "within one voxel" question, for placement
 and for ``perturb_mask``, so the module needs no scipy.
 """
@@ -26,8 +32,7 @@ PLACEMENT_RETRIES = 200
 _WALK_STEP_CAP = 400          # per target voxel, before giving up on a walk
 _IGNORE_KEY_BASE = 1 << 32    # lesion-index namespace for label-2 blobs
 
-_STEPS = ((1, 0, 0), (-1, 0, 0), (0, 1, 0),
-          (0, -1, 0), (0, 0, 1), (0, 0, -1))
+_WORD_CHUNK = 32              # 64-bit Philox outputs fetched at a time
 # the 27 offsets of a voxel's 3x3x3 neighbourhood, itself included
 _NEIGHBOURS = np.indices((3, 3, 3)).reshape(3, -1).T - 1
 
@@ -55,20 +60,46 @@ class PhantomSpec:
             raise ValueError("ignore_fraction must be in [0, 1)")
 
 
-def _walk_blob(rng: np.random.Generator, dims, size: int):
+def _words(rng: np.random.Generator):
+    """The 32-bit words of ``rng``'s stream, in the order numpy's
+    ``next_uint32`` takes them: the low half of each 64-bit output
+    first."""
+    while True:
+        for w in rng.bit_generator.random_raw(_WORD_CHUNK).tolist():
+            yield w & 0xFFFFFFFF
+            yield w >> 32
+
+
+def _below(words, n: int) -> int:
+    """What ``rng.integers(0, n)`` draws, for 1 <= n <= 2**32, taken
+    from ``words = _words(rng)``: numpy's bounded draw, Lemire's
+    multiply-and-reject over 32-bit words. n = 1 takes no word."""
+    if n == 1:
+        return 0
+    m = next(words) * n
+    if m & 0xFFFFFFFF < n:     # numpy's shortcut: the threshold is < n
+        threshold = ((1 << 32) - n) % n
+        while m & 0xFFFFFFFF < threshold:
+            m = next(words) * n
+    return m >> 32
+
+
+def _walk_blob(words, dims, inside: bytes, size: int):
     """Grow a connected blob of exactly ``size`` voxels, or None if the
-    walk stalls (e.g. wedged into a corner)."""
-    nx, ny, nz = dims
-    voxels = [tuple(int(rng.integers(0, d)) for d in dims)]
+    walk stalls (e.g. wedged into a corner). Voxels are x-fastest flat
+    indices into the grid padded by one voxel on every side; ``inside``
+    is nonzero on the voxels of the grid itself."""
+    nx, ny, _ = dims
+    sy, sz = nx + 2, (nx + 2) * (ny + 2)
+    steps = (1, -1, sy, -sy, sz, -sz)
+    x, y, z = (_below(words, d) for d in dims)
+    voxels = [x + 1 + sy * (y + 1) + sz * (z + 1)]
     seen = set(voxels)
     for _ in range(_WALK_STEP_CAP * size):
         if len(voxels) == size:
             break
-        x, y, z = voxels[int(rng.integers(0, len(voxels)))]
-        dx, dy, dz = _STEPS[int(rng.integers(0, 6))]
-        cand = (x + dx, y + dy, z + dz)
-        if (cand not in seen and 0 <= cand[0] < nx and 0 <= cand[1] < ny
-                and 0 <= cand[2] < nz):
+        cand = voxels[_below(words, len(voxels))] + steps[_below(words, 6)]
+        if cand not in seen and inside[cand]:
             seen.add(cand)
             voxels.append(cand)
     if len(voxels) < size:
@@ -79,7 +110,8 @@ def _walk_blob(rng: np.random.Generator, dims, size: int):
 def _dilate(mask: np.ndarray, border: bool = False) -> np.ndarray:
     """The 3x3x3 box dilation of ``mask``, as one OR pass per axis;
     voxels outside the grid count as ``border``."""
-    near = np.pad(mask, 1, constant_values=border)
+    near = np.full([d + 2 for d in mask.shape], border, order="F")
+    near[1:-1, 1:-1, 1:-1] = mask
     near = near[:-2] | near[1:-1] | near[2:]
     near = near[:, :-2] | near[:, 1:-1] | near[:, 2:]
     return near[:, :, :-2] | near[:, :, 1:-1] | near[:, :, 2:]
@@ -90,10 +122,21 @@ def _place_blobs(occupied: np.ndarray, size_range, seed: int,
                  target_voxels: int | None) -> None:
     """Place blobs until either ``n_blobs`` are down or the cumulative
     voxel count reaches ``target_voxels``, marking them in
-    ``occupied``."""
+    ``occupied``.
+
+    Blob ``i`` draws from its own stream (seed, ``key_base + i``). The
+    grids are padded by one voxel and indexed as the walk's voxels are,
+    so a placed blob's 3x3x3 ring is one scatter with no clipping."""
     dims = occupied.shape
     lo, hi = size_range
-    near = _dilate(occupied)    # within one voxel of an occupied voxel
+    inside, near, blobs = (np.zeros([d + 2 for d in dims], dtype=bool,
+                                    order="F") for _ in range(3))
+    inside[1:-1, 1:-1, 1:-1] = True
+    inside = inside.tobytes(order="F")
+    near[1:-1, 1:-1, 1:-1] = _dilate(occupied)  # by an occupied voxel
+    near_flat, blobs_flat = (g.reshape(-1, order="F") for g in (near, blobs))
+    sy = dims[0] + 2
+    ring = _NEIGHBOURS @ (1, sy, sy * (dims[1] + 2))
     rng = philox()
     placed = 0
     total = 0
@@ -106,32 +149,30 @@ def _place_blobs(occupied: np.ndarray, size_range, seed: int,
             raise CapacityError(
                 f"blob size up to {hi} voxels exceeds the {occupied.size} "
                 f"voxels of grid {dims}")
-        rekey(rng, seed, key_base + placed)
+        words = _words(rekey(rng, seed, key_base + placed))
         smallest = (lo if target_voxels is None
                     else min(lo, target_voxels - total))
-        coords = None
         for attempt in range(PLACEMENT_RETRIES):
-            size = int(rng.integers(lo, hi + 1))
+            size = lo + _below(words, hi + 1 - lo)
             if target_voxels is not None:
                 size = min(size, target_voxels - total)
-            cand = _walk_blob(rng, dims, size)
-            if cand is not None and not near[tuple(cand.T)].any():
-                coords = cand
+            cand = _walk_blob(words, dims, inside, size)
+            if cand is not None and not near_flat[cand].any():
                 break
-            if attempt == 0 and near.size - np.count_nonzero(near) < smallest:
+            if attempt == 0 and (occupied.size - np.count_nonzero(
+                    near[1:-1, 1:-1, 1:-1]) < smallest):
                 raise CapacityError(
                     f"blob {placed} needs at least {smallest} voxels but "
                     f"fewer of grid {dims} lie clear of the occupied ones")
-        if coords is None:
+        else:
             raise CapacityError(
                 f"could not place blob {placed} after {PLACEMENT_RETRIES} "
                 f"attempts; grid {dims} is too crowded for {size_range}")
-        occupied[tuple(coords.T)] = True
-        # a neighbour clipped back onto the grid stays in the window
-        ring = np.clip(coords[:, None] + _NEIGHBOURS, 0, np.array(dims) - 1)
-        near[tuple(ring.reshape(-1, 3).T)] = True
+        blobs_flat[cand] = True
+        near_flat[cand[:, None] + ring] = True
         placed += 1
-        total += len(coords)
+        total += len(cand)
+    occupied |= blobs[1:-1, 1:-1, 1:-1]
 
 
 def generate_phantom(spec: PhantomSpec) -> LabelVolume:

@@ -206,7 +206,9 @@ def directed_surface_distances(from_coords: np.ndarray,
     if from_coords.size == 0 or to_coords.size == 0:
         raise ValueError("surface distance needs non-empty coordinate sets")
     s = np.asarray(spacing, dtype=np.float64)
-    tree = cKDTree(to_coords * s)
+    # built for one query: unbalanced (sliding-midpoint) splits build
+    # faster, and the nearest-neighbour distances are the same
+    tree = cKDTree(to_coords * s, balanced_tree=False)
     dists, _ = tree.query(from_coords * s, k=1)
     return np.atleast_1d(dists)
 
