@@ -6,8 +6,9 @@ int8, int16, uint16, int32, float32 and float64 (codes 2, 256, 4, 512,
 payload is stored x-fastest, which is how NIfTI defines its on-disk
 order and how every volume and mask holds its data, so a read is an
 F-ordered ``reshape`` of the payload and a write hands the array's own
-buffer to the file one z plane at a time, copying a plane only to
-change its dtype. Every payload is read into a uint8
+buffer to the file in runs of whole z planes (at most 1 MiB of
+payload, at least one plane), copying a run only to change its dtype
+or layout. Every payload is read into a uint8
 :class:`~seg_eval.volume.LabelVolume`; a native uint8 one is handed
 over as decoded, and a float one is rounded first.
 
@@ -47,6 +48,7 @@ __all__ = ["read_nifti", "write_nifti", "write_nifti_real"]
 
 HEADER_SIZE = 348
 _PAYLOAD_OFFSET = 352   # the header and four extension bytes
+_RUN_BYTES = 1 << 20    # payload written per call, in whole z planes
 _UNIT_NAMES = {1: "metre", 3: "micron"}
 _MAGIC_SINGLE = b"n+1\x00"
 
@@ -203,10 +205,11 @@ def _pack_header(dims: tuple[int, int, int],
 
 def _write(path: Path, data: np.ndarray,
            spacing: tuple[float, float, float], datatype: int) -> None:
-    """Write the header, then ``data`` one z plane at a time, each plane
-    cast to the payload dtype and scanned x-fastest, gzipped iff the
-    path ends in .gz (level 6, mtime 0). A plane of F-contiguous data
-    already of that dtype is a view, so no write copies the grid.
+    """Write the header, then ``data`` in runs of whole z planes of at
+    most ``_RUN_BYTES`` of payload (at least one plane), each run cast
+    to the payload dtype and scanned x-fastest, gzipped iff the path
+    ends in .gz (level 6, mtime 0). A run of F-contiguous data already
+    of that dtype is a view, so no write copies more than one run.
     Deflate output does not depend on how its input is split, so the
     bytes equal those of one joined blob, fixed for a given zlib
     build."""
@@ -218,8 +221,11 @@ def _write(path: Path, data: np.ndarray,
                           compresslevel=6)
             if path.suffix == ".gz" else contextlib.nullcontext(fh)) as out:
         out.write(header)
-        for z in range(data.shape[2]):
-            out.write(np.asarray(data[:, :, z], dtype).ravel("F"))
+        plane = max(1, data.shape[0] * data.shape[1] * dtype.itemsize)
+        step = max(1, _RUN_BYTES // plane)
+        for z in range(0, data.shape[2], step):
+            out.write(np.asarray(data[:, :, z:z + step], dtype,
+                                 order="F").ravel("F"))
 
 
 def write_nifti(volume: LabelVolume | BinaryMask, path: str | Path) -> None:

@@ -14,10 +14,12 @@ hold exactly in floating point instead of only up to rounding noise.
 
 Bootstrap replicates resample subjects with replacement, identically
 across methods. Each replicate draws from its own counter-based
-stream keyed by (seed, replicate index), so results are bit-identical
-regardless of execution order or worker count. The drawn replicates
-are then averaged and ranked in blocks by the same min-max as the
-point ranking, with the same bits as one replicate at a time.
+stream keyed by (seed, replicate index), by the one bounded draw of
+``seg_eval.streams`` on the stream's raw words, so results are
+bit-identical regardless of execution order, worker count or numpy
+release. The drawn replicates are then averaged and ranked in blocks
+by the same min-max as the point ranking, with the same bits as one
+replicate at a time.
 """
 
 from __future__ import annotations
@@ -27,9 +29,9 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
+from . import streams
 from .errors import AllMissingError, ArityError, EvaluationWarning
 from .metrics import MetricVector
-from .streams import philox, rekey
 
 __all__ = [
     "HIGHER_BETTER",
@@ -243,20 +245,6 @@ def final_rank(table: ResultTable, volume_metric: str = "lavd") -> RankTable:
         volume_metric=_volume_column(volume_metric))
 
 
-def _draw_replicate(out: np.ndarray, rng: np.random.Generator, seed: int,
-                    replicate: int, defined: np.ndarray) -> int:
-    """Fill ``out`` with a replicate's draw from its own stream, (seed,
-    replicate + 1), re-keying ``rng``; return the draws discarded."""
-    rekey(rng, seed, replicate + 1)
-    for redraws in range(_MAX_REDRAW):
-        out[:] = rng.integers(0, len(out), len(out))
-        if defined[:, :, out].any(axis=2).all():
-            return redraws
-    raise AllMissingError(
-        f"bootstrap replicate {replicate} kept drawing subject sets with an "
-        f"empty (method, metric) cell")
-
-
 def rank_with_ci(table: ResultTable, volume_metric: str = "lavd",
                  config: BootstrapConfig = BootstrapConfig()) -> RankTable:
     """Rank with percentile bootstrap CIs over subjects.
@@ -284,11 +272,25 @@ def rank_with_ci(table: ResultTable, volume_metric: str = "lavd",
     rep_final = np.empty((config.replicates, len(vals)))
     block_draws = np.empty((min(block, config.replicates), n_subj), np.int64)
     redraws = 0
-    rng = philox()
+    bits = np.random.Philox(key=0)
     for s in range(0, config.replicates, block):
         draws = block_draws[:config.replicates - s]
-        for i, row in enumerate(draws):
-            redraws += _draw_replicate(row, rng, config.seed, s + i, defined)
+        # replicate r draws from stream (seed, r + 1); a row with a
+        # rejected word or an empty cell is drawn again word by word
+        redo = streams.below_rows(bits, config.seed, s + 1, n_subj, draws)
+        redo |= ~defined[:, :, draws].any(axis=3).all(axis=(0, 1))
+        for i in np.flatnonzero(redo):
+            words = streams.words(streams.rekey(bits, config.seed, s + i + 1))
+            for tries in range(_MAX_REDRAW):
+                draws[i] = [streams.below(words, n_subj)
+                            for _ in range(n_subj)]
+                if defined[:, :, draws[i]].any(axis=2).all():
+                    break
+            else:
+                raise AllMissingError(
+                    f"bootstrap replicate {s + i} kept drawing subject sets "
+                    f"with an empty (method, metric) cell")
+            redraws += tries
         gathered = vals[:, :, draws]                          # (M, K, B, S)
         means = rep_means[s:s + block]
         means[:] = np.nanmean(gathered, axis=3).transpose(2, 0, 1)

@@ -6,11 +6,9 @@ count of the result is therefore exactly the number of lesions asked
 for. All randomness is drawn from counter-based Philox streams keyed
 by (seed, lesion index), so a phantom is a pure function of its spec.
 
-A blob's draws are made here from its stream's 32-bit words by numpy's
-own bounded-integer method (``_below``), so each one is what
-``Generator.integers`` draws, without a numpy call per draw. A numpy
-release that changed ``Generator.integers`` would therefore not change
-the phantoms, but ``tests/test_synth.py::TestBoundedDraws`` would fail.
+A blob's draws are taken from its stream's raw 32-bit words by
+``streams.below``, the package's one bounded draw, with no numpy call
+per draw; the raw words are what numpy keeps fixed across releases.
 
 ``_dilate`` answers every "within one voxel" question, for placement
 and for ``perturb_mask``, so the module needs no scipy.
@@ -23,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import CapacityError
-from .streams import philox, rekey
+from .streams import below, rekey, words
 from .volume import BinaryMask, LabelVolume, connected_components
 
 __all__ = ["PhantomSpec", "PerturbOps", "generate_phantom", "perturb_mask"]
@@ -32,7 +30,6 @@ PLACEMENT_RETRIES = 200
 _WALK_STEP_CAP = 400          # per target voxel, before giving up on a walk
 _IGNORE_KEY_BASE = 1 << 32    # lesion-index namespace for label-2 blobs
 
-_WORD_CHUNK = 32              # 64-bit Philox outputs fetched at a time
 # the 27 offsets of a voxel's 3x3x3 neighbourhood, itself included
 _NEIGHBOURS = np.indices((3, 3, 3)).reshape(3, -1).T - 1
 
@@ -60,31 +57,7 @@ class PhantomSpec:
             raise ValueError("ignore_fraction must be in [0, 1)")
 
 
-def _words(rng: np.random.Generator):
-    """The 32-bit words of ``rng``'s stream, in the order numpy's
-    ``next_uint32`` takes them: the low half of each 64-bit output
-    first."""
-    while True:
-        for w in rng.bit_generator.random_raw(_WORD_CHUNK).tolist():
-            yield w & 0xFFFFFFFF
-            yield w >> 32
-
-
-def _below(words, n: int) -> int:
-    """What ``rng.integers(0, n)`` draws, for 1 <= n <= 2**32, taken
-    from ``words = _words(rng)``: numpy's bounded draw, Lemire's
-    multiply-and-reject over 32-bit words. n = 1 takes no word."""
-    if n == 1:
-        return 0
-    m = next(words) * n
-    if m & 0xFFFFFFFF < n:     # numpy's shortcut: the threshold is < n
-        threshold = ((1 << 32) - n) % n
-        while m & 0xFFFFFFFF < threshold:
-            m = next(words) * n
-    return m >> 32
-
-
-def _walk_blob(words, dims, inside: bytes, size: int):
+def _walk_blob(stream, dims, inside: bytes, size: int):
     """Grow a connected blob of exactly ``size`` voxels, or None if the
     walk stalls (e.g. wedged into a corner). Voxels are x-fastest flat
     indices into the grid padded by one voxel on every side; ``inside``
@@ -92,13 +65,13 @@ def _walk_blob(words, dims, inside: bytes, size: int):
     nx, ny, _ = dims
     sy, sz = nx + 2, (nx + 2) * (ny + 2)
     steps = (1, -1, sy, -sy, sz, -sz)
-    x, y, z = (_below(words, d) for d in dims)
+    x, y, z = (below(stream, d) for d in dims)
     voxels = [x + 1 + sy * (y + 1) + sz * (z + 1)]
     seen = set(voxels)
     for _ in range(_WALK_STEP_CAP * size):
         if len(voxels) == size:
             break
-        cand = voxels[_below(words, len(voxels))] + steps[_below(words, 6)]
+        cand = voxels[below(stream, len(voxels))] + steps[below(stream, 6)]
         if cand not in seen and inside[cand]:
             seen.add(cand)
             voxels.append(cand)
@@ -137,7 +110,7 @@ def _place_blobs(occupied: np.ndarray, size_range, seed: int,
     near_flat, blobs_flat = (g.reshape(-1, order="F") for g in (near, blobs))
     sy = dims[0] + 2
     ring = _NEIGHBOURS @ (1, sy, sy * (dims[1] + 2))
-    rng = philox()
+    bits = np.random.Philox(key=0)
     placed = 0
     total = 0
     while True:
@@ -149,14 +122,14 @@ def _place_blobs(occupied: np.ndarray, size_range, seed: int,
             raise CapacityError(
                 f"blob size up to {hi} voxels exceeds the {occupied.size} "
                 f"voxels of grid {dims}")
-        words = _words(rekey(rng, seed, key_base + placed))
+        stream = words(rekey(bits, seed, key_base + placed))
         smallest = (lo if target_voxels is None
                     else min(lo, target_voxels - total))
         for attempt in range(PLACEMENT_RETRIES):
-            size = lo + _below(words, hi + 1 - lo)
+            size = lo + below(stream, hi + 1 - lo)
             if target_voxels is not None:
                 size = min(size, target_voxels - total)
-            cand = _walk_blob(words, dims, inside, size)
+            cand = _walk_blob(stream, dims, inside, size)
             if cand is not None and not near_flat[cand].any():
                 break
             if attempt == 0 and (occupied.size - np.count_nonzero(

@@ -24,6 +24,7 @@ import pytest
 import seg_eval
 from helpers import (encode_as, labels_from, table_from_columns,
                      write_labels)
+from seg_eval import ranking
 from seg_eval.analysis import fn_fp_maps, summarize_cohort
 from seg_eval.cli import main
 from seg_eval.fusion import StapleParams, staple_fuse
@@ -529,6 +530,58 @@ class TestRank:
             assert (tmp_path / f"cli.{ext}").read_bytes() \
                 == (tmp_path / f"lib.{ext}").read_bytes()
 
+    # SHA-256 of (rank.json, rank.csv) from `rank --bootstrap 300
+    # --interscanner --csv` on _redraw_prone_csv: a new digest means new
+    # bootstrap draws, and so new intervals for every table
+    PINNED_RANK = {
+        0: ("9e8a345700a07c1c0d8c3ea48c53ea77"
+            "d076954d5fd4f29ced0d58e9b939bc02",
+            "e2e593d3900164ad1e4c2cf0e7524bc8"
+            "583adb109b4fac913a6f9f7c4b5870ef"),
+        -5: ("8918898231c10273ba0b4e2b506e0f96"
+             "c26296c5888ef0958e68a12f71fe30c2",
+             "b5b178c25342588adae94c40eb602754"
+             "23ba41e38904d9ae538dbd97f24093a6"),
+        2**64 + 5: ("2cc6dfe30adbb79416bd8fb40b7c0823"
+                    "106bdbfbadfdabd030407da759a3ff5a",
+                    "be7f4a9cd7fc5b020f3b62ccc7b4b72c"
+                    "5d832c2d0eac6bdec3a12807252f7d7c"),
+    }
+
+    @staticmethod
+    def _redraw_prone_csv(path) -> Path:
+        """Seven subjects on three scanners, with H95 missing on most
+        of them, so some replicates must be redrawn; seven is odd, so a
+        redraw starts on the buffered high half of a 64-bit word."""
+        n = 7
+        h95 = {"m_a": [1.5, None, None, None, 2.0, 3.5, None],
+               "m_b": [None, 4.0, None, None, None, 3.0, 2.5],
+               "m_c": [6.0, 5.5, None, 7.0, None, 6.5, 8.0]}
+        columns = {m: {"dsc": [round(0.9 - 0.1 * j - 0.013 * ((3 * i + j) % 5),
+                                     3) for i in range(n)],
+                       "h95_mm": h95[m],
+                       "lavd": [round(0.1 + 0.2 * j + 0.01 * ((i + 2 * j) % 4),
+                                      3) for i in range(n)],
+                       "recall": [round(0.8 - 0.05 * ((i * j + 1) % 6), 3)
+                                  for i in range(n)]}
+                   for j, m in enumerate(h95)}
+        scanner_of = {f"s{i:03d}": f"sc{'ABC'[i % 3]}" for i in range(n)}
+        table = table_from_columns(columns, scanner_of)
+        write_result_csv(list(table.records), path)
+        return path
+
+    @pytest.mark.parametrize("seed", sorted(PINNED_RANK))
+    def test_pinned_rank_bytes(self, tmp_path, seed):
+        results = self._redraw_prone_csv(tmp_path / "results.csv")
+        out, csv = tmp_path / "rank.json", tmp_path / "rank.csv"
+        assert main(["rank", str(results), "--bootstrap", "300",
+                     "--interscanner", "--seed", str(seed),
+                     "-o", str(out), "--csv", str(csv)]) == 0
+        assert json.loads(out.read_text())["bootstrap"]["redraws"] > 0
+        digests = tuple(hashlib.sha256(p.read_bytes()).hexdigest()
+                        for p in (out, csv))
+        assert digests == self.PINNED_RANK[seed]
+
     def test_rank_csv_is_utf8_under_an_ascii_locale(self, tmp_path):
         table = table_from_columns({"méthode": {"dsc": [0.9, 0.8, 0.7]},
                                     "m_b": {"dsc": [0.6, 0.5, 0.4]}})
@@ -595,6 +648,19 @@ class TestRank:
         err = capsys.readouterr().err
         assert err.startswith(f"error: {path}: ")
         assert message in err
+
+    def test_endless_redraws_name_the_file(self, tmp_path, capsys,
+                                           monkeypatch):
+        monkeypatch.setattr(ranking, "_MAX_REDRAW", 2)
+        path = tmp_path / "sparse.csv"
+        table = table_from_columns({"a": {"h95_mm": [1.0] + [None] * 7},
+                                    "b": {"h95_mm": [2.0] * 8}})
+        write_result_csv(list(table.records), path)
+        rc = main(["rank", str(path), "--bootstrap", "300"])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {path}: bootstrap replicate ")
+        assert "kept drawing subject sets with an empty" in err
 
     @pytest.mark.parametrize("edit, message", [
         (lambda ln: ln.replace(",s001,scB,", ",s001,scA,", 1), "scanners"),

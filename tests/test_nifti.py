@@ -9,6 +9,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
+from seg_eval import nifti
 from seg_eval.cli import main
 from seg_eval.errors import (FormatError, InvalidLabelError, SegEvalError,
                              TruncatedFileError, UnsupportedDataTypeError)
@@ -641,6 +642,28 @@ class TestWriterBytes:
         blob = (_pack_header(rates.shape, spacing, 16) + bytes(4)
                 + rates.astype("<f4").tobytes("F"))
         assert path.read_bytes() == _gzip(blob)
+
+    @pytest.mark.parametrize("planes", [1, 2, 3, 5, 1000])
+    def test_every_run_length_writes_the_same_bytes(self, tmp_path,
+                                                    monkeypatch, planes):
+        # 7 planes, so runs of 2, 3 and 5 planes end on a shorter run;
+        # the float map is C-ordered float64, so each run is cast
+        rng = np.random.default_rng(23)
+        spacing = (0.96, 0.95, 3.0)
+        labels = np.asfortranarray(rng.integers(0, 3, (40, 30, 7)),
+                                   dtype=np.uint8)
+        rates = rng.random((40, 30, 7))
+        for data, code, dtype in ((labels, 2, "<u1"), (rates, 16, "<f4")):
+            monkeypatch.setattr(nifti, "_RUN_BYTES",
+                                planes * 40 * 30 * np.dtype(dtype).itemsize)
+            path = tmp_path / f"run{code}.nii.gz"
+            if code == 2:
+                write_nifti(LabelVolume(data, spacing), path)
+            else:
+                write_nifti_real(data, spacing, path)
+            blob = (_pack_header(data.shape, spacing, code) + bytes(4)
+                    + data.astype(dtype).tobytes("F"))
+            assert path.read_bytes() == _gzip(blob), code
 
 
 def _valid_blobs() -> list[bytes]:

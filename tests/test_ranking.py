@@ -4,6 +4,7 @@ import warnings
 import numpy as np
 import pytest
 
+from seg_eval import ranking
 from seg_eval.errors import AllMissingError, ArityError, EvaluationWarning
 from seg_eval.metrics import MetricVector
 from seg_eval.ranking import (HIGHER_BETTER, BootstrapConfig, ResultTable,
@@ -294,6 +295,24 @@ class TestBootstrap:
         rt = rank_with_ci(t, config=BootstrapConfig(replicates=400, seed=5))
         assert rt.redraws > 0
         assert np.isfinite(rt.final_ci).all()
+
+    def test_endless_redraws_name_the_replicate(self, monkeypatch):
+        # a's h95 is defined on s000 alone, so about a third of the
+        # draws of 8 subjects miss it; with two draws allowed, the
+        # first replicate whose two numpy draws both miss s000 fails
+        monkeypatch.setattr(ranking, "_MAX_REDRAW", 2)
+        t = table_from_columns({"a": {"h95_mm": [1.0] + [None] * 7},
+                                "b": {"h95_mm": [float(i) for i in range(8)]}})
+
+        def misses_twice(replicate):
+            rng = np.random.Generator(np.random.Philox(
+                key=3 + ((replicate + 1) << 64)))
+            return all(0 not in rng.integers(0, 8, 8) for _ in range(2))
+
+        first = next(r for r in range(300) if misses_twice(r))
+        with pytest.raises(AllMissingError,
+                           match=f"bootstrap replicate {first} kept drawing"):
+            rank_with_ci(t, config=BootstrapConfig(replicates=300, seed=3))
 
     def test_zero_replicates_returns_plain_ranking(self):
         t = table_from_columns({"a": {"dsc": [0.7, 0.8]},

@@ -8,9 +8,8 @@ from seg_eval import synth
 from seg_eval.cli import main
 from seg_eval.errors import CapacityError
 from seg_eval.metrics import prepare_reference
-from seg_eval.streams import philox, rekey
-from seg_eval.synth import (PerturbOps, PhantomSpec, _below, _dilate,
-                            _words, generate_phantom, perturb_mask)
+from seg_eval.synth import (PerturbOps, PhantomSpec, _dilate,
+                            generate_phantom, perturb_mask)
 from seg_eval.volume import (BinaryMask, binarize_challenge,
                              connected_components)
 
@@ -74,55 +73,6 @@ class TestPinnedBytes:
         assert pred.count() == 637
         assert sha256(pred.data.tobytes(order="F")) == (
             "d214cd890c93f9633c3fdd9af124dbf38b86784bf4742e4c2944c580ed878a7c")
-
-
-class TestBoundedDraws:
-    """``_below`` draws what ``Generator.integers(0, n)`` draws from the
-    same stream, so the corpora do not depend on numpy's sampling code
-    but must still match it; a numpy release that changed its bounded
-    draw fails here first."""
-
-    # 1 takes no word; just above 2**31 about half the words are
-    # rejected, at 3 * 2**30 a quarter; 2**32 takes each word as it is
-    BOUNDS = (1, 6, 7, 40, 2**31 + 1, 3 * 2**30, 2**32 - 1, 2**32)
-
-    def test_sequences_agree_with_numpy(self):
-        pick = np.random.default_rng(31)
-        ours, theirs = philox(), philox()
-        halves = set()
-        for seq in range(300):
-            key = (1 << 32) + seq      # the label-2 blobs' key range
-            words = _words(rekey(ours, seq - 150, key))
-            rekey(theirs, seq - 150, key)
-            for n in pick.choice(self.BOUNDS, 50).tolist():
-                assert _below(words, n) == theirs.integers(0, n), (seq, n)
-            # numpy may hold the high half of a word here: the next
-            # word agrees either way
-            halves.add(theirs.bit_generator.state["has_uint32"])
-            assert next(words) == theirs.integers(0, 2**32)
-        assert halves == {0, 1}
-
-    def test_a_bound_of_one_takes_no_word(self):
-        first = next(_words(rekey(philox(), 3, 2**32 + 5)))
-        words = _words(rekey(philox(), 3, 2**32 + 5))
-        assert [_below(words, 1) for _ in range(5)] == [0] * 5
-        assert next(words) == first
-
-    def test_rejection_redraws(self):
-        # 50 draws below 2**31 + 1 reject about as many words as they take
-        taken = []
-
-        def counted(words):
-            for w in words:
-                taken.append(w)
-                yield w
-
-        rng = rekey(philox(), 0, 2**32)
-        words = counted(_words(rng))
-        draws = [_below(words, 2**31 + 1) for _ in range(50)]
-        assert len(taken) > 60
-        rng = rekey(philox(), 0, 2**32)
-        assert draws == [rng.integers(0, 2**31 + 1) for _ in range(50)]
 
 
 class TestTouchesOccupied:
