@@ -4,6 +4,10 @@ Exit codes: 0 on success, 1 on any hard error (bad input files, bad
 usage, impossible requests), 2 on success where some metric was
 undefined and reported as missing. Output is a pure function of the
 input files and flags; there are no timestamps or hidden state.
+
+``main()`` may be called repeatedly in one process: it builds the
+argument parser on its first call and reuses it, since parsing leaves
+no state on the parser. ``build_parser()`` returns a fresh one.
 """
 
 from __future__ import annotations
@@ -385,10 +389,15 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+_parser = None   # built by the first main() call, not at import
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
+    global _parser
+    if _parser is None:
+        _parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser.parse_args(argv)
         return args.func(args)
     except CliUsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)

@@ -70,6 +70,31 @@ def majority_vote(masks: list[BinaryMask]) -> BinaryMask:
     return BinaryMask(votes * 2 > len(masks), masks[0].spacing)
 
 
+def _vote_patterns(votes: np.ndarray):
+    """The distinct rows of a (K, R) boolean vote table, in the byte
+    order of their ``packbits`` keys: ``(first, inverse, counts)`` as
+    ``np.unique(..., return_index, return_inverse, return_counts)``
+    gives them for those keys.
+
+    Each row's bits are packed and padded to whole 8-byte words read
+    big-endian, so comparing words in turn is comparing the bytes; a
+    stable sort keeps the first voxel of each pattern first.
+    """
+    packed = np.packbits(votes, axis=1)
+    n_words = -(-packed.shape[1] // 8)
+    keys = np.zeros((len(votes), 8 * n_words), dtype=np.uint8)
+    keys[:, :packed.shape[1]] = packed
+    words = keys.view(">u8")
+    order = np.lexsort(words.T[::-1])
+    ordered = words[order]
+    new = np.ones(len(votes), dtype=bool)
+    new[1:] = (ordered[1:] != ordered[:-1]).any(axis=1)
+    inverse = np.empty(len(votes), dtype=np.intp)
+    inverse[order] = np.cumsum(new) - 1
+    starts = np.flatnonzero(new)
+    return order[starts], inverse, np.diff(starts, append=len(votes))
+
+
 def staple_fuse(masks: list[BinaryMask],
                 params: StapleParams = StapleParams()) -> FusionResult:
     """Fuse two or more binary segmentations into a consensus."""
@@ -85,25 +110,28 @@ def staple_fuse(masks: list[BinaryMask],
     n_full = int(np.prod(dims))
     n_raters = len(masks)
 
-    # flat x-fastest views: no copy, and the gathers walk memory in order
+    # flat x-fastest views: no copy; integer gathers at the voted
+    # voxels read each rater once, in memory order
     flat = [m.data.ravel("F") for m in masks]
     union = flat[0] | flat[1]
     for f in flat[2:]:
         union |= f
-    votes = np.stack([f[union] for f in flat], axis=1)   # (K, R)
-    if votes.size == 0:
+    at = np.flatnonzero(union)
+    if at.size == 0:
         raise DegenerateInputError("every rater mask is empty")
+    votes = np.stack([f.take(at) for f in flat], axis=1)   # (K, R)
 
     if params.prior is not None:
         prior = float(params.prior)
     else:
-        prior = int(votes.sum()) / (n_raters * n_full)
+        n_votes = np.count_nonzero(votes)
+        if n_votes == n_raters * n_full:
+            raise DegenerateInputError(
+                "every rater marks every voxel, so the mean vote rate "
+                "prior is 1; give a prior below 1")
+        prior = n_votes / (n_raters * n_full)
 
-    # one byte-string key per voted voxel; any rater count, one path
-    packed = np.packbits(votes, axis=1)
-    keys = packed.view(np.dtype((np.void, packed.shape[1]))).ravel()
-    _, first, inverse, counts = np.unique(
-        keys, return_index=True, return_inverse=True, return_counts=True)
+    first, inverse, counts = _vote_patterns(votes)
     # column 0 is the all-background pattern of the unvoted voxels
     d = np.zeros((n_raters, len(first) + 1), dtype=np.float64)
     d[:, 1:] = votes[first].T
@@ -151,7 +179,7 @@ def staple_fuse(masks: list[BinaryMask],
             break
 
     weights = np.full(n_full, w[0])
-    weights[union] = w[1:][inverse]
+    weights[at] = w[1:].take(inverse)
     weights = weights.reshape(dims, order="F")
     consensus = BinaryMask(weights >= params.threshold, spacing)
     return FusionResult(

@@ -130,7 +130,7 @@ def read_nifti(path: str | Path) -> LabelVolume:
                 f"{path}: negative voxel spacing pixdim[{i}] = {p} on the "
                 f"{'xyz'[i - 1]} axis; flipped axes are not supported")
     spacing = tuple(float(p) for p in pixdim[1:4])
-    if not all(np.isfinite(s) and s > 0 for s in spacing):
+    if not all(math.isfinite(s) and s > 0 for s in spacing):
         raise FormatError(f"{path}: invalid voxel spacing {spacing}")
 
     units = raw[123] & 0x07   # the spatial part of xyzt_units

@@ -14,6 +14,7 @@ Conventions used throughout the package:
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -42,7 +43,7 @@ def _check_grid(data: np.ndarray, spacing) -> tuple[float, float, float]:
     spacing = tuple(float(s) for s in spacing)
     if len(spacing) != 3:
         raise ValueError("spacing must have three components")
-    if not all(np.isfinite(s) and s > 0 for s in spacing):
+    if not all(math.isfinite(s) and s > 0 for s in spacing):
         raise ValueError(f"spacing must be positive and finite, got {spacing}")
     return spacing
 

@@ -412,6 +412,18 @@ def staple_oracle(rater_masks, prior, max_iter=100, tol=1e-6):
     return w.reshape(shape), p, q, history, iterations
 
 
+def vote_patterns_oracle(votes: np.ndarray):
+    """``(first, inverse, counts)`` of a (K, R) boolean vote table from
+    ``np.unique`` over one byte-string key per row: the row's
+    ``packbits`` bytes viewed as a single ``np.void`` value, which
+    numpy orders by comparing the bytes."""
+    packed = np.packbits(votes, axis=1)
+    keys = packed.view(np.dtype((np.void, packed.shape[1]))).ravel()
+    _, first, inverse, counts = np.unique(
+        keys, return_index=True, return_inverse=True, return_counts=True)
+    return first, inverse, counts
+
+
 def majority_vote(rater_masks) -> np.ndarray:
     stack = np.stack([np.asarray(m, dtype=np.int64) for m in rater_masks])
     return stack.sum(axis=0) * 2 > len(rater_masks)

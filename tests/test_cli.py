@@ -24,7 +24,7 @@ import pytest
 import seg_eval
 from helpers import (encode_as, labels_from, table_from_columns,
                      write_labels)
-from seg_eval import ranking
+from seg_eval import cli, ranking
 from seg_eval.analysis import fn_fp_maps, summarize_cohort
 from seg_eval.cli import main
 from seg_eval.fusion import StapleParams, staple_fuse
@@ -705,6 +705,31 @@ def raters_on_disk(tmp_path):
 
 
 class TestStaple:
+    # SHA-256 of (consensus .nii.gz, --weights-out .nii.gz, stdout) from
+    # `staple` over the 20 method predictions of a one-subject `synth`
+    # corpus: a new digest means a new vote table order or new EM sums
+    PINNED_STAPLE = (
+        "3356257bebca3c373244f8dc839b1bc2c9cdd64add3ec02f68d311e6f008a20e",
+        "650e3d04ea88d22ecee649709c95da3fe755607e5d670471f58b950d755da8e3",
+        "65560c0889d442f5c529e672cb9c0cf2638efbe0490dff23713709cacb756a08")
+
+    def test_pinned_staple_bytes(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)   # stdout names the relative paths
+        assert main(["synth", "--out-dir", "c", "--subjects", "1",
+                     "--methods", "20", "--dims", "24", "24", "8",
+                     "--spacing", "0.96", "0.95", "3.0", "--lesions", "4",
+                     "--seed", "7"]) == 0
+        capsys.readouterr()
+        raters = [f"c/sub-000_method_{m:02d}.nii.gz" for m in range(20)]
+        assert main(["staple", *raters, "-o", "fused.nii.gz",
+                     "--weights-out", "w.nii.gz"]) == 0
+        printed = capsys.readouterr().out
+        assert len(printed.splitlines()) == 22
+        digests = tuple(hashlib.sha256(b).hexdigest() for b in (
+            Path("fused.nii.gz").read_bytes(), Path("w.nii.gz").read_bytes(),
+            printed.encode()))
+        assert digests == self.PINNED_STAPLE
+
     def test_consensus_matches_library(self, raters_on_disk, tmp_path,
                                        capsys):
         masks, paths = raters_on_disk
@@ -789,6 +814,21 @@ class TestStaple:
         assert capsys.readouterr().err.splitlines() == [
             f"error: {paths[0]}, {paths[1]}: every rater mask is empty"]
         assert not out.exists()
+
+    def test_all_foreground_raters_are_named(self, tmp_path, capsys):
+        paths = [str(write_labels(tmp_path / f"f{j}.nii.gz",
+                                  np.ones((4, 4, 4), np.uint8)))
+                 for j in (1, 2, 3)]
+        out = tmp_path / "c.nii.gz"
+        assert main(["staple", *paths, "-o", str(out)]) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1
+        assert err[0].startswith(f"error: {', '.join(paths)}: every rater "
+                                 f"marks every voxel")
+        assert not out.exists()
+        assert main(["staple", *paths, "-o", str(out),
+                     "--prior", "0.3"]) == 0
+        assert "nan" not in capsys.readouterr().out
 
     def test_a_label_above_2_names_the_rater(self, raters_on_disk, tmp_path,
                                              capsys):
@@ -1322,3 +1362,84 @@ class TestTopLevel:
             cwd=tmp_path)
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.splitlines()[-1] == "0 []"
+
+
+class TestParserReuse:
+    """``main()`` builds its parser once per process; a call that ends
+    in a usage error or ``--help`` leaves nothing behind for the next."""
+
+    @pytest.fixture
+    def builds(self, monkeypatch):
+        """Each ``build_parser`` call, from a process with no parser."""
+        calls = []
+        real = cli.build_parser
+
+        def spy():
+            calls.append(1)
+            return real()
+        monkeypatch.setattr(cli, "_parser", None)
+        monkeypatch.setattr(cli, "build_parser", spy)
+        return calls
+
+    @staticmethod
+    def _evaluate(ref_p, pred_p, capsys) -> str:
+        assert main(["evaluate", str(ref_p), str(pred_p)]) == 0
+        return capsys.readouterr().out
+
+    def test_many_calls_build_one_parser(self, builds, pair_on_disk,
+                                         results_csv, capsys):
+        _, _, ref_p, pred_p = pair_on_disk
+        for _ in range(3):
+            self._evaluate(ref_p, pred_p, capsys)
+            assert main(["rank", str(results_csv), "--bootstrap", "0"]) == 0
+        assert main(["frobnicate"]) == 1
+        assert len(builds) == 1
+        assert cli.build_parser() is not cli.build_parser()
+
+    @pytest.mark.parametrize("bad", [
+        ["--connectivity", "7"],
+        ["--connectivity", "6", "--bogus"],
+        ["--connectivity", "18", "-o"]], ids=lambda bad: bad[-1])
+    def test_a_usage_error_leaves_no_state(self, builds, pair_on_disk,
+                                           capsys, bad):
+        _, _, ref_p, pred_p = pair_on_disk
+        first = self._evaluate(ref_p, pred_p, capsys)
+        assert main(["evaluate", str(ref_p), str(pred_p), *bad]) == 1
+        assert "usage error:" in capsys.readouterr().err
+        assert self._evaluate(ref_p, pred_p, capsys) == first
+        assert json.loads(first)["config"] == {"connectivity": 26}
+        assert len(builds) == 1
+
+    @pytest.mark.parametrize("help_argv", [["--help"], ["evaluate", "-h"]])
+    def test_help_leaves_no_state(self, builds, pair_on_disk, capsys,
+                                  help_argv):
+        _, _, ref_p, pred_p = pair_on_disk
+        first = self._evaluate(ref_p, pred_p, capsys)
+        with pytest.raises(SystemExit) as stop:
+            main(help_argv)
+        assert stop.value.code == 0
+        assert "usage:" in capsys.readouterr().out
+        assert self._evaluate(ref_p, pred_p, capsys) == first
+        assert len(builds) == 1
+
+    def test_rank_bytes_match_a_fresh_interpreter(self, results_csv,
+                                                  tmp_path, capsys):
+        # other option values first, on the same reused parser
+        for extra in (["--volume-metric", "avd", "--seed", "3"],
+                      ["--interscanner", "--interscanner-normalization",
+                       "ordinal", "--confidence", "0.8"]):
+            assert main(["rank", str(results_csv), "--bootstrap", "50",
+                         *extra]) == 0
+        capsys.readouterr()
+        argv = ["rank", "results.csv", "--bootstrap", "100",
+                "--interscanner"]
+        code = "import sys; from seg_eval.cli import main; sys.exit(main())"
+        proc = run_child(code, *argv, "-o", "child.json", "--csv",
+                         "child.csv", cwd=tmp_path)
+        assert proc.returncode == 0, proc.stderr
+        assert main([*argv[:1], str(results_csv), *argv[2:],
+                     "-o", str(tmp_path / "here.json"),
+                     "--csv", str(tmp_path / "here.csv")]) == 0
+        for ext in ("json", "csv"):
+            assert (tmp_path / f"here.{ext}").read_bytes() \
+                == (tmp_path / f"child.{ext}").read_bytes()

@@ -3,12 +3,13 @@ import pytest
 
 from seg_eval.errors import (ArityError, DegenerateInputError,
                              ShapeMismatchError)
-from seg_eval.fusion import StapleParams, majority_vote, staple_fuse
+from seg_eval.fusion import (StapleParams, _vote_patterns, majority_vote,
+                             staple_fuse)
 from seg_eval.volume import BinaryMask
 
 from helpers import mask_from, random_mask
 from oracles import majority_vote as majority_oracle
-from oracles import dice_oracle, staple_oracle
+from oracles import dice_oracle, staple_oracle, vote_patterns_oracle
 
 
 def raters_from_truth(truth: np.ndarray, p_list, q_list, seed):
@@ -65,6 +66,19 @@ class TestStapleValidation:
         with pytest.raises(DegenerateInputError):
             staple_fuse([empty, empty])
 
+    def test_all_foreground_rejected(self):
+        # the mean vote rate would be a prior of exactly 1
+        full = BinaryMask(np.ones((4, 4, 4), dtype=bool), (1.0, 1.0, 1.0))
+        with pytest.raises(DegenerateInputError, match="every voxel"):
+            staple_fuse([full, full, full])
+
+    def test_all_foreground_with_a_prior(self):
+        full = BinaryMask(np.ones((4, 4, 4), dtype=bool), (1.0, 1.0, 1.0))
+        res = staple_fuse([full, full, full], StapleParams(prior=0.3))
+        assert np.isfinite(res.weights).all()
+        assert np.allclose(res.weights, 0.3, rtol=0, atol=1e-12)
+        assert np.isfinite(res.specificity).all()
+
     def test_grid_mismatch(self):
         a = mask_from([(0, 0, 0)], (4, 4, 4))
         b = mask_from([(0, 0, 0)], (4, 4, 5))
@@ -78,6 +92,27 @@ class TestStapleValidation:
             StapleParams(threshold=0.0)
         with pytest.raises(ValueError):
             StapleParams(prior=1.0)
+
+
+class TestVotePatterns:
+    @pytest.mark.parametrize("n_raters", [2, 8, 9, 17, 20, 63, 64, 65, 130])
+    @pytest.mark.parametrize("votes", ["sparse", "dense", "every_voxel"])
+    def test_matches_unique_of_byte_keys(self, n_raters, votes):
+        rng = np.random.default_rng(n_raters)
+        density = {"sparse": 0.05, "dense": 0.9, "every_voxel": 0.3}[votes]
+        table = rng.random((600, n_raters)) < density
+        if votes == "every_voxel":
+            # one vote per row at least, some rows voted by all:
+            # no all-background pattern is left
+            table[np.arange(600), rng.integers(0, n_raters, 600)] = True
+            table[::7] = True
+        else:
+            table = table[table.any(axis=1)]
+        first, inverse, counts = _vote_patterns(table)
+        want = vote_patterns_oracle(table)
+        for got, expected in zip((first, inverse, counts), want):
+            assert np.array_equal(got, expected)
+        assert np.array_equal(table[first][inverse], table)
 
 
 class TestStapleFixedPoints:

@@ -131,6 +131,16 @@ class TestErrors:
         with pytest.raises(FormatError, match="spacing"):
             read_nifti(on_disk(blob))
 
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"),
+                                       float("-inf")])
+    @pytest.mark.parametrize("axis", [0, 2])
+    def test_non_finite_spacing(self, on_disk, value, axis):
+        pixdim = [1.0, 1.0, 1.0]
+        pixdim[axis] = value
+        blob = build_file(pixdim=tuple(pixdim), payload=bytes(4))
+        with pytest.raises(FormatError, match="spacing"):
+            read_nifti(on_disk(blob))
+
     @pytest.mark.parametrize("value", [float("inf"), float("-inf"),
                                        float("nan")])
     def test_non_finite_vox_offset(self, on_disk, value):
