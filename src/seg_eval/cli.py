@@ -28,9 +28,9 @@ from .metrics import evaluate_pair, prepare_reference, wmh_in_lesion_box
 from .nifti import read_nifti, write_nifti, write_nifti_real
 from .ranking import (BootstrapConfig, SubjectResult, interscanner_rank,
                       rank_with_ci)
-from .reportio import (MANIFEST_COLUMNS, dump_json, metric_report,
+from .reportio import (cohort_report, dump_json, metric_report,
                        rank_report, read_manifest, read_result_csv,
-                       write_rank_csv, write_result_csv, _envelope)
+                       write_manifest, write_rank_csv, write_result_csv)
 from .synth import PerturbOps, PhantomSpec, generate_phantom, perturb_mask
 from .volume import binarize_challenge, same_grid
 
@@ -232,23 +232,8 @@ def cmd_cohort(args) -> int:
     summary = summarize_cohort(masks, volume_bin_ml=args.volume_bin_ml,
                                count_bin=args.count_bin,
                                connectivity=args.connectivity)
-    body = _envelope(_config_echo(
-        args, ("volume_bin_ml", "count_bin", "connectivity")))
-    body["n"] = summary.n
-
-    def stats(s, values, hist):
-        return {"mean": s.mean, "sd": s.sd, "min": s.minimum, "q1": s.q1,
-                "median": s.median, "q3": s.q3, "max": s.maximum, "n": s.n,
-                "sd_degenerate": s.sd_degenerate,
-                "values": [float(v) for v in values],
-                "histogram": {"edges": [float(e) for e in hist[0]],
-                              "counts": [int(c) for c in hist[1]]}}
-
-    body["volume_ml"] = stats(summary.volume, summary.volumes_ml,
-                              summary.volume_hist)
-    body["lesion_count"] = stats(summary.count, summary.lesion_counts,
-                                 summary.count_hist)
-    dump_json(body, args.output)
+    dump_json(cohort_report(summary, _config_echo(
+        args, ("volume_bin_ml", "count_bin", "connectivity"))), args.output)
     return 0
 
 
@@ -293,11 +278,7 @@ def cmd_synth(args) -> int:
             write_nifti(pred, out / pred_name)
             manifest_rows.append((method, subject, scanner,
                                   ref_name, pred_name))
-    manifest = out / "manifest.csv"
-    with open(manifest, "w", newline="") as fh:
-        fh.write(",".join(MANIFEST_COLUMNS) + "\n")
-        for row in manifest_rows:
-            fh.write(",".join(row) + "\n")
+    write_manifest(manifest_rows, out / "manifest.csv")
     print(f"wrote {args.subjects} subjects x {args.methods} methods "
           f"to {out}")
     return 0
@@ -399,14 +380,9 @@ def main(argv=None) -> int:
     try:
         args = _parser.parse_args(argv)
         return args.func(args)
-    except CliUsageError as exc:
-        print(f"usage error: {exc}", file=sys.stderr)
-        return 1
-    except SegEvalError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except (SegEvalError, OSError) as exc:
+        kind = "usage error" if isinstance(exc, CliUsageError) else "error"
+        print(f"{kind}: {exc}", file=sys.stderr)
         return 1
 
 

@@ -155,12 +155,13 @@ def staple_fuse(masks: list[BinaryMask],
         lb = log_1f + log_q.sum() + (log_1q - log_q) @ d
         return expit(la - lb), float(c @ np.logaddexp(la, lb))
 
-    def m_step(w):
+    def m_step(w, q_old):
         cw = c * w
         cv = c * (1.0 - w)
-        sw = cw.sum()
+        sw, sv = cw.sum(), cv.sum()
         p_new = (d @ cw) / sw if sw > 0 else np.full(n_raters, _LOG_EPS)
-        q_new = ((1.0 - d) @ cv) / cv.sum()
+        # no background mass leaves nothing to re-estimate q from
+        q_new = ((1.0 - d) @ cv) / sv if sv > 0 else q_old
         return p_new, q_new
 
     w, ll = e_step(p, q)
@@ -168,7 +169,7 @@ def staple_fuse(masks: list[BinaryMask],
     iterations = 1
     converged = False
     while iterations < params.max_iter:
-        p, q = m_step(w)
+        p, q = m_step(w, q)
         w_new, ll = e_step(p, q)
         iterations += 1
         history.append(ll)

@@ -1,5 +1,6 @@
-"""On-disk formats: the per-subject result CSV, evaluation manifests,
-and the JSON report bodies.
+"""Every file format the package writes: the per-subject result CSV,
+manifests, the rank CSV and the JSON report bodies, whose numpy values
+``dump_json`` encodes.
 
 The result CSV schema is frozen; tools downstream key on these exact
 column names. Missing metric values are written as empty fields, never
@@ -23,6 +24,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
+from .analysis import CohortSummary, Summary
 from .errors import ArityError, ParseError
 from .metrics import MetricVector
 from .ranking import InterscannerResult, RankTable, ResultTable, SubjectResult
@@ -35,9 +37,11 @@ __all__ = [
     "write_result_csv",
     "read_result_csv",
     "read_manifest",
+    "write_manifest",
     "metric_report",
     "rank_report",
     "write_rank_csv",
+    "cohort_report",
     "dump_json",
 ]
 
@@ -199,6 +203,14 @@ def read_manifest(path: str | Path) -> list[ManifestSubject]:
     return list(subjects.values())
 
 
+def write_manifest(rows, path: str | Path) -> None:
+    """Write ``MANIFEST_COLUMNS`` rows: UTF-8, LF line ends, no quoting."""
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        fh.write(",".join(MANIFEST_COLUMNS) + "\n")
+        for row in rows:
+            fh.write(",".join(row) + "\n")
+
+
 def _jsonable(value):
     """``json``'s fallback for the numpy values a report may hold."""
     if isinstance(value, (np.generic, np.ndarray)):
@@ -220,31 +232,28 @@ def metric_report(vector: MetricVector, config: dict) -> dict:
     return body
 
 
+def _rank_record(rank: RankTable, i: int) -> dict:
+    """Method ``i``'s entry in a rank report; the rank CSV flattens it."""
+    entry = {
+        "method_id": rank.methods[i],
+        "position": rank.positions[i],
+        "final_rank": rank.final[i],
+        "metric_ranks": {k: v[i] for k, v in rank.metric_ranks.items()},
+        "means": {k: v[i] for k, v in rank.means.items()},
+        "counts": {k: v[i] for k, v in rank.counts.items()},
+    }
+    if rank.final_ci is not None:
+        entry["final_rank_ci"] = rank.final_ci[i]
+        entry["mean_ci"] = {k: v[i] for k, v in rank.mean_ci.items()}
+    return entry
+
+
 def rank_report(rank: RankTable, config: dict,
                 interscanner: InterscannerResult | None = None) -> dict:
     body = _envelope(config)
-    methods = []
-    for i, name in enumerate(rank.methods):
-        entry = {
-            "method_id": name,
-            "position": rank.positions[i],
-            "final_rank": float(rank.final[i]),
-            "metric_ranks": {k: float(v[i])
-                             for k, v in rank.metric_ranks.items()},
-            "means": {k: v[i] for k, v in rank.means.items()},
-            "counts": {k: int(v[i]) for k, v in rank.counts.items()},
-        }
-        if rank.final_ci is not None:
-            entry["final_rank_ci"] = [float(rank.final_ci[i, 0]),
-                                      float(rank.final_ci[i, 1])]
-            entry["mean_ci"] = {k: [float(v[i, 0]), float(v[i, 1])]
-                                for k, v in rank.mean_ci.items()}
-        methods.append(entry)
     body["volume_metric"] = rank.volume_metric
-    body["methods"] = methods
-    body["cluster_boundaries"] = (list(rank.cluster_boundaries)
-                                  if rank.cluster_boundaries is not None
-                                  else None)
+    body["methods"] = [_rank_record(rank, i) for i in range(len(rank.methods))]
+    body["cluster_boundaries"] = rank.cluster_boundaries
     if rank.bootstrap is not None:
         body["bootstrap"] = {
             "replicates": rank.bootstrap.replicates,
@@ -257,8 +266,8 @@ def rank_report(rank: RankTable, config: dict,
             "normalization": interscanner.normalization,
             "methods": [
                 {"method_id": m,
-                 "robustness": float(interscanner.robustness[i]),
-                 "dispersions": {k: float(v[i]) for k, v
+                 "robustness": interscanner.robustness[i],
+                 "dispersions": {k: v[i] for k, v
                                  in interscanner.dispersions.items()}}
                 for i, m in enumerate(interscanner.methods)],
         }
@@ -274,17 +283,30 @@ def write_rank_csv(rank: RankTable, path: str | Path) -> None:
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(header)
-        for i, m in enumerate(rank.methods):
-            row = [m, rank.positions[i], repr(float(rank.final[i]))]
-            if rank.final_ci is not None:
-                row += [repr(float(rank.final_ci[i, 0])),
-                        repr(float(rank.final_ci[i, 1]))]
-            else:
-                row += ["", ""]
+        for i in range(len(rank.methods)):
+            rec = _rank_record(rank, i)
+            cells = [rec["method_id"], rec["position"], rec["final_rank"],
+                     *rec.get("final_rank_ci", (None, None))]
             for name in metrics:
-                row += [repr(float(rank.means[name][i])),
-                        repr(float(rank.metric_ranks[name][i]))]
-            writer.writerow(row)
+                cells += [rec["means"][name], rec["metric_ranks"][name]]
+            writer.writerow(map(_fmt, cells))
+
+
+def _distribution(s: Summary, values, hist) -> dict:
+    return {"mean": s.mean, "sd": s.sd, "min": s.minimum, "q1": s.q1,
+            "median": s.median, "q3": s.q3, "max": s.maximum, "n": s.n,
+            "sd_degenerate": s.sd_degenerate, "values": values,
+            "histogram": {"edges": hist[0], "counts": hist[1]}}
+
+
+def cohort_report(summary: CohortSummary, config: dict) -> dict:
+    body = _envelope(config)
+    body["n"] = summary.n
+    body["volume_ml"] = _distribution(summary.volume, summary.volumes_ml,
+                                      summary.volume_hist)
+    body["lesion_count"] = _distribution(summary.count, summary.lesion_counts,
+                                         summary.count_hist)
+    return body
 
 
 def dump_json(body: dict, path: str | Path | None) -> None:

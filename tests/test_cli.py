@@ -8,6 +8,7 @@ library calls on the same inputs.
 
 from __future__ import annotations
 
+import ast
 import gzip
 import hashlib
 import json
@@ -582,6 +583,40 @@ class TestRank:
                         for p in (out, csv))
         assert digests == self.PINNED_RANK[seed]
 
+    @pytest.mark.parametrize("bootstrap", ["0", "200"])
+    @pytest.mark.parametrize("table", ["redraw-prone", "synth"])
+    def test_rank_csv_cells_are_the_json_values(self, tmp_path, capsys,
+                                                 table, bootstrap):
+        results = tmp_path / "results.csv"
+        if table == "synth":
+            corpus = tmp_path / "corpus"
+            assert main(["synth", "--out-dir", str(corpus),
+                         *LABEL2_SYNTH_ARGS]) == 0
+            assert main(["evaluate-batch", str(corpus / "manifest.csv"),
+                         "-o", str(results)]) == 2
+        else:
+            self._redraw_prone_csv(results)
+        capsys.readouterr()
+        out, csv = tmp_path / "rank.json", tmp_path / "rank.csv"
+        assert main(["rank", str(results), "--bootstrap", bootstrap,
+                     "-o", str(out), "--csv", str(csv)]) == 0
+        methods = json.loads(out.read_text())["methods"]
+        header, *rows = [line.split(",")
+                         for line in csv.read_text().splitlines()]
+        assert len(rows) == len(methods) == (4 if table == "synth" else 3)
+        for cells, entry in zip(rows, methods):
+            ci = entry.get("final_rank_ci")
+            assert (ci is None) == (bootstrap == "0")
+            low, high = map(repr, ci) if ci else ("", "")
+            want = {"method_id": entry["method_id"],
+                    "position": str(entry["position"]),
+                    "final_rank": repr(entry["final_rank"]),
+                    "final_ci_low": low, "final_ci_high": high}
+            for name, rank in entry["metric_ranks"].items():
+                want[f"mean_{name}"] = repr(entry["means"][name])
+                want[f"rank_{name}"] = repr(rank)
+            assert dict(zip(header, cells)) == want
+
     def test_rank_csv_is_utf8_under_an_ascii_locale(self, tmp_path):
         table = table_from_columns({"méthode": {"dsc": [0.9, 0.8, 0.7]},
                                     "m_b": {"dsc": [0.6, 0.5, 0.4]}})
@@ -830,6 +865,21 @@ class TestStaple:
                      "--prior", "0.3"]) == 0
         assert "nan" not in capsys.readouterr().out
 
+    def test_raters_voting_almost_everywhere_keep_finite_rates(self, tmp_path,
+                                                               capsys):
+        # 65 raters voting 9 voxels in 10 leave no background mass, so
+        # the M-step has nothing to re-estimate the specificities from
+        rng = np.random.default_rng(0)
+        paths = [str(write_labels(tmp_path / f"r{j}.nii",
+                                  (rng.random((5, 6, 7)) < 0.9)
+                                  .astype(np.uint8)))
+                 for j in range(65)]
+        out = tmp_path / "c.nii"
+        assert main(["staple", *paths, "-o", str(out)]) == 0
+        printed = capsys.readouterr().out
+        assert "nan" not in printed and "converged True" in printed
+        assert read_nifti(out).data.any()
+
     def test_a_label_above_2_names_the_rater(self, raters_on_disk, tmp_path,
                                              capsys):
         masks, paths = raters_on_disk
@@ -912,6 +962,28 @@ class TestMaps:
         # (1, 1, 1) is in both references, each listed twice
         assert read_real(count_p)[1, 1, 1] == 2.0
         assert read_real(fn_p)[1, 1, 1] == 0.5
+
+    def test_a_prediction_on_reference_label_2_is_a_false_positive(
+            self, tmp_path, capsys):
+        # evaluate excises reference label 2 before scoring; maps keeps
+        # it, so a prediction voxel there is a false positive
+        dims = (6, 6, 4)
+        write_nifti(labels_from([(1, 1, 1)], dims, ignore_coords=[(3, 3, 2)]),
+                    tmp_path / "ref.nii")
+        write_nifti(labels_from([(1, 1, 1), (3, 3, 2)], dims),
+                    tmp_path / "pred.nii")
+        # exit 2: one reference lesion leaves the size split undefined
+        assert main(["evaluate", str(tmp_path / "ref.nii"),
+                     str(tmp_path / "pred.nii")]) == 2
+        assert json.loads(capsys.readouterr().out)["metrics"]["dsc"] == 1.0
+        manifest = write_manifest(tmp_path / "m.csv",
+                                  [("m", "s1", "sc", "ref.nii", "pred.nii")])
+        assert main(["maps", str(manifest), "--fn-out",
+                     str(tmp_path / "fn.nii"), "--fp-out",
+                     str(tmp_path / "fp.nii")]) == 0
+        fp_rate = read_real(tmp_path / "fp.nii")
+        assert fp_rate[3, 3, 2] == 1.0
+        assert fp_rate.sum() == 1.0
 
     def test_a_bad_label_names_its_row_and_file(self, maps_corpus, tmp_path,
                                                 capsys):
@@ -1025,6 +1097,53 @@ class TestCohort:
         body = json.loads(out.read_text())
         assert body["n"] == 1
         assert body["volume_ml"]["sd_degenerate"] is True
+
+
+# synth arguments of a small corpus whose references hold label 2
+LABEL2_SYNTH_ARGS = ["--subjects", "3", "--methods", "4",
+                     "--dims", "32", "32", "8", "--lesions", "3",
+                     "--size-range", "3", "5", "--ignore-fraction", "0.2",
+                     "--seed", "1"]
+
+
+@pytest.fixture
+def label2_corpus(tmp_path, capsys) -> Path:
+    corpus = tmp_path / "corpus"
+    assert main(["synth", "--out-dir", str(corpus), *LABEL2_SYNTH_ARGS]) == 0
+    assert (read_nifti(corpus / "sub-000_ref.nii.gz").data == 2).any()
+    capsys.readouterr()
+    return corpus
+
+
+class TestPinnedReportBytes:
+    """SHA-256 of the ``cohort`` and ``evaluate`` JSON files on
+    ``label2_corpus``: a new digest means a new report body or a new
+    value in it."""
+
+    PINNED = {
+        "cohort": ("3ff5a1071c62eb2de00c106898a2fbff"
+                   "a5e9868055ff4742410316c27f5c1f92"),
+        "cohort-fine-bins": ("556dd70111cb67060934595979fb0c34"
+                             "376c9e9c302e70501ed5a404178c5acd"),
+        "evaluate": ("afe91db18a583b3c18c109c746dde5bb"
+                     "73278362ba2f8e58e7395b17f7906227"),
+    }
+
+    @pytest.mark.parametrize("name", sorted(PINNED))
+    def test_pinned_report_bytes(self, label2_corpus, tmp_path, name):
+        manifest = str(label2_corpus / "manifest.csv")
+        out = tmp_path / "report.json"
+        argv = {
+            "cohort": ["cohort", manifest],
+            "cohort-fine-bins": ["cohort", manifest, "--volume-bin-ml",
+                                 "0.005", "--count-bin", "1"],
+            "evaluate": ["evaluate",
+                         str(label2_corpus / "sub-000_ref.nii.gz"),
+                         str(label2_corpus / "sub-000_method_02.nii.gz")],
+        }[name]
+        assert main([*argv, "-o", str(out)]) == 0
+        assert hashlib.sha256(out.read_bytes()).hexdigest() \
+            == self.PINNED[name]
 
 
 class TestBadLabels:
@@ -1443,3 +1562,48 @@ class TestParserReuse:
         for ext in ("json", "csv"):
             assert (tmp_path / f"here.{ext}").read_bytes() \
                 == (tmp_path / f"child.{ext}").read_bytes()
+
+
+def private_imports(source: str) -> list[str]:
+    """Each ``_``-prefixed name that ``source`` takes from another
+    ``seg_eval`` module, by AST: imported by name, or read off a
+    module it imported from the package."""
+    tree = ast.parse(source)
+    found, modules = [], set()
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.ImportFrom):
+            continue
+        package = node.level > 0 or (node.module or "").startswith("seg_eval")
+        for alias in node.names if package else ():
+            if node.module in (None, "seg_eval"):
+                modules.add(alias.asname or alias.name)
+            elif alias.name.startswith("_"):
+                found.append(f"{node.module.split('.')[-1]}.{alias.name}")
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.Attribute) and node.attr.startswith("_")
+                and isinstance(node.value, ast.Name)
+                and node.value.id in modules):
+            found.append(f"{node.value.id}.{node.attr}")
+    return found
+
+
+def test_the_scan_finds_private_imports():
+    assert private_imports(
+        "from .reportio import (MANIFEST_COLUMNS, dump_json, metric_report,\n"
+        "                       rank_report, _envelope)") \
+        == ["reportio._envelope"]
+    assert private_imports("from seg_eval.fusion import _vote_patterns") \
+        == ["fusion._vote_patterns"]
+    assert private_imports("from . import reportio\n"
+                           "body = reportio._envelope({})") \
+        == ["reportio._envelope"]
+    assert private_imports('"""reportio._envelope is private."""\n'
+                           "from .reportio import dump_json\n"
+                           "from argparse import _SubParsersAction") == []
+
+
+def test_cli_imports_no_private_name():
+    # every output body and file format is built in reportio, through
+    # its public functions
+    assert private_imports(Path(cli.__file__).read_text(encoding="utf-8")) \
+        == []

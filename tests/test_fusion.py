@@ -79,6 +79,24 @@ class TestStapleValidation:
         assert np.allclose(res.weights, 0.3, rtol=0, atol=1e-12)
         assert np.isfinite(res.specificity).all()
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("prior", [None, 0.3])
+    @pytest.mark.parametrize("dims", [(5, 6, 7), (16, 16, 4)])
+    @pytest.mark.parametrize("n_raters", [65, 100, 130])
+    def test_no_background_mass_keeps_the_specificities(self, n_raters, dims,
+                                                        prior):
+        # so many raters vote 9 voxels in 10 that every voxel is voted
+        # and every E-step weight rounds to 1: the M-step has no
+        # background to re-estimate q from
+        rng = np.random.default_rng(n_raters)
+        masks = [random_mask(rng, dims, density=0.9)
+                 for _ in range(n_raters)]
+        res = staple_fuse(masks, StapleParams(prior=prior))
+        assert np.isfinite(res.sensitivity).all()
+        assert np.isfinite(res.specificity).all()
+        assert np.isfinite(res.weights).all()
+        assert res.consensus.data.any()
+
     def test_grid_mismatch(self):
         a = mask_from([(0, 0, 0)], (4, 4, 4))
         b = mask_from([(0, 0, 0)], (4, 4, 5))
