@@ -212,8 +212,8 @@ def summarize_cohort(masks: list[BinaryMask], volume_bin_ml: float = 10.0,
     masks, in the shape of the usual cohort table."""
     if not masks:
         raise ArityError("cohort summary needs at least one mask")
-    if volume_bin_ml <= 0 or count_bin <= 0:
-        raise ValueError("bin widths must be positive")
+    if not (0 < volume_bin_ml < math.inf and 0 < count_bin < math.inf):
+        raise ValueError("bin widths must be finite numbers > 0")
     volumes = np.array([m.volume_ml() for m in masks])
     counts = np.array([connected_components(m, connectivity)[1]
                        for m in masks], dtype=np.float64)

@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import argparse
 import math
-import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import contextmanager
@@ -63,14 +62,6 @@ def _checked(kind, ok, what: str):
 _AT_LEAST_1 = _checked(int, lambda v: v >= 1, "an integer >= 1")
 _AT_LEAST_0 = _checked(int, lambda v: v >= 0, "an integer >= 0")
 _POSITIVE = _checked(float, lambda v: 0 < v < math.inf, "a finite number > 0")
-
-
-def _default_jobs() -> int:
-    raw = os.environ.get("SEG_EVAL_JOBS", "1")
-    try:
-        return _AT_LEAST_1(raw)
-    except argparse.ArgumentTypeError as exc:
-        raise CliUsageError(f"SEG_EVAL_JOBS {exc}") from None
 
 
 def _add_connectivity(p: argparse.ArgumentParser) -> None:
@@ -123,16 +114,15 @@ def _score_subject(subject, connectivity: int, manifest) -> list:
 
 def cmd_evaluate_batch(args) -> int:
     subjects = read_manifest(args.manifest)
-    jobs = args.jobs if args.jobs is not None else _default_jobs()
     score = partial(_score_subject, connectivity=args.connectivity,
                     manifest=args.manifest)
-    if jobs == 1:
+    if args.jobs == 1:
         results = list(map(score, subjects))
     else:
         # the workers fork from here: import their scipy modules once
         import scipy.ndimage
         import scipy.spatial
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
+        with ProcessPoolExecutor(max_workers=args.jobs) as pool:
             results = list(pool.map(score, subjects))
     by_line = {row.line: SubjectResult(row.method_id, subject.subject_id,
                                        subject.scanner_id, vec)
@@ -301,8 +291,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("manifest")
     _add_connectivity(p)
     p.add_argument("-o", "--output", required=True, help="result CSV path")
-    p.add_argument("--jobs", type=_AT_LEAST_1, default=None,
-                   help="worker processes (default: SEG_EVAL_JOBS or 1)")
+    p.add_argument("--jobs", type=_AT_LEAST_1, default=1,
+                   help="worker processes (default: 1)")
     p.set_defaults(func=cmd_evaluate_batch)
 
     p = sub.add_parser("rank", help="rank methods from a result CSV")

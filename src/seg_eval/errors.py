@@ -46,10 +46,6 @@ class DegenerateInputError(SegEvalError):
     """Inputs are formally valid but leave the operation undefined."""
 
 
-class UndefinedMetricError(SegEvalError):
-    """A metric has no defined value for these inputs."""
-
-
 class AllMissingError(SegEvalError):
     """Every contributing value for an aggregation cell is missing."""
 

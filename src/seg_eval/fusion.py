@@ -38,6 +38,8 @@ class StapleParams:
     def __post_init__(self):
         if self.max_iter < 1:
             raise ValueError("max_iter must be >= 1")
+        if not 0 < self.tol < np.inf:
+            raise ValueError("tol must be a finite number > 0")
         if not 0 < self.threshold <= 1:
             raise ValueError("threshold must be in (0, 1]")
         if self.prior is not None and not 0.0 < self.prior < 1.0:

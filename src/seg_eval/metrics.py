@@ -6,10 +6,12 @@ percent, its log-scale variant, and lesion-level recall/F1 based on
 connected components. ``evaluate_pair`` bundles them into one record;
 ``prepare_reference`` readies a reference once for many predictions.
 
-A metric that is undefined for a particular pair (for instance H95
-against an empty prediction) is reported as ``None`` and written as an
-empty CSV field; aggregation skips such entries instead of inventing a
-penalty value.
+A metric that is undefined for a particular pair is reported as
+``None`` and written as an empty CSV field; aggregation skips such
+entries instead of inventing a penalty value. An empty reference leaves
+H95, AVD and log-AVD undefined, an empty prediction H95 and log-AVD.
+``avd_percent``, ``log_avd`` and ``relative_difference`` return ``None``
+where their value is undefined; none of them raises.
 """
 
 from __future__ import annotations
@@ -19,7 +21,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import UndefinedMetricError
 # binarize_challenge is unused here, but perfbench/tracing.py wraps it
 # under this module's name
 from .volume import (BinaryMask, LabelVolume, binarize_challenge,
@@ -69,21 +70,17 @@ class MetricVector:
                                        self.recall_small, self.recall_large))
 
 
-def avd_percent(ref_volume: float, pred_volume: float) -> float:
-    """Absolute volume difference relative to the reference, in %."""
+def avd_percent(ref_volume: float, pred_volume: float) -> float | None:
+    """Absolute volume difference relative to the reference, in %; None
+    for an empty reference."""
     if ref_volume <= 0:
-        raise UndefinedMetricError(
-            "AVD is undefined for an empty reference volume")
+        return None
     return abs(pred_volume - ref_volume) / ref_volume * 100.0
 
 
 def log_avd(ref_volume: float, pred_volume: float) -> float | None:
-    """|ln(pred/ref)|. None for an empty prediction; an empty
-    reference has no defined value at all."""
-    if ref_volume <= 0:
-        raise UndefinedMetricError(
-            "log-AVD is undefined for an empty reference volume")
-    if pred_volume <= 0:
+    """|ln(pred/ref)|; None when either volume is empty."""
+    if ref_volume <= 0 or pred_volume <= 0:
         return None
     return abs(math.log(pred_volume / ref_volume))
 
@@ -116,12 +113,12 @@ def _stratum_recall(hit: np.ndarray, stratum: np.ndarray) -> float | None:
     return np.count_nonzero(hit & stratum) / n if n else None
 
 
-def relative_difference(value: float, baseline: float) -> float:
-    """(value - baseline) / baseline; the size-split summaries report
-    small-lesion recall relative to large-lesion recall this way."""
+def relative_difference(value: float, baseline: float) -> float | None:
+    """(value - baseline) / baseline, None for a zero baseline; the
+    size-split summaries report small-lesion recall relative to
+    large-lesion recall this way."""
     if baseline == 0:
-        raise UndefinedMetricError(
-            "relative difference against a zero baseline")
+        return None
     return (value - baseline) / baseline
 
 
@@ -277,17 +274,15 @@ def evaluate_pair(ref: LabelVolume | PreparedReference, pred: LabelVolume
     pred_hit = _hits(pred_ids[overlap], n_pred)
     total = ref.count + n_pred_vox
     dsc = 1.0 if total == 0 else 2.0 * overlap[0].size / total
-    h95 = avd = lavd = None
-    if ref.count and n_pred_vox:
+    h95 = None
+    if ref.count and n_pred_vox:   # no surface pass when a side is empty
         h95 = _surface_h95(
             ref, surface_voxels(pred_eval) + [sl.start for sl in box])
-    if ref.count:
-        avd = avd_percent(ref.count, n_pred_vox)
-        lavd = log_avd(ref.count, n_pred_vox)
     recall, f1 = _recall_f1(ref_hit, pred_hit)
 
     return MetricVector(
-        dsc=dsc, h95_mm=h95, avd_pct=avd, lavd=lavd, recall=recall, f1=f1,
+        dsc=dsc, h95_mm=h95, avd_pct=avd_percent(ref.count, n_pred_vox),
+        lavd=log_avd(ref.count, n_pred_vox), recall=recall, f1=f1,
         recall_small=_stratum_recall(ref_hit, ref.small),
         recall_large=_stratum_recall(ref_hit, ~ref.small),
         n_ref_lesions=ref.sizes.size,

@@ -1,3 +1,4 @@
+import math
 import statistics
 
 import numpy as np
@@ -328,3 +329,11 @@ class TestCohortSummary:
         with pytest.raises(ValueError):
             summarize_cohort([mask_from([], (3, 3, 3))], volume_bin_ml=0)
 
+    @pytest.mark.parametrize("width", [math.nan, math.inf, 0.0, -1.0])
+    @pytest.mark.parametrize("field", ["volume_bin_ml", "count_bin"])
+    def test_bin_widths_must_be_finite_and_positive(self, field, width):
+        # the range --volume-bin-ml and --count-bin accept: a NaN or
+        # infinite width has no finite histogram edges
+        mask = mask_from([(1, 1, 1)], (3, 3, 3))
+        with pytest.raises(ValueError, match="bin widths"):
+            summarize_cohort([mask], **{field: width})

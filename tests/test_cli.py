@@ -334,25 +334,17 @@ class TestEvaluateBatch:
         assert table.records[1].metrics.lavd is None
         assert table.records[0].metrics.lavd == 0.0
 
-    def test_env_var_sets_the_default_jobs(self, batch_corpus, tmp_path,
-                                           monkeypatch):
+    def test_the_environment_does_not_set_the_jobs(self, batch_corpus,
+                                                   tmp_path, monkeypatch):
+        # the worker count comes from --jobs alone, never from the
+        # environment
         manifest, *_ = batch_corpus
         base = tmp_path / "base.csv"
         env = tmp_path / "env.csv"
         assert main(["evaluate-batch", str(manifest), "-o", str(base)]) == 0
-        monkeypatch.setenv("SEG_EVAL_JOBS", "2")
+        monkeypatch.setenv("SEG_EVAL_JOBS", "two")
         assert main(["evaluate-batch", str(manifest), "-o", str(env)]) == 0
         assert base.read_bytes() == env.read_bytes()
-
-    @pytest.mark.parametrize("value", ["two", "0", "-3"])
-    def test_bad_env_jobs_is_a_usage_error(self, batch_corpus, tmp_path,
-                                           monkeypatch, capsys, value):
-        manifest, *_ = batch_corpus
-        monkeypatch.setenv("SEG_EVAL_JOBS", value)
-        rc = main(["evaluate-batch", str(manifest),
-                   "-o", str(tmp_path / "r.csv")])
-        assert rc == 1
-        assert "usage error:" in capsys.readouterr().err
 
     def test_jobs_flag_must_be_positive(self, batch_corpus, tmp_path,
                                         capsys):
@@ -1144,6 +1136,47 @@ class TestPinnedReportBytes:
         assert main([*argv, "-o", str(out)]) == 0
         assert hashlib.sha256(out.read_bytes()).hexdigest() \
             == self.PINNED[name]
+
+    # SHA-256 of the reports on pairs that leave H95, AVD or log-AVD
+    # undefined: (reference, prediction) for ``evaluate``, and for
+    # ``evaluate-batch`` a manifest holding those pairs and one defined
+    # pair; each command exits 2
+    UNDEFINED = {
+        "evaluate-empty-reference": (
+            "empty", "ref", "1d6bcf7f5598366eec52982028a33746"
+                            "9c5160147fe248c57ab0644b2a4e581b"),
+        "evaluate-empty-prediction": (
+            "ref", "empty", "51177b9f24e02c12b7ab804bba0bfc26"
+                            "971b1dbe6d2b7ac8e73468cb0a3871d8"),
+        "evaluate-both-empty": (
+            "empty", "empty", "7e5d90aae50a7e06f2c5fe9711e274a4"
+                              "5941aae80ee950886c9d744bce9c498f"),
+        "evaluate-batch": (
+            None, None, "3c2a8aef91a028cb6bc21aad00f28b43"
+                        "58087c50d6e59ae66b6f01b38d051b14"),
+    }
+
+    @pytest.mark.parametrize("name", sorted(UNDEFINED))
+    def test_pinned_undefined_case_bytes(self, tmp_path, capsys, name):
+        write_nifti(labels_from(REF_COORDS, (8, 8, 4)), tmp_path / "ref.nii")
+        write_nifti(labels_from([], (8, 8, 4)), tmp_path / "empty.nii")
+        ref, pred, digest = self.UNDEFINED[name]
+        out = tmp_path / "report"
+        if ref is None:
+            manifest = write_manifest(tmp_path / "m.csv", [
+                ("a", "s0", "sc", "empty.nii", "ref.nii"),
+                ("b", "s0", "sc", "empty.nii", "empty.nii"),
+                ("a", "s1", "sc", "ref.nii", "empty.nii"),
+                ("b", "s1", "sc", "ref.nii", "ref.nii")])
+            argv = ["evaluate-batch", str(manifest)]
+            err = "3 of 4 pairs have undefined metrics\n"
+        else:
+            argv = ["evaluate", str(tmp_path / f"{ref}.nii"),
+                    str(tmp_path / f"{pred}.nii")]
+            err = ""
+        assert main([*argv, "-o", str(out)]) == 2
+        assert capsys.readouterr() == ("", err)
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
 
 
 class TestBadLabels:

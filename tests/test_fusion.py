@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -110,6 +112,13 @@ class TestStapleValidation:
             StapleParams(threshold=0.0)
         with pytest.raises(ValueError):
             StapleParams(prior=1.0)
+
+    @pytest.mark.parametrize("tol", [math.nan, math.inf, 0.0, -1.0])
+    def test_tol_must_be_finite_and_positive(self, tol):
+        # the range --tol accepts: EM could never meet a NaN or
+        # non-positive tol, and would always meet an infinite one
+        with pytest.raises(ValueError, match="tol"):
+            StapleParams(tol=tol)
 
 
 class TestVotePatterns:

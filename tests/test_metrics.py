@@ -8,8 +8,7 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 import seg_eval.metrics
-from seg_eval.errors import (InvalidLabelError, ShapeMismatchError,
-                             UndefinedMetricError)
+from seg_eval.errors import InvalidLabelError, ShapeMismatchError
 from seg_eval.metrics import (_percentile95, avd_percent, evaluate_pair,
                               log_avd, prepare_reference, relative_difference)
 from seg_eval.synth import PerturbOps, perturb_mask
@@ -171,9 +170,9 @@ class TestVolumeDifferences:
             pred = rng.uniform(0, ref)      # undersegmentation
             assert avd_percent(ref, pred) <= 100.0
 
-    def test_avd_empty_reference_is_an_error(self):
-        with pytest.raises(UndefinedMetricError):
-            avd_percent(0.0, 5.0)
+    def test_avd_empty_reference_is_missing(self):
+        assert avd_percent(0.0, 5.0) is None
+        assert avd_percent(0.0, 0.0) is None
 
     def test_lavd_values(self):
         assert log_avd(10.0, 10.0) == 0.0
@@ -183,9 +182,9 @@ class TestVolumeDifferences:
     def test_lavd_empty_prediction_is_missing(self):
         assert log_avd(10.0, 0.0) is None
 
-    def test_lavd_empty_reference_is_an_error(self):
-        with pytest.raises(UndefinedMetricError):
-            log_avd(0.0, 5.0)
+    def test_lavd_empty_reference_is_missing(self):
+        assert log_avd(0.0, 5.0) is None
+        assert log_avd(0.0, 0.0) is None
 
     def test_lavd_depends_only_on_the_ratio(self):
         rng = np.random.default_rng(35)
@@ -308,8 +307,8 @@ class TestSizeSplit:
                                                                 abs=1e-6)
 
     def test_relative_difference_zero_baseline(self):
-        with pytest.raises(UndefinedMetricError):
-            relative_difference(0.5, 0.0)
+        assert relative_difference(0.5, 0.0) is None
+        assert relative_difference(0.0, 0.0) is None
 
 
 class TestEvaluatePair:
