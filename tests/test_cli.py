@@ -334,15 +334,17 @@ class TestEvaluateBatch:
         assert table.records[1].metrics.lavd is None
         assert table.records[0].metrics.lavd == 0.0
 
+    @pytest.mark.parametrize("value", ["2", "two", "0", "-3"])
     def test_the_environment_does_not_set_the_jobs(self, batch_corpus,
-                                                   tmp_path, monkeypatch):
+                                                   tmp_path, monkeypatch,
+                                                   value):
         # the worker count comes from --jobs alone, never from the
-        # environment
+        # environment, whether the value would be valid or not
         manifest, *_ = batch_corpus
         base = tmp_path / "base.csv"
         env = tmp_path / "env.csv"
         assert main(["evaluate-batch", str(manifest), "-o", str(base)]) == 0
-        monkeypatch.setenv("SEG_EVAL_JOBS", "two")
+        monkeypatch.setenv("SEG_EVAL_JOBS", value)
         assert main(["evaluate-batch", str(manifest), "-o", str(env)]) == 0
         assert base.read_bytes() == env.read_bytes()
 
