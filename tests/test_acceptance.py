@@ -248,6 +248,14 @@ def _oracle_table(name: str):
             obs["recall"] = [0.75] * 12
     else:
         columns = _random_columns(rng, 20, 110)
+        if name == "paper-shape-missing":
+            # about 8 % of the H95 and log-AVD cells empty, as when a
+            # method misses every lesion of a scan
+            for obs in columns.values():
+                for metric in ("h95_mm", "lavd"):
+                    gone = rng.random(110) < 0.08
+                    obs[metric] = [None if g else v
+                                   for g, v in zip(gone, obs[metric])]
     return table_from_columns(columns)
 
 
@@ -287,7 +295,8 @@ class TestBootstrap:
                                   second.mean_ci[name])
 
     @pytest.mark.parametrize("name, replicates", [
-        ("redraw-prone", 300), ("flat-column", 300), ("paper-shape", 200)])
+        ("redraw-prone", 300), ("flat-column", 300), ("paper-shape", 200),
+        ("paper-shape-missing", 200)])
     def test_matches_the_per_replicate_oracle(self, name, replicates):
         table = _oracle_table(name)
         config = BootstrapConfig(replicates=replicates, seed=8)
@@ -297,7 +306,7 @@ class TestBootstrap:
     @pytest.mark.parametrize("budget", [1, 2**30])
     def test_block_size_does_not_change_the_intervals(self, monkeypatch,
                                                       budget):
-        for name in ("redraw-prone", "flat-column"):
+        for name in ("redraw-prone", "flat-column", "paper-shape-missing"):
             table = _oracle_table(name)
             config = BootstrapConfig(replicates=150, seed=9)
             want = rank_with_ci(table, "lavd", config)

@@ -577,6 +577,56 @@ class TestRank:
                         for p in (out, csv))
         assert digests == self.PINNED_RANK[seed]
 
+    # SHA-256 of (rank.json, rank.csv) from the same command on
+    # _paper_shape_csv: 20 x 5 x 110 values, so 300 replicates take 60
+    # bootstrap blocks of five, with missing values in two ranked metrics
+    PINNED_MULTI_BLOCK_RANK = {
+        0: ("d9da068b8e58b58b45ce21e0fcbe8320"
+            "54bab6d81dce9b30ed68d9e288bbae5d",
+            "7ae84cd15e81b9208b7378adec2b6ae3"
+            "b1c62487f2631e76c33f1a46b75aecb2"),
+        7: ("790b838e28ef12bc9b226f12f644faab"
+            "50b8fa7e7c639ade449f911c5f9e3176",
+            "74e896e6c8b7782c75a6885f76e3d056"
+            "e0940598a7dd747bf5625d0dee07f2cd"),
+    }
+
+    @staticmethod
+    def _paper_shape_csv(path) -> Path:
+        """The paper's test-set shape, 20 methods x 110 subjects on five
+        scanners, with one in twelve H95 and log-AVD values missing."""
+        n = 110
+        columns = {}
+        for j in range(20):
+            columns[f"m{j:02d}"] = {
+                "dsc": [round(0.9 - 0.02 * j - 0.003 * ((7 * i + 3 * j) % 37),
+                              4) for i in range(n)],
+                "h95_mm": [None if (13 * i + 7 * j) % 12 == 0 else
+                           round(2.0 + 0.3 * j + 0.05 * ((5 * i + j) % 23), 3)
+                           for i in range(n)],
+                "lavd": [None if (11 * i + 5 * j + 3) % 12 == 0 else
+                         round(0.1 + 0.02 * j + 0.01 * ((3 * i + 2 * j) % 29),
+                               3) for i in range(n)],
+                "recall": [round(0.85 - 0.01 * j - 0.004 * ((i + 5 * j) % 31),
+                                 4) for i in range(n)],
+                "f1": [round(0.8 - 0.015 * j + 0.002 * ((9 * i + j) % 17), 4)
+                       for i in range(n)]}
+        scanner_of = {f"s{i:03d}": f"sc{'ABCDE'[i % 5]}" for i in range(n)}
+        table = table_from_columns(columns, scanner_of)
+        write_result_csv(list(table.records), path)
+        return path
+
+    @pytest.mark.parametrize("seed", sorted(PINNED_MULTI_BLOCK_RANK))
+    def test_pinned_multi_block_rank_bytes(self, tmp_path, seed):
+        results = self._paper_shape_csv(tmp_path / "results.csv")
+        out, csv = tmp_path / "rank.json", tmp_path / "rank.csv"
+        assert main(["rank", str(results), "--bootstrap", "300",
+                     "--interscanner", "--seed", str(seed),
+                     "-o", str(out), "--csv", str(csv)]) == 0
+        digests = tuple(hashlib.sha256(p.read_bytes()).hexdigest()
+                        for p in (out, csv))
+        assert digests == self.PINNED_MULTI_BLOCK_RANK[seed]
+
     @pytest.mark.parametrize("bootstrap", ["0", "200"])
     @pytest.mark.parametrize("table", ["redraw-prone", "synth"])
     def test_rank_csv_cells_are_the_json_values(self, tmp_path, capsys,
