@@ -36,6 +36,10 @@ class StapleParams:
     prior: float | None = None     # None: mean vote rate over the grid
 
     def __post_init__(self):
+        if (isinstance(self.max_iter, bool)
+                or not isinstance(self.max_iter, (int, np.integer))):
+            raise ValueError(f"max_iter must be an integer, "
+                             f"got {self.max_iter!r}")
         if self.max_iter < 1:
             raise ValueError("max_iter must be >= 1")
         if not 0 < self.tol < np.inf:

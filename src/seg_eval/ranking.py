@@ -17,9 +17,12 @@ across methods. Each replicate draws from its own counter-based
 stream keyed by (seed, replicate index), by the one bounded draw of
 ``seg_eval.streams`` on the stream's raw words, so results are
 bit-identical regardless of execution order, worker count or numpy
-release. The drawn replicates are then averaged and ranked in blocks
-by the same min-max as the point ranking, with the same bits as one
-replicate at a time.
+release. The drawn replicates are averaged a block at a time: each
+mean is a sum over the table with missing values zeroed, divided by
+an exact count of the defined values drawn. All replicates are then
+ranked in one pass of the same min-max as the point ranking. The
+result has the same bits as ``nanmean`` and ranking one replicate at
+a time.
 """
 
 from __future__ import annotations
@@ -59,7 +62,9 @@ HIGHER_BETTER = {
 _RANK_DECIMALS = 9
 _MAX_REDRAW = 10_000
 # float64 values gathered per bootstrap block (512 KiB); 1 MiB blocks
-# raised the peak RSS of ranking 20 methods x 110 subjects by ~3 MB
+# raised the peak RSS of ranking 20 methods x 110 subjects by ~3 MB.
+# A block's means are its NaN-zeroed sums over exact draw counts; the
+# ranks of every block come from one min-max pass after the last one
 _GATHER_BUDGET = 2**16
 
 
@@ -178,6 +183,13 @@ class BootstrapConfig:
     confidence: float = 0.95
 
     def __post_init__(self):
+        for name in ("replicates", "seed"):
+            value = getattr(self, name)
+            if (isinstance(value, bool)
+                    or not isinstance(value, (int, np.integer))):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
+            # a Python int: streams.rekey masks the seed to 64 bits
+            object.__setattr__(self, name, int(value))
         if self.replicates < 0:
             raise ValueError("replicates must be >= 0")
         if not 0.0 < self.confidence < 1.0:
@@ -264,12 +276,13 @@ def rank_with_ci(table: ResultTable, volume_metric: str = "lavd",
     metrics = selected_metrics(volume_metric)
     vals = table.values(metrics)                 # (M, K, S)
 
-    # draw, average and rank the replicates a block at a time
-    defined = ~np.isnan(vals)
+    # draw and average the replicates a block at a time; the counts
+    # are exact, every product and partial sum an integer <= n_subj
+    missing = np.isnan(vals)
+    filled = np.where(missing, 0.0, vals)
+    defined = (~missing).reshape(-1, n_subj).astype(np.float64)  # (MK, S)
     block = max(1, _GATHER_BUDGET // vals.size)
-    higher_better = [HIGHER_BETTER[m] for m in metrics]
     rep_means = np.empty((config.replicates, *vals.shape[:2]))   # (R, M, K)
-    rep_final = np.empty((config.replicates, len(vals)))
     block_draws = np.empty((min(block, config.replicates), n_subj), np.int64)
     redraws = 0
     bits = np.random.Philox(key=0)
@@ -278,23 +291,29 @@ def rank_with_ci(table: ResultTable, volume_metric: str = "lavd",
         # replicate r draws from stream (seed, r + 1); a row with a
         # rejected word or an empty cell is drawn again word by word
         redo = streams.below_rows(bits, config.seed, s + 1, n_subj, draws)
-        redo |= ~defined[:, :, draws].any(axis=3).all(axis=(0, 1))
+        rows = n_subj * np.arange(len(draws))[:, None]
+        mult = np.bincount((draws + rows).ravel(), minlength=draws.size)
+        counts = defined @ mult.reshape(draws.shape).T.astype(np.float64)
+        redo |= ~counts.all(axis=0)
         for i in np.flatnonzero(redo):
             words = streams.words(streams.rekey(bits, config.seed, s + i + 1))
             for tries in range(_MAX_REDRAW):
                 draws[i] = [streams.below(words, n_subj)
                             for _ in range(n_subj)]
-                if defined[:, :, draws[i]].any(axis=2).all():
+                counts[:, i] = defined @ np.bincount(draws[i],
+                                                     minlength=n_subj)
+                if counts[:, i].all():
                     break
             else:
                 raise AllMissingError(
                     f"bootstrap replicate {s + i} kept drawing subject sets "
                     f"with an empty (method, metric) cell")
             redraws += tries
-        gathered = vals[:, :, draws]                          # (M, K, B, S)
-        means = rep_means[s:s + block]
-        means[:] = np.nanmean(gathered, axis=3).transpose(2, 0, 1)
-        rep_final[s:s + block] = _minmax_ranks(means, higher_better).mean(2)
+        sums = filled[:, :, draws].sum(axis=3)                # (M, K, B)
+        sums /= counts.reshape(sums.shape)
+        rep_means[s:s + block] = sums.transpose(2, 0, 1)
+    rep_final = _minmax_ranks(
+        rep_means, [HIGHER_BETTER[m] for m in metrics]).mean(2)   # (R, M)
 
     # percentiles over replicates, realigned to the base table's order
     q = [100.0 * (1.0 - config.confidence) / 2.0,

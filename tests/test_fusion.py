@@ -113,6 +113,17 @@ class TestStapleValidation:
         with pytest.raises(ValueError):
             StapleParams(prior=1.0)
 
+    @pytest.mark.parametrize("max_iter", [2.5, 3.0, math.nan, math.inf,
+                                          True])
+    def test_max_iter_must_be_an_integer(self, max_iter):
+        # the values --max-iter refuses: 2.5 used to run 3 EM
+        # iterations, NaN 1 and inf until convergence
+        with pytest.raises(ValueError, match="max_iter must be an integer"):
+            StapleParams(max_iter=max_iter)
+
+    def test_max_iter_may_be_a_numpy_integer(self):
+        assert StapleParams(max_iter=np.int64(300)).max_iter == 300
+
     @pytest.mark.parametrize("tol", [math.nan, math.inf, 0.0, -1.0])
     def test_tol_must_be_finite_and_positive(self, tol):
         # the range --tol accepts: EM could never meet a NaN or

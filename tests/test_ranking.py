@@ -332,6 +332,23 @@ class TestBootstrap:
         with pytest.raises(ValueError):
             BootstrapConfig(confidence=1.0)
 
+    @pytest.mark.parametrize("field", ["replicates", "seed"])
+    @pytest.mark.parametrize("value", [2.5, 3.0, float("nan"), float("inf"),
+                                       True])
+    def test_integer_fields_refuse_other_numbers(self, field, value):
+        # --bootstrap and --seed refuse these too; a float replicate
+        # count used to end in an incidental TypeError inside the loop
+        with pytest.raises(ValueError, match=f"{field} must be an integer"):
+            BootstrapConfig(**{field: value})
+
+    def test_numpy_integers_are_integers(self):
+        t = table_from_columns({"a": {"dsc": [0.7, 0.8, 0.6]},
+                                "b": {"dsc": [0.4, 0.5, 0.45]}})
+        got = rank_with_ci(t, config=BootstrapConfig(
+            replicates=np.int64(300), seed=np.int64(4)))
+        want = rank_with_ci(t, config=BootstrapConfig(replicates=300, seed=4))
+        assert np.array_equal(got.final_ci, want.final_ci)
+
 
 class TestSignificanceClusters:
     def test_all_overlapping(self):
