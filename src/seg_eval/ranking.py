@@ -151,9 +151,14 @@ def _minmax_ranks(values: np.ndarray, higher_better) -> np.ndarray:
     v = np.where(higher_better, -values, values)
     lo = v.min(axis=-2, keepdims=True)
     hi = v.max(axis=-2, keepdims=True)
+    # in place: over every bootstrap replicate, each temporary would be
+    # as large as the replicate means
     with np.errstate(invalid="ignore", divide="ignore"):
-        ranks = np.round((v - lo) / (hi - lo), _RANK_DECIMALS)
-    return np.where(hi == lo, 0.0, ranks)
+        v -= lo
+        v /= hi - lo
+    np.round(v, _RANK_DECIMALS, out=v)
+    np.copyto(v, 0.0, where=hi == lo)
+    return v
 
 
 def metric_means(table: ResultTable, metrics: tuple[str, ...]
