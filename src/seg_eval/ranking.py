@@ -151,8 +151,7 @@ def _minmax_ranks(values: np.ndarray, higher_better) -> np.ndarray:
     v = np.where(higher_better, -values, values)
     lo = v.min(axis=-2, keepdims=True)
     hi = v.max(axis=-2, keepdims=True)
-    # in place: over every bootstrap replicate, each temporary would be
-    # as large as the replicate means
+    # in place: rank_with_ci passes the means of every replicate at once
     with np.errstate(invalid="ignore", divide="ignore"):
         v -= lo
         v /= hi - lo
